@@ -34,13 +34,6 @@ def rdp_gaussian(sigma: float, alpha: float) -> float:
     return alpha / (2.0 * sigma * sigma)
 
 
-def compose(rho_per_round, rounds: int):
-    """T-fold additive composition of a per-round RDP curve."""
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
-    return lambda alpha: rounds * rho_per_round(alpha)
-
-
 def to_epsilon(rho_total, delta: float, alphas=DEFAULT_ALPHA_GRID) -> tuple[float, float]:
     """Best (epsilon, alpha*) over the alpha grid for the given delta."""
     if not (0.0 < delta < 1.0):
@@ -55,8 +48,10 @@ def to_epsilon(rho_total, delta: float, alphas=DEFAULT_ALPHA_GRID) -> tuple[floa
 
 
 def epsilon_for(sigma: float, rounds: int, delta: float) -> tuple[float, float]:
-    """Convenience: epsilon spent by `rounds` Gaussian releases at this sigma."""
-    return to_epsilon(compose(lambda a: rdp_gaussian(sigma, a), rounds), delta)
+    """Epsilon spent by `rounds` Gaussian releases at this sigma."""
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
+    return to_epsilon(lambda a: rounds * rdp_gaussian(sigma, a), delta)
 
 
 @dataclass

@@ -19,11 +19,12 @@ from . import datasets, drain, model as model_ops, partition
 from .accountant import PrivacyLedger
 from .config import load_config
 from .metrics import CSV_HEADER, csv_row, evaluate
-from .model import ModelConfig, token_ids_from_keys
+from .model import token_ids_from_keys
 from .pipeline import (
     StageError,
     build_all_windows,
     load_entries,
+    model_config,
     parse_corpus,
     run_pipeline,
 )
@@ -93,18 +94,7 @@ def cmd_evaluate(args) -> int:
         return 1
     corpus = parse_corpus(load_entries(cfg), cfg)
     _, test_windows = build_all_windows(corpus, cfg)
-    model_cfg = ModelConfig(
-        vocab_size=corpus.n_templates + model_ops.N_RESERVED,
-        hidden_dim=cfg.model.hidden_dim,
-        head_dim=cfg.model.head_dim,
-        n_heads=cfg.model.n_heads,
-        n_layers=cfg.model.n_layers,
-        lora_rank=cfg.model.lora_rank,
-        lora_alpha=cfg.model.lora_alpha,
-        lora_dropout=cfg.model.lora_dropout,
-        max_sequence_length=cfg.window.max_sequence_length,
-        ffn_dim=cfg.model.ffn_dim,
-    )
+    model_cfg = model_config(cfg, corpus.n_templates)
     state = model_ops.init(model_cfg, [args.seed, 10])
     state.load(ckpt)
     scores = [

@@ -1,11 +1,16 @@
 """Federated orchestration: broadcast, local FedProx training, clipping,
 n-weighted aggregation, and central Gaussian noising.
 
-Aggregation uses the delta form w_t + sum_k (n_k / n) Delta_k so the clip
-bound C is exactly the l2 sensitivity the noise is calibrated to. Noise
-touches only the communicated (trainable) coordinates. All randomness is
-derived from the run seed through named sub-streams, so results are
-independent of client execution order.
+Aggregation uses the delta form w_t + sum_k (n_k / n) Delta_k, and the
+noise is calibrated to the clip bound C as its l2 sensitivity. That holds
+under zero-out adjacency: neighbouring rounds differ in one client's
+clipped delta being replaced by 0 while every weight n_k / n stays fixed,
+which moves the aggregate by (n_k / n) ||Delta_k|| <= C. Under add/remove
+adjacency the realised denominator n changes too and the bound does not
+hold as stated; ROADMAP.md item 3 tracks the fix. Noise touches only the
+communicated (trainable) coordinates. All randomness is derived from the
+run seed through named sub-streams, so results are independent of client
+execution order.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def local_train(
         return UpdateDelta(client.client_id, np.zeros_like(global_flat), n, 0.0)
 
     state = base_state.copy()
-    state.set_trainable(global_flat.copy())
+    state.set_trainable(global_flat)
     vocab = state.config.vocab_size
     sequences = [token_ids_from_keys(s.key_ids, vocab) for s in client.sequences]
     labels = [s.label for s in client.sequences]
@@ -129,11 +134,10 @@ def local_train(
         lr = cfg.learning_rate
         if warmup_steps > 0 and step < warmup_steps:
             lr *= (step + 1) / warmup_steps
-        w = state.get_trainable()
+        w = state.trainable
         w -= lr * g
         if cfg.weight_decay > 0.0:
             w -= lr * cfg.weight_decay * w
-        state.set_trainable(w)
         step += 1
         accum = np.zeros_like(global_flat)
         accum_count = 0
@@ -155,7 +159,7 @@ def local_train(
     if accum_count > 0:
         apply_step()
 
-    delta = state.get_trainable() - global_flat
+    delta = state.trainable - global_flat
     return UpdateDelta(client.client_id, delta, n, float(np.linalg.norm(delta)))
 
 

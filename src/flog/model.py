@@ -14,6 +14,7 @@ token e + 2. Out-of-range tokens fall back to UNK.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -58,6 +59,33 @@ class ModelConfig:
 _PROJ = ("q", "k", "v")
 
 
+def _trainable_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each trainable tensor, in flat-vector order.
+
+    This table is the one definition of the trainable layout: per layer the
+    A then B adapter of q, k and v, then head_w, then head_b.
+    """
+    d, r = config.hidden_dim, config.lora_rank
+    shapes: dict[str, tuple[int, ...]] = {}
+    for l in range(config.n_layers):
+        for p in _PROJ:
+            shapes[f"A{p}_{l}"] = (r, d)
+            shapes[f"B{p}_{l}"] = (d, r)
+    shapes["head_w"] = (d,)
+    shapes["head_b"] = (1,)
+    return shapes
+
+
+def _trainable_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> reshaped view into the flat trainable vector `flat`."""
+    views, offset = {}, 0
+    for name, shape in _trainable_shapes(config).items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 def token_ids_from_keys(key_ids, vocab_size: int) -> np.ndarray:
     """Map event ids to token ids, clamping unknown ids to UNK."""
     ids = np.asarray(key_ids, dtype=np.int64) + N_RESERVED
@@ -66,7 +94,11 @@ def token_ids_from_keys(key_ids, vocab_size: int) -> np.ndarray:
 
 
 class ModelState:
-    """Frozen base weights plus trainable adapters and classifier head."""
+    """Frozen base weights plus trainable adapters and classifier head.
+
+    The adapters, head_w and head_b are views into one flat float64 vector,
+    `trainable`, which is what training, clipping and noise act on.
+    """
 
     def __init__(self, config: ModelConfig, seed: int) -> None:
         self.config = config
@@ -86,63 +118,40 @@ class ModelState:
             self.frozen[f"W2_{l}"] = frozen(f, d)
 
         # B = 0 makes the adapted model identical to the base model at init.
-        self.adapters: dict[str, np.ndarray] = {}
+        shapes = _trainable_shapes(config).values()
+        self._bind(np.zeros(sum(math.prod(shape) for shape in shapes)))
         for l in range(L):
             for p in _PROJ:
-                self.adapters[f"A{p}_{l}"] = rng.normal(0.0, 1.0 / np.sqrt(r), size=(r, d))
-                self.adapters[f"B{p}_{l}"] = np.zeros((d, r))
-        self.head_w = np.zeros(d)
-        self.head_b = np.zeros(1)
-
-        self._layout = self._build_layout()
+                self.adapters[f"A{p}_{l}"][...] = rng.normal(0.0, 1.0 / np.sqrt(r), size=(r, d))
 
     # -- flat trainable parameter vector ------------------------------------
 
-    def _trainable_items(self):
-        for l in range(self.config.n_layers):
-            for p in _PROJ:
-                yield f"A{p}_{l}", self.adapters[f"A{p}_{l}"]
-                yield f"B{p}_{l}", self.adapters[f"B{p}_{l}"]
-        yield "head_w", self.head_w
-        yield "head_b", self.head_b
-
-    def _build_layout(self) -> dict[str, tuple[int, int]]:
-        layout, offset = {}, 0
-        for name, arr in self._trainable_items():
-            layout[name] = (offset, arr.size)
-            offset += arr.size
-        return layout
-
-    @property
-    def layout(self) -> dict[str, tuple[int, int]]:
-        return self._layout
+    def _bind(self, trainable: np.ndarray) -> None:
+        """Own `trainable` and make adapters, head_w and head_b views into it."""
+        self.trainable = trainable
+        views = _trainable_views(self.config, trainable)
+        self.head_w = views.pop("head_w")
+        self.head_b = views.pop("head_b")
+        self.adapters: dict[str, np.ndarray] = views
 
     @property
     def n_trainable(self) -> int:
-        return sum(length for _, length in self._layout.values())
+        return self.trainable.size
 
     def get_trainable(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self._trainable_items()])
+        return self.trainable.copy()
 
     def set_trainable(self, flat: np.ndarray) -> None:
-        if flat.shape != (self.n_trainable,):
+        if flat.shape != self.trainable.shape:
             raise ValueError("flat vector length does not match layout")
-        for name, arr in self._trainable_items():
-            offset, length = self._layout[name]
-            arr[...] = flat[offset : offset + length].reshape(arr.shape)
+        self.trainable[...] = flat
 
     def copy(self) -> "ModelState":
         clone = ModelState.__new__(ModelState)
         clone.config = self.config
         clone.frozen = self.frozen  # frozen weights are shared, never mutated
-        clone.adapters = {k: v.copy() for k, v in self.adapters.items()}
-        clone.head_w = self.head_w.copy()
-        clone.head_b = self.head_b.copy()
-        clone._layout = self._layout
+        clone._bind(self.trainable.copy())
         return clone
-
-    def frozen_fingerprint(self) -> int:
-        return hash(tuple(arr.tobytes() for arr in self.frozen.values()))
 
     # -- checkpoint io ------------------------------------------------------
 
@@ -295,7 +304,10 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     y_hat = 1.0 / (1.0 + np.exp(-z))
     dz = -w1 * y * (1.0 - y_hat) + w0 * (1 - y) * y_hat
 
-    grads = {"head_w": dz * h_last, "head_b": np.array([dz])}
+    grad = np.zeros(state.n_trainable)
+    grads = _trainable_views(cfg, grad)
+    grads["head_w"][...] = dz * h_last
+    grads["head_b"][0] = dz
     dH = np.zeros_like(cache["H_out"])
     dH[-1] = dz * state.head_w
 
@@ -329,17 +341,14 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
             B = state.adapters[f"B{p}_{l}"]
             M = lc[f"mask_{p}"]
             Xin = H_in * M
-            grads[f"A{p}_{l}"] = s * (Xin @ B).T @ dX
-            grads[f"B{p}_{l}"] = s * Xin.T @ (dX @ A.T)
+            grads[f"A{p}_{l}"][...] = s * (Xin @ B).T @ dX
+            grads[f"B{p}_{l}"][...] = s * Xin.T @ (dX @ A.T)
             dH_next += dX @ W.T + s * ((dX @ A.T) @ B.T) * M
         dH = dH_next
 
-    flat = np.zeros(state.n_trainable)
-    for name, (offset, length) in state.layout.items():
-        flat[offset : offset + length] = grads[name].ravel()
     if mu > 0.0 and w_anchor is not None:
-        flat += mu * (state.get_trainable() - w_anchor)
-    return flat
+        grad += mu * (state.trainable - w_anchor)
+    return grad
 
 
 def class_weights_from_labels(labels) -> tuple[float, float]:

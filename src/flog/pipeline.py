@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import logging
 import zlib
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import datasets, drain, federated, model as model_ops, partition, windows
@@ -88,63 +89,51 @@ def build_all_windows(corpus: ParsedCorpus, cfg: RunConfig):
     return train, test
 
 
+def model_config(cfg: RunConfig, n_templates: int) -> ModelConfig:
+    """The model shape for a run: its vocabulary is the parsed templates."""
+    return ModelConfig(
+        vocab_size=n_templates + model_ops.N_RESERVED,
+        max_sequence_length=cfg.window.max_sequence_length,
+        **asdict(cfg.model),
+    )
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError for `name`."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    try:
+    with _stage("ingest"):
         entries = load_entries(cfg)
-    except Exception as exc:
-        raise StageError("ingest", exc) from exc
     log.info("ingested %d entries", len(entries))
 
-    try:
+    with _stage("parse"):
         corpus = parse_corpus(entries, cfg)
         drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
-    except Exception as exc:
-        raise StageError("parse", exc) from exc
     log.info("parsed %d templates across %d nodes",
              corpus.n_templates, len(corpus.records_by_node))
 
-    try:
+    with _stage("window"):
         train_windows, test_windows = build_all_windows(corpus, cfg)
-    except Exception as exc:
-        raise StageError("window", exc) from exc
     log.info("built %d train / %d test windows", len(train_windows), len(test_windows))
 
-    try:
+    with _stage("partition"):
         nodes = list(corpus.records_by_node)
         assignment = partition.round_robin_assign(nodes, cfg.federated.k_clients)
         clients = partition.materialize(train_windows, assignment, cfg.federated.k_clients)
         partition.write_assignment_dump(assignment, out / "assignment.tsv")
-    except Exception as exc:
-        raise StageError("partition", exc) from exc
 
-    try:
-        model_cfg = ModelConfig(
-            vocab_size=corpus.n_templates + model_ops.N_RESERVED,
-            hidden_dim=cfg.model.hidden_dim,
-            head_dim=cfg.model.head_dim,
-            n_heads=cfg.model.n_heads,
-            n_layers=cfg.model.n_layers,
-            lora_rank=cfg.model.lora_rank,
-            lora_alpha=cfg.model.lora_alpha,
-            lora_dropout=cfg.model.lora_dropout,
-            max_sequence_length=cfg.window.max_sequence_length,
-            ffn_dim=cfg.model.ffn_dim,
-        )
-        state = model_ops.init(model_cfg, [seed, 10])
-        fed_cfg = federated.FedConfig(
-            **{
-                **{f: getattr(cfg.federated, f) for f in (
-                    "k_clients", "rounds", "participation_rate", "local_epochs",
-                    "learning_rate", "proximal_mu", "clip_bound", "noise_multiplier",
-                    "batch_size", "weight_decay", "warmup_ratio", "grad_accum_steps",
-                    "max_grad_norm",
-                )},
-                "seed": seed,
-            }
-        )
+    with _stage("train"):
+        state = model_ops.init(model_config(cfg, corpus.n_templates), [seed, 10])
+        fed_cfg = replace(cfg.federated, seed=seed)
         ledger = PrivacyLedger(
             target_epsilon=cfg.privacy.target_epsilon,
             delta=cfg.privacy.delta,
@@ -160,8 +149,6 @@ def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
             ledger,
         )
         metrics = trainer.run()
-    except Exception as exc:
-        raise StageError("train", exc) from exc
 
     with open(out / "rounds.csv", "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -68,12 +68,3 @@ def build_windows(records: list[LogRecord], cfg: WindowConfig) -> list[WindowSeq
             )
         start += cfg.step_seconds
     return out
-
-
-def write_window_dump(windows: list[WindowSequence], path) -> None:
-    """Tab-separated window dump: node, start, label, space-joined key ids."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id\tstart_time\tlabel\tkey_ids\n")
-        for w in windows:
-            keys = " ".join(str(k) for k in w.key_ids)
-            fh.write(f"{w.node_id}\t{w.start_time}\t{w.label}\t{keys}\n")

@@ -8,7 +8,6 @@ import pytest
 from flog.accountant import (
     DEFAULT_ALPHA_GRID,
     PrivacyLedger,
-    compose,
     epsilon_for,
     rdp_gaussian,
     to_epsilon,
@@ -42,17 +41,9 @@ class TestRdpGaussian:
 
 
 class TestCompose:
-    def test_additive(self):
-        rho = compose(lambda a: rdp_gaussian(1.5, a), 20)
-        assert rho(2.0) == pytest.approx(20 * 2.0 / (2 * 1.5**2))
-
-    def test_zero_rounds(self):
-        rho = compose(lambda a: rdp_gaussian(1.0, a), 0)
-        assert rho(3.0) == 0.0
-
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError):
-            compose(lambda a: a, -1)
+            epsilon_for(1.0, -1, 1e-5)
 
 
 class TestToEpsilon:

@@ -295,6 +295,7 @@ class TestStateAndCheckpoint:
         other.load(path)
         for name, arr in state.all_tensors().items():
             np.testing.assert_array_equal(other.all_tensors()[name], arr)
+        np.testing.assert_array_equal(other.get_trainable(), state.get_trainable())
 
     def test_save_deterministic_bytes(self, tmp_path):
         state = init(tiny_config(), 0)

@@ -7,7 +7,7 @@ import yaml
 
 from flog.cli import main
 from flog.config import load_config
-from flog.pipeline import ARTIFACTS, run_pipeline
+from flog.pipeline import ARTIFACTS, StageError, run_pipeline
 
 
 def small_doc(out_dir, n_lines=3000):
@@ -124,6 +124,17 @@ class TestRunPipeline:
             "eps_spent,mean_pre_clip_norm,wall_seconds"
         )
         assert len(lines) == 1 + cfg.federated.rounds
+
+    def test_failing_stage_is_named(self, cfg_path, monkeypatch, capsys):
+        def broken(records, cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("flog.pipeline.windows.build_windows", broken)
+        with pytest.raises(StageError) as info:
+            run_pipeline(load_config(cfg_path), seed=0)
+        assert info.value.stage == "window"
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "stage 'window' failed" in capsys.readouterr().err
 
 
 class TestLargeProfile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flog.drain import LogRecord
-from flog.windows import WindowConfig, WindowSequence, build_windows, write_window_dump
+from flog.windows import WindowConfig, WindowSequence, build_windows
 
 
 def mk_records(times, anomalous=None, node="n0"):
@@ -114,12 +114,3 @@ class TestEdges:
             WindowConfig(window_seconds=5, step_seconds=10)
         with pytest.raises(ValueError):
             WindowConfig(window_seconds=5, step_seconds=5, min_logs_per_window=0)
-
-    def test_dump(self, tmp_path):
-        cfg = WindowConfig(window_seconds=10, step_seconds=10)
-        ws = build_windows(mk_records([0, 1, 2]), cfg)
-        path = tmp_path / "windows.tsv"
-        write_window_dump(ws, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "node_id\tstart_time\tlabel\tkey_ids"
-        assert lines[1] == "n0\t0\t0\t0 1 2"
