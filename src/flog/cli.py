@@ -3,8 +3,7 @@
     flog <subcommand> --config <file> [--seed N] [--out DIR]
 
 Subcommands run individual stages standalone (synth, parse, partition,
-account) or the whole pipeline (train, evaluate). FLOG_THREADS caps
-worker parallelism during local training.
+account) or the whole pipeline (train, evaluate).
 """
 
 from __future__ import annotations
@@ -97,10 +96,9 @@ def cmd_evaluate(args) -> int:
     model_cfg = model_config(cfg, corpus.n_templates)
     state = model_ops.init(model_cfg, [args.seed, 10])
     state.load(ckpt)
-    scores = [
-        float(model_ops.forward(state, token_ids_from_keys(w.key_ids, model_cfg.vocab_size))[0])
-        for w in test_windows
-    ]
+    scores = model_ops.score(
+        state, [token_ids_from_keys(w.key_ids, model_cfg.vocab_size) for w in test_windows]
+    )
     labels = [w.label for w in test_windows]
     print(CSV_HEADER)
     print(csv_row(evaluate(scores, labels)))

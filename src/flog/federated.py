@@ -15,10 +15,9 @@ execution order.
 
 from __future__ import annotations
 
+import itertools
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +108,13 @@ def local_train(
 
     state = base_state.copy()
     state.set_trainable(global_flat)
-    vocab = state.config.vocab_size
-    sequences = [token_ids_from_keys(s.key_ids, vocab) for s in client.sequences]
-    labels = [s.label for s in client.sequences]
+    # Token ids of every sequence, converted in one pass and split into views.
+    keys = [s.key_ids for s in client.sequences]
+    tokens = token_ids_from_keys(
+        np.fromiter(itertools.chain.from_iterable(keys), np.int64), state.config.vocab_size
+    )
+    sequences = np.split(tokens, np.cumsum([len(k) for k in keys])[:-1])
+    labels = np.array([s.label for s in client.sequences])
     weights = model_ops.class_weights_from_labels(labels)
 
     n_batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -146,12 +149,10 @@ def local_train(
         order = rng.permutation(n)
         for b in range(n_batches_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch_grad = np.zeros_like(global_flat)
-            for i in idx:
-                _, cache = model_ops.forward(state, sequences[i], "train", rng)
-                batch_grad += model_ops.backward(
-                    state, cache, labels[i], weights, cfg.proximal_mu, global_flat
-                )
+            _, cache = model_ops.forward(state, [sequences[i] for i in idx], "train", rng)
+            batch_grad = model_ops.backward(
+                state, cache, labels[idx], weights, cfg.proximal_mu, global_flat
+            )
             accum += batch_grad / len(idx)
             accum_count += 1
             if accum_count == cfg.grad_accum_steps:
@@ -233,11 +234,7 @@ class FederatedTrainer:
         )
 
     def evaluate_global(self) -> tuple[list[float], list[int]]:
-        scores = [
-            float(model_ops.forward(self.state, seq, "eval")[0])
-            for seq in self.test_tokens
-        ]
-        return scores, self.test_labels
+        return model_ops.score(self.state, self.test_tokens), self.test_labels
 
     def run_round(self, round_idx: int) -> RoundMetrics:
         t_start = time.perf_counter()
@@ -246,23 +243,11 @@ class FederatedTrainer:
             cfg.k_clients, cfg.participation_rate, self._round_rng(_STREAM_SELECT, round_idx)
         )
         global_flat = self.state.get_trainable()
-
-        def train_one(k: int) -> UpdateDelta:
-            return local_train(
-                self.clients[k],
-                self.state,
-                global_flat,
-                cfg,
-                self._round_rng(_STREAM_CLIENT, round_idx, k),
-            )
-
-        max_workers = int(os.environ.get("FLOG_THREADS", "1"))
-        if max_workers > 1 and len(participants) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                deltas = list(pool.map(train_one, participants))
-        else:
-            deltas = [train_one(k) for k in participants]
-        deltas.sort(key=lambda d: d.client_id)
+        deltas = [
+            local_train(self.clients[k], self.state, global_flat, cfg,
+                        self._round_rng(_STREAM_CLIENT, round_idx, k))
+            for k in participants
+        ]
 
         pre_clip = [d.pre_clip_norm for d in deltas if d.n_samples > 0]
         for d in deltas:

@@ -180,16 +180,37 @@ class ModelState:
                 fh.write(tensors[entry["name"]].astype("<f8").tobytes())
 
     def load(self, path) -> None:
+        """Read a checkpoint written by `save` for a model of this config.
+
+        Raises ValueError naming the tensor when the manifest misses or adds
+        a tensor, a shape differs, or the data is not exactly the manifest's.
+        """
         with open(path, "rb") as fh:
             (n,) = struct.unpack("<I", fh.read(4))
             manifest = json.loads(fh.read(n).decode("utf-8"))
-            data = np.frombuffer(fh.read(), dtype="<f8")
+            raw = fh.read()
         tensors = self.all_tensors()
+        named = {entry["name"] for entry in manifest}
+        if missing := sorted(tensors.keys() - named):
+            raise ValueError(f"{path}: tensor {missing[0]!r} is missing from the checkpoint")
+        if unknown := sorted(named - tensors.keys()):
+            raise ValueError(f"{path}: tensor {unknown[0]!r} is not part of the model")
+        offset = 0
         for entry in manifest:
-            arr = tensors[entry["name"]]
-            arr[...] = data[entry["offset"] : entry["offset"] + entry["length"]].reshape(
-                entry["shape"]
-            )
+            name, shape = entry["name"], tuple(entry["shape"])
+            if shape != tensors[name].shape or entry["length"] != tensors[name].size:
+                raise ValueError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+                                 f"the model expects {list(tensors[name].shape)}")
+            if entry["offset"] != offset or 8 * (offset + entry["length"]) > len(raw):
+                raise ValueError(f"{path}: data of tensor {name!r} is misplaced or truncated")
+            offset += entry["length"]
+        if len(raw) != 8 * offset:
+            raise ValueError(f"{path}: {len(raw) - 8 * offset} bytes after tensor {name!r}")
+        data = np.frombuffer(raw, dtype="<f8")
+        for entry in manifest:
+            tensors[entry["name"]][...] = data[
+                entry["offset"] : entry["offset"] + entry["length"]
+            ].reshape(entry["shape"])
 
 
 def init(config: ModelConfig, seed: int) -> ModelState:
@@ -197,84 +218,145 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 
 
 # -- forward / backward -----------------------------------------------------
+#
+# A batch is packed: the rows of its sequences are concatenated, with no
+# padding, and attention runs over (query, key) pairs inside each sequence.
+# Pairs are grouped by query, so segment softmax and the weighted sum over V
+# are reduceats over the group starts. The head reads only each sequence's
+# last row, so the final layer computes Q, attention output and FFN for
+# those rows alone; earlier layers need every row and use all pairs.
 
 
-def adapted_projection(H, W, A, B, alpha, r, dropout_mask):
+@dataclass(frozen=True)
+class _Pairs:
+    """One layer's attention pairs, grouped by query.
+
+    Pair p joins query q[p] (an index into the layer's query rows) with key
+    row k[p]; starts[g] is the first pair of query g. by_key permutes the
+    pairs into key order, with the same group starts, or is None when pair p
+    is key row p, in which case k is the slice of all rows.
+    """
+
+    q: np.ndarray
+    k: np.ndarray | slice
+    starts: np.ndarray
+    by_key: np.ndarray | None
+
+
+def _all_pairs(lengths, starts, seg, pos) -> _Pairs:
+    """Every (i, j) row pair inside each sequence, ordered by i, then j."""
+    sizes = lengths * lengths
+    first = sizes.cumsum() - sizes
+    pair_seg = np.repeat(np.arange(len(lengths)), sizes)
+    T = lengths[pair_seg]
+    i, j = np.divmod(np.arange(len(pair_seg)) - first[pair_seg], T)
+    base = starts[pair_seg]
+    return _Pairs(base + i, base + j, first[seg] + pos * lengths[seg], first[pair_seg] + j * T + i)
+
+
+def _key_sum(X: np.ndarray, pairs: _Pairs) -> np.ndarray:
+    """Sum per-pair rows X into one row per key row."""
+    if pairs.by_key is None:
+        return X
+    return np.add.reduceat(X[pairs.by_key], pairs.starts, axis=0)
+
+
+def _heads(X: np.ndarray, n_heads: int) -> np.ndarray:
+    return X.reshape(len(X), n_heads, -1)
+
+
+def adapted_projection(H, W, A, B, alpha, r, dropout_mask=None):
     """H W plus the scaled low-rank bypass (alpha/r) (H o mask) B A."""
     if H.shape[1] != W.shape[0] or A.shape[1] != H.shape[1] or B.shape[0] != W.shape[1]:
         raise ValueError("inconsistent shapes in adapted projection")
-    return H @ W + (alpha / r) * ((H * dropout_mask) @ B) @ A
+    Hm = H if dropout_mask is None else H * dropout_mask
+    return H @ W + Hm @ ((alpha / r) * (B @ A))
 
 
-def _softmax_rows(S):
-    Z = S - S.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+def forward(state: ModelState, sequences, mode: str = "eval", rng=None):
+    """Classify key sequences, packed into one batch; returns (probabilities, cache).
 
-
-def attention(Q, K, V):
-    """Row-stable softmax(Q K^T / sqrt(d_k)) V, no causal mask."""
-    d_k = Q.shape[1]
-    P = _softmax_rows(Q @ K.T / np.sqrt(d_k))
-    return P @ V
-
-
-def forward(state: ModelState, key_ids, mode: str = "eval", rng=None):
-    """Classify a whole key sequence; returns (probability, cache)."""
+    `sequences` is a list of key-id sequences. A bare 1-D sequence is a
+    batch of one and gets a scalar probability. In train mode with dropout,
+    masks are drawn from `rng` for the rows each projection uses.
+    """
     cfg = state.config
-    if len(key_ids) == 0:
-        raise ValueError("forward requires a non-empty sequence")
-    if len(key_ids) > cfg.max_sequence_length:
+    single = len(sequences) == 0 or np.ndim(sequences[0]) == 0
+    batch = [sequences] if single else sequences
+    lens = [len(s) for s in batch]
+    if min(lens) == 0:
+        raise ValueError("forward requires non-empty sequences")
+    if max(lens) > cfg.max_sequence_length:
         raise ValueError("sequence longer than max_sequence_length")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    ids = np.asarray(key_ids, dtype=np.int64)
-    ids = np.where((ids < 0) | (ids >= cfg.vocab_size), UNK_ID, ids)
-    T, d = len(ids), cfg.hidden_dim
-    r = cfg.lora_rank
+    dropout = mode == "train" and cfg.lora_dropout > 0.0
+    if dropout and rng is None:
+        raise ValueError("train mode with dropout requires an rng")
+    keep = 1.0 - cfg.lora_dropout
     n_heads, d_k = cfg.n_heads, cfg.head_dim
 
-    H = state.frozen["embed"][ids] + state.frozen["pos"][:T]
-    cache = {"ids": ids, "mode": mode, "layers": []}
-    for l in range(cfg.n_layers):
-        lc = {"H_in": H}
-        proj = {}
-        for p in _PROJ:
-            if mode == "train" and cfg.lora_dropout > 0.0:
-                if rng is None:
-                    raise ValueError("train mode with dropout requires an rng")
-                keep = 1.0 - cfg.lora_dropout
-                mask = (rng.random((T, d)) < keep) / keep
-            else:
-                mask = np.ones((T, d))
-            W = state.frozen[f"W{p}_{l}"]
-            A = state.adapters[f"A{p}_{l}"]
-            B = state.adapters[f"B{p}_{l}"]
-            proj[p] = adapted_projection(H, W, A, B, cfg.lora_alpha, r, mask)
-            lc[f"mask_{p}"] = mask
-        Q, K, V = proj["q"], proj["k"], proj["v"]
-        lc["Q"], lc["K"], lc["V"] = Q, K, V
+    ids = np.asarray(np.concatenate(batch), dtype=np.int64)
+    ids[(ids < 0) | (ids >= cfg.vocab_size)] = UNK_ID
+    lengths = np.array(lens)
+    starts = lengths.cumsum() - lengths
+    seg = np.repeat(np.arange(len(lens)), lengths)
+    pos = np.arange(len(ids)) - starts[seg]
+    H = np.take(state.frozen["embed"], ids, axis=0) + np.take(state.frozen["pos"], pos, axis=0)
+    last = starts + lengths - 1
 
-        O = np.empty((T, d))
-        lc["P"] = []
-        for h in range(n_heads):
-            sl = slice(h * d_k, (h + 1) * d_k)
-            P = _softmax_rows(Q[:, sl] @ K[:, sl].T / np.sqrt(d_k))
-            lc["P"].append(P)
-            O[:, sl] = P @ V[:, sl]
-        lc["O"] = O
-        H1 = H + O @ state.frozen[f"Wo_{l}"]
+    cache = {"layers": []}
+    inner = _all_pairs(lengths, starts, seg, pos) if cfg.n_layers > 1 else None
+    for l in range(cfg.n_layers):
+        if l == cfg.n_layers - 1:  # queries: each sequence's last row, keys: its rows
+            rows, pairs = last, _Pairs(seg, slice(None), starts, None)
+        else:
+            rows, pairs = None, inner
+        Hq = H if rows is None else H[rows]
+        lc = {"H_in": H, "rows": rows, "pairs": pairs}
+        proj = []
+        for p, X in zip(_PROJ, (Hq, H, H)):
+            mask = (rng.random(X.shape) < keep) / keep if dropout else None
+            lc[f"mask_{p}"] = mask
+            proj.append(adapted_projection(
+                X, state.frozen[f"W{p}_{l}"], state.adapters[f"A{p}_{l}"],
+                state.adapters[f"B{p}_{l}"], cfg.lora_alpha, cfg.lora_rank, mask,
+            ))
+        # Per-pair rows of Q, K and V, split into heads.
+        Qp, Kp, Vp = (_heads(X, n_heads)[i] for X, i in zip(proj, (pairs.q, pairs.k, pairs.k)))
+        S = np.einsum("phd,phd->ph", Qp, Kp) / math.sqrt(d_k)
+        E = np.exp(S - np.maximum.reduceat(S, pairs.starts, axis=0)[pairs.q])
+        P = E / np.add.reduceat(E, pairs.starts, axis=0)[pairs.q]
+        O = np.add.reduceat(P[:, :, None] * Vp, pairs.starts, axis=0)
+        H1 = Hq + O.reshape(len(Hq), -1) @ state.frozen[f"Wo_{l}"]
         Z = H1 @ state.frozen[f"W1_{l}"]
-        lc["H1"], lc["Z"] = H1, Z
         H = H1 + np.maximum(Z, 0.0) @ state.frozen[f"W2_{l}"]
+        lc.update(Qp=Qp, Kp=Kp, Vp=Vp, P=P, Z=Z)
         cache["layers"].append(lc)
 
-    h_last = H[-1]
-    z = float(h_last @ state.head_w + state.head_b[0])
-    y_hat = 1.0 / (1.0 + np.exp(-z))
-    cache["h_last"], cache["H_out"] = h_last, H
-    return y_hat, cache
+    y_hat = 1.0 / (1.0 + np.exp(-(H @ state.head_w + state.head_b[0])))
+    cache["h_last"], cache["y_hat"] = H, y_hat
+    return (y_hat[0] if single else y_hat), cache
+
+
+EVAL_ROWS = 1024  # packed rows per eval forward call, roughly
+
+
+def score(state: ModelState, sequences) -> list[float]:
+    """Eval-mode probability of each sequence.
+
+    Consecutive sequences are scored together; a chunk ends with the
+    sequence whose last row crosses a multiple of EVAL_ROWS. Bounding rows
+    rather than sequences bounds the packed arrays' memory and keeps each
+    matmul small enough for BLAS to run it on one thread: chunks of 64
+    windows of ~65 keys made OpenBLAS split the projections across the two
+    cores of a shared 2-core box, and scoring ran several times slower.
+    """
+    if not sequences:
+        return []
+    ends = np.cumsum([len(seq) for seq in sequences])
+    cuts = [0, *(np.flatnonzero(np.diff(ends // EVAL_ROWS)) + 1), len(sequences)]
+    return [float(p) for a, b in zip(cuts, cuts[1:]) for p in forward(state, sequences[a:b])[0]]
 
 
 EPS_LOG = 1e-12
@@ -293,61 +375,65 @@ def loss(y_hat, y, class_weights, w_flat=None, w_anchor=None, mu=0.0):
 
 
 def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
-    """Gradient of the loss over the trainable flat vector (adapters + head)."""
-    cfg = state.config
-    s, r = cfg.scale, cfg.lora_rank
-    n_heads, d_k = cfg.n_heads, cfg.head_dim
-    w0, w1 = class_weights
-    h_last = cache["h_last"]
+    """Batch sum of the per-sample loss gradients over the trainable flat vector.
 
-    z = float(h_last @ state.head_w + state.head_b[0])
-    y_hat = 1.0 / (1.0 + np.exp(-z))
+    `y` holds one label per sequence of the forward call that made `cache`
+    (a scalar for a bare sequence).
+    """
+    cfg = state.config
+    s, n_heads = cfg.scale, cfg.n_heads
+    w0, w1 = class_weights
+    h_last, y_hat = cache["h_last"], cache["y_hat"]
+    y = np.asarray(y, dtype=float)
     dz = -w1 * y * (1.0 - y_hat) + w0 * (1 - y) * y_hat
 
     grad = np.zeros(state.n_trainable)
     grads = _trainable_views(cfg, grad)
-    grads["head_w"][...] = dz * h_last
-    grads["head_b"][0] = dz
-    dH = np.zeros_like(cache["H_out"])
-    dH[-1] = dz * state.head_w
+    grads["head_w"][...] = dz @ h_last
+    grads["head_b"][0] = dz.sum()
+    dH = dz[:, None] * state.head_w
 
     for l in reversed(range(cfg.n_layers)):
         lc = cache["layers"][l]
+        pairs, rows = lc["pairs"], lc["rows"]
         # FFN: H_out = H1 + relu(H1 W1) W2
-        dZr = dH @ state.frozen[f"W2_{l}"].T
-        dZ = dZr * (lc["Z"] > 0.0)
+        dZ = (dH @ state.frozen[f"W2_{l}"].T) * (lc["Z"] > 0.0)
         dH1 = dH + dZ @ state.frozen[f"W1_{l}"].T
-        # Attention: H1 = H_in + O Wo
-        dO = dH1 @ state.frozen[f"Wo_{l}"].T
-        Q, K, V = lc["Q"], lc["K"], lc["V"]
-        dQ = np.empty_like(Q)
-        dK = np.empty_like(K)
-        dV = np.empty_like(V)
-        for h in range(n_heads):
-            sl = slice(h * d_k, (h + 1) * d_k)
-            P = lc["P"][h]
-            dOh = dO[:, sl]
-            dP = dOh @ V[:, sl].T
-            dV[:, sl] = P.T @ dOh
-            dS = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-            dQ[:, sl] = dS @ K[:, sl] / np.sqrt(d_k)
-            dK[:, sl] = dS.T @ Q[:, sl] / np.sqrt(d_k)
+        # Attention: H1 = H_q + O Wo, O = reduceat over pairs of P V
+        dO = _heads(dH1 @ state.frozen[f"Wo_{l}"].T, n_heads)[pairs.q]
+        P = lc["P"]
+        dP = np.einsum("phd,phd->ph", dO, lc["Vp"])
+        dS = P * (dP - np.add.reduceat(dP * P, pairs.starts, axis=0)[pairs.q])
+        dS /= math.sqrt(cfg.head_dim)
+        dQ = np.add.reduceat(dS[:, :, None] * lc["Kp"], pairs.starts, axis=0)
+        dK = _key_sum(dS[:, :, None] * lc["Qp"], pairs)
+        dV = _key_sum(P[:, :, None] * dO, pairs)
         # Projections: X = H W + s (H o M) B A
         H_in = lc["H_in"]
-        dH_next = dH1.copy()
-        for p, dX in zip(_PROJ, (dQ, dK, dV)):
-            W = state.frozen[f"W{p}_{l}"]
+        dH_in = []
+        for p, X, dX in zip(_PROJ, (H_in if rows is None else H_in[rows], H_in, H_in),
+                            (dQ, dK, dV)):
+            dX = dX.reshape(len(X), -1)
             A = state.adapters[f"A{p}_{l}"]
             B = state.adapters[f"B{p}_{l}"]
             M = lc[f"mask_{p}"]
-            Xin = H_in * M
-            grads[f"A{p}_{l}"][...] = s * (Xin @ B).T @ dX
-            grads[f"B{p}_{l}"][...] = s * Xin.T @ (dX @ A.T)
-            dH_next += dX @ W.T + s * ((dX @ A.T) @ B.T) * M
-        dH = dH_next
+            G = s * ((X if M is None else X * M).T @ dX)
+            grads[f"A{p}_{l}"][...] = B.T @ G
+            grads[f"B{p}_{l}"][...] = G @ A.T
+            if l > 0:  # the embeddings below layer 0 are frozen
+                bypass = dX @ (s * (B @ A)).T
+                dH_in.append(dX @ state.frozen[f"W{p}_{l}"].T
+                             + (bypass if M is None else bypass * M))
+        if l > 0:
+            dq, dk, dv = dH_in
+            dH = dk + dv
+            if rows is None:
+                dH += dH1 + dq
+            else:
+                dH[rows] += dH1 + dq
 
     if mu > 0.0 and w_anchor is not None:
-        grad += mu * (state.trainable - w_anchor)
+        grad += len(dz) * mu * (state.trainable - w_anchor)
     return grad
 
 

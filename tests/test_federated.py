@@ -329,18 +329,6 @@ class TestTrainer:
         )
         assert [m.f1 for m in m1] == [m.f1 for m in m2]
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        fc = fed_config(k_clients=3, rounds=2, noise_multiplier=0.2)
-        monkeypatch.setenv("FLOG_THREADS", "1")
-        t1 = build_trainer(fc)
-        t1.run()
-        monkeypatch.setenv("FLOG_THREADS", "3")
-        t2 = build_trainer(fc)
-        t2.run()
-        np.testing.assert_array_equal(
-            t1.state.get_trainable(), t2.state.get_trainable()
-        )
-
     def test_metrics_rows_per_round(self):
         fc = fed_config(rounds=3, noise_multiplier=0.2)
         trainer = build_trainer(fc)

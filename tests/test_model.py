@@ -1,4 +1,7 @@
-"""Model: LoRA algebra, attention, forward, analytic gradients, checkpoints."""
+"""Model: LoRA algebra, packed forward, analytic gradients, checkpoints."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,12 +10,12 @@ import flog.model as M
 from flog.model import (
     ModelConfig,
     adapted_projection,
-    attention,
     backward,
     class_weights_from_labels,
     forward,
     init,
     loss,
+    score,
     token_ids_from_keys,
 )
 
@@ -80,27 +83,6 @@ class TestAdaptedProjection:
                 np.ones((2, 4)), np.ones((3, 4)), np.ones((2, 4)),
                 np.ones((4, 2)), 1.0, 2, np.ones((2, 4)),
             )
-
-
-class TestAttention:
-    def test_two_by_two_hand_case(self):
-        Q = np.array([[1.0, 0.0], [0.0, 1.0]])
-        K = np.array([[1.0, 0.0], [0.0, 1.0]])
-        V = np.array([[2.0, 0.0], [0.0, 4.0]])
-        out = attention(Q, K, V)
-        # Row 0: softmax([1, 0] / sqrt(2)) weights.
-        s = 1.0 / np.sqrt(2.0)
-        w = np.exp(s) / (np.exp(s) + 1.0)
-        want = np.array([[2.0 * w, 4.0 * (1 - w)], [2.0 * (1 - w), 4.0 * w]])
-        np.testing.assert_allclose(out, want, rtol=1e-12)
-
-    def test_rows_are_convex_combinations(self):
-        rng = np.random.default_rng(1)
-        Q, K, V = rng.normal(size=(3, 5, 4))
-        out = attention(Q, K, V)
-        assert out.shape == (5, 4)
-        lo, hi = V.min(axis=0), V.max(axis=0)
-        assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
 class TestForward:
@@ -180,6 +162,46 @@ def base_forward(state, key_ids):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+class TestPacking:
+    """Packed batches against B=1 calls of the same engine."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_batch_equals_single_calls(self, n_layers, n_heads):
+        cfg = tiny_config(n_layers=n_layers, n_heads=n_heads, head_dim=8 // n_heads)
+        state = init(cfg, 3)
+        rng = np.random.default_rng(10 * n_layers + n_heads)
+        state.set_trainable(rng.normal(0.0, 0.3, size=state.n_trainable))
+        anchor = rng.normal(0.0, 0.3, size=state.n_trainable)
+        # Heavy-tailed lengths in [1, max_sequence_length], both ends present.
+        lengths = np.minimum(1 + rng.pareto(1.0, size=24).astype(int), cfg.max_sequence_length)
+        lengths[:2] = 1, cfg.max_sequence_length
+        seqs = [rng.integers(0, cfg.vocab_size, size=t) for t in lengths]
+        labels = rng.integers(0, 2, size=len(seqs))
+        weights, mu = (0.7, 3.1), 0.05
+
+        probs, cache = forward(state, seqs)
+        grad = backward(state, cache, labels, weights, mu, anchor)
+        single_probs = np.array([forward(state, seq)[0] for seq in seqs])
+        single_grad = sum(
+            backward(state, forward(state, seq)[1], y, weights, mu, anchor)
+            for seq, y in zip(seqs, labels)
+        )
+        np.testing.assert_allclose(probs, single_probs, rtol=1e-12, atol=0.0)
+        assert np.linalg.norm(grad - single_grad) <= 1e-12 * np.linalg.norm(single_grad)
+
+    def test_score_matches_single_calls_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(M, "EVAL_ROWS", 20)  # many chunks of a few sequences
+        state = init(tiny_config(), 5)
+        rng = np.random.default_rng(5)
+        state.set_trainable(rng.normal(0.0, 0.3, size=state.n_trainable))
+        seqs = [rng.integers(0, 12, size=rng.integers(1, 17)) for _ in range(40)]
+        want = [float(forward(state, seq)[0]) for seq in seqs]
+        np.testing.assert_allclose(score(state, seqs), want, rtol=1e-12, atol=0.0)
+        assert score(state, seqs[:1]) == want[:1]
+        assert score(state, []) == []
+
+
 class TestGradients:
     def _loss_at(self, state, flat, seq, y, weights, mu, anchor):
         probe = state.copy()
@@ -214,6 +236,39 @@ class TestGradients:
                     self._loss_at(state, up, seq, y, weights, mu, anchor)
                     - self._loss_at(state, down, seq, y, weights, mu, anchor)
                 ) / (2 * h)
+            denom = np.maximum(np.abs(num), 1e-8)
+            worst = max(worst, float(np.max(np.abs(g - num) / denom)))
+        assert worst < 1e-4
+
+    def test_finite_difference_batched_train_dropout(self):
+        # L=2, 2 heads, dropout 0.3 in train mode, one packed batch of three
+        # sequences; re-seeding the rng fixes the masks for every loss.
+        cfg = tiny_config(n_layers=2, n_heads=2, head_dim=4, lora_dropout=0.3,
+                          max_sequence_length=8)
+        h, weights, mu = 1e-5, (0.7, 3.1), 0.05
+        worst = 0.0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            state = init(cfg, seed)
+            flat = rng.normal(0.0, 0.3, size=state.n_trainable)
+            state.set_trainable(flat)
+            anchor = rng.normal(0.0, 0.3, size=state.n_trainable)
+            seqs = [rng.integers(0, 12, size=t) for t in (1, 3, 8)]
+            labels = rng.integers(0, 2, size=3)
+
+            def batch_loss(vec):
+                probe = state.copy()
+                probe.set_trainable(vec)
+                probs, _ = forward(probe, seqs, "train", np.random.default_rng([seed, 1]))
+                return sum(loss(p, y, weights, vec, anchor, mu) for p, y in zip(probs, labels))
+
+            _, cache = forward(state, seqs, "train", np.random.default_rng([seed, 1]))
+            g = backward(state, cache, labels, weights, mu, anchor)
+            num = np.zeros_like(g)
+            for i in range(len(flat)):
+                step = np.zeros_like(flat)
+                step[i] = h
+                num[i] = (batch_loss(flat + step) - batch_loss(flat - step)) / (2 * h)
             denom = np.maximum(np.abs(num), 1e-8)
             worst = max(worst, float(np.max(np.abs(g - num) / denom)))
         assert worst < 1e-4
@@ -303,6 +358,26 @@ class TestStateAndCheckpoint:
         state.save(p1)
         state.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_rejects_truncated_file(self, tmp_path):
+        state = init(tiny_config(), 0)
+        path = tmp_path / "model.ckpt"
+        state.save(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="'pos'"):  # the last tensor in the file
+            init(tiny_config(), 0).load(path)
+
+    def test_load_rejects_missing_tensor(self, tmp_path):
+        state = init(tiny_config(), 0)
+        path = tmp_path / "model.ckpt"
+        state.save(path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[:4])
+        manifest = [e for e in json.loads(raw[4 : 4 + n]) if e["name"] != "head_w"]
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + n :])
+        with pytest.raises(ValueError, match="'head_w'"):
+            init(tiny_config(), 0).load(path)
 
     def test_init_deterministic(self):
         s1, s2 = init(tiny_config(), 7), init(tiny_config(), 7)
