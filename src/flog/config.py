@@ -122,10 +122,7 @@ def load_config(path) -> RunConfig:
             if "anomaly_template_ids" in synth:
                 synth["anomaly_template_ids"] = frozenset(synth["anomaly_template_ids"])
             sub["synthetic"] = _build(SyntheticSpec, synth, "dataset.synthetic")
-        try:
-            sections[name] = _build(cls, sub, name)
-        except ValueError:
-            raise
+        sections[name] = _build(cls, sub, name)
     cfg = RunConfig(output_dir=str(raw.get("output_dir", "out")), **sections)
     if cfg.dataset.format != "synthetic" and not Path(cfg.dataset.path).exists():
         raise ValueError(f"dataset.path does not exist: {cfg.dataset.path}")

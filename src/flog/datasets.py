@@ -35,21 +35,20 @@ class LineParseError(ValueError):
         self.line_number = line_number
 
 
-# Header token counts before the free-text message begins.
+# Both formats put 9 header tokens, the node id fourth, before the message.
 # Thunderbird: label epoch date node month day time node2 component message...
 # BGL:        label epoch date node fulltime node2 type component severity message...
-_N_HEADER = {"thunderbird": 9, "bgl": 9}
-_NODE_INDEX = {"thunderbird": 3, "bgl": 3}
+_N_HEADER = 9
+_NODE_INDEX = 3
 
 
 def decode_line(line: str, fmt: str, line_number: int | None = None) -> RawEntry:
-    if fmt not in _N_HEADER:
+    if fmt not in ("thunderbird", "bgl"):
         raise ValueError(f"unknown format: {fmt!r}")
     tokens = line.split()
-    n_header = _N_HEADER[fmt]
-    if len(tokens) <= n_header:
+    if len(tokens) <= _N_HEADER:
         raise LineParseError(
-            f"expected more than {n_header} tokens, got {len(tokens)}", line_number
+            f"expected more than {_N_HEADER} tokens, got {len(tokens)}", line_number
         )
     try:
         epoch = int(tokens[1])
@@ -60,8 +59,8 @@ def decode_line(line: str, fmt: str, line_number: int | None = None) -> RawEntry
     return RawEntry(
         label_field=tokens[0],
         epoch_seconds=epoch,
-        node_id=tokens[_NODE_INDEX[fmt]],
-        message=" ".join(tokens[n_header:]),
+        node_id=tokens[_NODE_INDEX],
+        message=" ".join(tokens[_N_HEADER:]),
     )
 
 
@@ -199,7 +198,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
 
 
 def read_log_file(path, fmt: str, max_samples: int | None = None):
-    """Yield (RawEntry, line_number); malformed lines are counted and skipped.
+    """Yield (RawEntry, line_number); blank and malformed lines are skipped.
 
     max_samples is a prefix cut in file order.
     """

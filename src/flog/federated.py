@@ -67,6 +67,11 @@ class FedConfig:
             raise ValueError("batch_size and grad_accum_steps must be >= 1")
         if not (0.0 <= self.warmup_ratio <= 1.0):
             raise ValueError("warmup_ratio must be in [0, 1]")
+        # A negative max_grad_norm would flip every clipped step into ascent.
+        if self.max_grad_norm <= 0.0:
+            raise ValueError("max_grad_norm must be positive")
+        if self.learning_rate < 0.0 or self.weight_decay < 0.0:
+            raise ValueError("learning_rate and weight_decay must be non-negative")
 
 
 @dataclass
@@ -98,9 +103,11 @@ def local_train(
 ) -> UpdateDelta:
     """E epochs of mini-batch FedProx SGD from the broadcast weights.
 
-    Per optimizer step: gradients averaged over grad_accum_steps
-    micro-batches, clipped to max_grad_norm, linear learning-rate warmup
-    over warmup_ratio of the step budget, decoupled weight decay.
+    The E * ceil(n / batch_size) micro-batches run in order, across epoch
+    boundaries, grad_accum_steps per optimizer step; the last step takes
+    the remainder. Per step: gradients averaged over its micro-batches,
+    clipped to max_grad_norm, linear learning-rate warmup over
+    warmup_ratio of the step budget, decoupled weight decay.
     """
     n = client.n_samples
     if n == 0 or cfg.local_epochs == 0:
@@ -117,50 +124,40 @@ def local_train(
     labels = np.array([s.label for s in client.sequences])
     weights = model_ops.class_weights_from_labels(labels)
 
-    n_batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = max(
-        1, (cfg.local_epochs * n_batches_per_epoch + cfg.grad_accum_steps - 1)
-        // cfg.grad_accum_steps,
-    )
+    accum = cfg.grad_accum_steps
+    n_micro = cfg.local_epochs * -(-n // cfg.batch_size)
+    total_steps = -(-n_micro // accum)
     warmup_steps = int(round(cfg.warmup_ratio * total_steps))
+    # Lazy: an epoch's permutation is drawn when its first batch is pulled,
+    # after the dropout draws of the previous epoch's last batch.
+    batches = (
+        order[start : start + cfg.batch_size]
+        for order in (rng.permutation(n) for _ in range(cfg.local_epochs))
+        for start in range(0, n, cfg.batch_size)
+    )
+    w = state.trainable
 
-    step = 0
-    accum = np.zeros_like(global_flat)
-    accum_count = 0
-
-    def apply_step():
-        nonlocal step, accum, accum_count
-        g = accum / accum_count
+    for step in range(total_steps):
+        # The last step averages fewer micro-batches when n_micro % accum != 0.
+        k = min(accum, n_micro - step * accum)
+        g = np.zeros_like(w)
+        for idx in itertools.islice(batches, k):
+            _, cache = model_ops.forward(state, [sequences[i] for i in idx], "train", rng)
+            g += model_ops.backward(
+                state, cache, labels[idx], weights, cfg.proximal_mu, global_flat
+            ) / len(idx)
+        g /= k
         g_norm = float(np.linalg.norm(g))
         if g_norm > cfg.max_grad_norm:
             g *= cfg.max_grad_norm / g_norm
         lr = cfg.learning_rate
-        if warmup_steps > 0 and step < warmup_steps:
+        if step < warmup_steps:
             lr *= (step + 1) / warmup_steps
-        w = state.trainable
         w -= lr * g
         if cfg.weight_decay > 0.0:
             w -= lr * cfg.weight_decay * w
-        step += 1
-        accum = np.zeros_like(global_flat)
-        accum_count = 0
 
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for b in range(n_batches_per_epoch):
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            _, cache = model_ops.forward(state, [sequences[i] for i in idx], "train", rng)
-            batch_grad = model_ops.backward(
-                state, cache, labels[idx], weights, cfg.proximal_mu, global_flat
-            )
-            accum += batch_grad / len(idx)
-            accum_count += 1
-            if accum_count == cfg.grad_accum_steps:
-                apply_step()
-    if accum_count > 0:
-        apply_step()
-
-    delta = state.trainable - global_flat
+    delta = w - global_flat
     return UpdateDelta(client.client_id, delta, n, float(np.linalg.norm(delta)))
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAD_ID = 0
 UNK_ID = 1
 N_RESERVED = 2
 

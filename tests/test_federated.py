@@ -85,6 +85,10 @@ class TestFedConfig:
             fed_config(noise_multiplier=-1.0)
         with pytest.raises(ValueError):
             fed_config(warmup_ratio=1.5)
+        for field, bad in (("max_grad_norm", 0.0), ("max_grad_norm", -1.0),
+                           ("learning_rate", -0.1), ("weight_decay", -0.01)):
+            with pytest.raises(ValueError, match=field):
+                fed_config(**{field: bad})
 
 
 class TestSelectParticipants:
@@ -245,6 +249,53 @@ class TestLocalTrain:
             mk_client(0, 6), state, before.copy(), fed_config(), np.random.default_rng(0)
         )
         np.testing.assert_array_equal(state.get_trainable(), before)
+
+    def test_accumulation_schedule_matches_reference(self):
+        # n=10, batch 4: 3 micro-batches per epoch, 3 epochs = 9 micro-batches.
+        # With 2 per step that is 5 steps: step 1 straddles the first epoch
+        # boundary, and step 4 is a partial step of one micro-batch.
+        cfg = fed_config(
+            local_epochs=3, batch_size=4, grad_accum_steps=2, learning_rate=0.5,
+            proximal_mu=0.1, warmup_ratio=0.4, weight_decay=0.05, max_grad_norm=0.05,
+        )
+        state = init(tiny_model_config(lora_dropout=0.3), 5)
+        state.set_trainable(np.random.default_rng(12).normal(0, 0.2, size=state.n_trainable))
+        client = mk_client(0, 10, seed=13)
+        flat = state.get_trainable()
+        out = local_train(client, state, flat, cfg, np.random.default_rng(14))
+
+        ref = state.copy()
+        vocab = ref.config.vocab_size
+        seqs = [token_ids_from_keys(s.key_ids, vocab) for s in client.sequences]
+        labels = np.array([s.label for s in client.sequences])
+        weights = model_ops.class_weights_from_labels(labels)
+        # Plain accumulate-then-step reference: 9 micro-batches, 5 steps.
+        rng = np.random.default_rng(14)
+        warmup_steps = 2  # round(0.4 * 5)
+        g, count, steps, clipped = np.zeros_like(flat), 0, 0, 0
+        for epoch in range(3):
+            order = rng.permutation(10)
+            for b in range(0, 10, 4):
+                idx = order[b : b + 4]
+                _, cache = forward(ref, [seqs[i] for i in idx], "train", rng)
+                g += model_ops.backward(
+                    ref, cache, labels[idx], weights, cfg.proximal_mu, flat
+                ) / len(idx)
+                count += 1
+                if count < 2 and (epoch, b) != (2, 8):
+                    continue
+                g /= count
+                norm = float(np.linalg.norm(g))
+                if norm > cfg.max_grad_norm:
+                    g *= cfg.max_grad_norm / norm
+                    clipped += 1
+                lr = cfg.learning_rate * min(1.0, (steps + 1) / warmup_steps)
+                ref.trainable[...] -= lr * g
+                ref.trainable[...] -= lr * cfg.weight_decay * ref.trainable
+                g, count, steps = np.zeros_like(flat), 0, steps + 1
+
+        assert steps == 5 and clipped > 0
+        np.testing.assert_array_equal(out.delta, ref.trainable - flat)
 
     def test_pre_clip_norm_reported(self):
         state = init(tiny_model_config(), 4)

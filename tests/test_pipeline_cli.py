@@ -210,6 +210,10 @@ class TestCli:
             assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("round,participants,")
+        # The reloaded checkpoint scores the test split exactly as the last
+        # training round did: accuracy, precision, recall, F1, ROC-AUC.
+        last = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[-1]
+        assert out.splitlines()[1].split(",")[2:7] == last.split(",")[2:7]
 
     def test_evaluate_without_checkpoint_fails(self, cfg_path, tmp_path, capsys):
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
