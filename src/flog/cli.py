@@ -9,6 +9,7 @@ account) or the whole pipeline (train, evaluate).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import sys
@@ -91,6 +92,17 @@ def cmd_evaluate(args) -> int:
     if not ckpt.exists():
         print(f"no checkpoint at {ckpt}; run `flog train` first", file=sys.stderr)
         return 1
+    # The checkpoint's round, participants and privacy spend are the run's last row.
+    rounds_csv = out / "rounds.csv"
+    if not rounds_csv.exists():
+        print(f"no rounds.csv at {rounds_csv}; run `flog train` first", file=sys.stderr)
+        return 1
+    with open(rounds_csv, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        print(f"{rounds_csv} has no completed round", file=sys.stderr)
+        return 1
+    last = rows[-1]
     corpus = parse_corpus(load_entries(cfg), cfg)
     _, test_windows = build_all_windows(corpus, cfg)
     model_cfg = model_config(cfg, corpus.n_templates)
@@ -101,7 +113,10 @@ def cmd_evaluate(args) -> int:
     )
     labels = [w.label for w in test_windows]
     print(CSV_HEADER)
-    print(csv_row(evaluate(scores, labels)))
+    print(csv_row(evaluate(
+        scores, labels, round_idx=int(last["round"]), participants=int(last["participants"]),
+        eps_spent=float(last["eps_spent"]),
+    )))
     return 0
 
 

@@ -8,9 +8,15 @@ clipped delta being replaced by 0 while every weight n_k / n stays fixed,
 which moves the aggregate by (n_k / n) ||Delta_k|| <= C. Under add/remove
 adjacency the realised denominator n changes too and the bound does not
 hold as stated; ROADMAP.md item 3 tracks the fix. Noise touches only the
-communicated (trainable) coordinates. All randomness is derived from the
-run seed through named sub-streams, so results are independent of client
-execution order.
+communicated (trainable) coordinates.
+
+A round's participants train as one cohort, in lockstep: micro-batch i of
+every client that has one shares packed forward/backward calls, while each
+client keeps its own row of adapters and head, its own class weights and
+its own optimizer step. All randomness is derived from the run seed through
+named sub-streams, and each client draws from its own stream in the order
+it would if trained alone, so its update equals its solo training up to
+rounding.
 """
 
 from __future__ import annotations
@@ -94,71 +100,154 @@ def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> l
             return [int(i) for i in np.flatnonzero(mask)]
 
 
+@dataclass(frozen=True)
+class LocalData:
+    """One client's training windows as token ids, labels and class weights."""
+
+    client_id: int
+    tokens: list[np.ndarray]
+    labels: np.ndarray
+    class_weights: tuple[float, float]
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def from_client(cls, client: ClientDataset, vocab_size: int) -> "LocalData":
+        """Convert every window's keys to token ids in one pass."""
+        keys = [s.key_ids for s in client.sequences]
+        labels = np.array([s.label for s in client.sequences])
+        if not keys:
+            return cls(client.client_id, [], labels, (1.0, 1.0))
+        tokens = token_ids_from_keys(
+            np.fromiter(itertools.chain.from_iterable(keys), np.int64), vocab_size
+        )
+        return cls(
+            client.client_id,
+            np.split(tokens, np.cumsum([len(k) for k in keys])[:-1]),
+            labels,
+            model_ops.class_weights_from_labels(labels),
+        )
+
+
+@dataclass(frozen=True)
+class Cohort:
+    """A round's participants, trained together by `local_train`."""
+
+    members: tuple[LocalData, ...]
+
+    @property
+    def n_samples(self) -> int:
+        """The participants' windows, in total."""
+        return sum(m.n_samples for m in self.members)
+
+
+def _micro_batches(data: LocalData, cfg: FedConfig, rng: np.random.Generator):
+    """(token ids, labels, packed rows) of one client's micro-batches, epoch after epoch.
+
+    Lazy: an epoch's permutation is drawn when its first batch is pulled,
+    after the dropout draws of the previous epoch's last batch.
+    """
+    n = data.n_samples
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(n)
+        tokens = [data.tokens[j] for j in order.tolist()]
+        labels = data.labels[order]
+        row_ends = [0, *itertools.accumulate(len(t) for t in tokens)]
+        for a in range(0, n, cfg.batch_size):
+            b = min(a + cfg.batch_size, n)
+            yield tokens[a:b], labels[a:b], row_ends[b] - row_ends[a]
+
+
 def local_train(
-    client: ClientDataset,
+    clients: Cohort | ClientDataset,
     base_state: ModelState,
     global_flat: np.ndarray,
     cfg: FedConfig,
-    rng: np.random.Generator,
-) -> UpdateDelta:
-    """E epochs of mini-batch FedProx SGD from the broadcast weights.
+    rng: np.random.Generator | list[np.random.Generator],
+) -> list[UpdateDelta] | UpdateDelta:
+    """E epochs of mini-batch FedProx SGD from the broadcast weights, per client.
 
-    The E * ceil(n / batch_size) micro-batches run in order, across epoch
-    boundaries, grad_accum_steps per optimizer step; the last step takes
-    the remainder. Per step: gradients averaged over its micro-batches,
-    clipped to max_grad_norm, linear learning-rate warmup over
-    warmup_ratio of the step budget, decoupled weight decay.
+    `clients` is a Cohort with one generator per member in `rng`, and one
+    UpdateDelta per member comes back; a bare ClientDataset with one
+    generator is a cohort of one and gets one UpdateDelta.
+
+    Each client runs its E * ceil(n / batch_size) micro-batches in order,
+    across epoch boundaries, grad_accum_steps per optimizer step; its last
+    step takes the remainder. Per step: gradients averaged over its
+    micro-batches, clipped to max_grad_norm, linear learning-rate warmup
+    over warmup_ratio of its step budget, decoupled weight decay.
+
+    The clients run in lockstep. Micro-batch i of every client that has one
+    goes into shared `model.forward`/`model.backward` calls: whole
+    micro-batches in member order, a call ending where `model.row_chunks`
+    ends a run. Each client keeps its own row of a (C, P) weight matrix, its
+    own class weights and its own generator, which it draws in the order of
+    a solo run, so its update is its solo update up to rounding.
     """
-    n = client.n_samples
-    if n == 0 or cfg.local_epochs == 0:
-        return UpdateDelta(client.client_id, np.zeros_like(global_flat), n, 0.0)
-
-    state = base_state.copy()
-    state.set_trainable(global_flat)
-    # Token ids of every sequence, converted in one pass and split into views.
-    keys = [s.key_ids for s in client.sequences]
-    tokens = token_ids_from_keys(
-        np.fromiter(itertools.chain.from_iterable(keys), np.int64), state.config.vocab_size
-    )
-    sequences = np.split(tokens, np.cumsum([len(k) for k in keys])[:-1])
-    labels = np.array([s.label for s in client.sequences])
-    weights = model_ops.class_weights_from_labels(labels)
-
+    solo = isinstance(clients, ClientDataset)
+    if solo:
+        clients = Cohort((LocalData.from_client(clients, base_state.config.vocab_size),))
+        rng = [rng]
+    members = clients.members
+    weights = np.array([m.class_weights for m in members])
     accum = cfg.grad_accum_steps
-    n_micro = cfg.local_epochs * -(-n // cfg.batch_size)
+    n_micro = np.array([cfg.local_epochs * -(-m.n_samples // cfg.batch_size) for m in members])
     total_steps = -(-n_micro // accum)
-    warmup_steps = int(round(cfg.warmup_ratio * total_steps))
-    # Lazy: an epoch's permutation is drawn when its first batch is pulled,
-    # after the dropout draws of the previous epoch's last batch.
-    batches = (
-        order[start : start + cfg.batch_size]
-        for order in (rng.permutation(n) for _ in range(cfg.local_epochs))
-        for start in range(0, n, cfg.batch_size)
-    )
-    w = state.trainable
+    warmup_steps = np.round(cfg.warmup_ratio * total_steps).astype(int)
+    # Per client and step: the micro-batches it averages (the last step takes
+    # fewer when n_micro % accum != 0) and its learning rate, warmup included.
+    steps = np.arange(total_steps.max(initial=0))
+    k_table = np.minimum(accum, n_micro[:, None] - steps * accum)
+    warm = warmup_steps[:, None]
+    lr_table = np.where(steps < warm, cfg.learning_rate * ((steps + 1) / np.maximum(warm, 1)),
+                        cfg.learning_rate)
+    batches = [_micro_batches(m, cfg, g) for m, g in zip(members, rng)]
+    W = np.tile(global_flat, (len(members), 1))
+    cohort = base_state.with_trainable(W)
+    g = np.zeros_like(W)
 
-    for step in range(total_steps):
-        # The last step averages fewer micro-batches when n_micro % accum != 0.
-        k = min(accum, n_micro - step * accum)
-        g = np.zeros_like(w)
-        for idx in itertools.islice(batches, k):
-            _, cache = model_ops.forward(state, [sequences[i] for i in idx], "train", rng)
-            g += model_ops.backward(
-                state, cache, labels[idx], weights, cfg.proximal_mu, global_flat
-            ) / len(idx)
-        g /= k
-        g_norm = float(np.linalg.norm(g))
-        if g_norm > cfg.max_grad_norm:
-            g *= cfg.max_grad_norm / g_norm
-        lr = cfg.learning_rate
-        if step < warmup_steps:
-            lr *= (step + 1) / warmup_steps
-        w -= lr * g
+    def rows(clients):  # a basic slice, no copy, when every member is selected
+        return slice(None) if len(clients) == len(members) else clients
+
+    for i in range(n_micro.max(initial=0)):
+        active = np.flatnonzero(n_micro > i)
+        micro = [next(batches[c]) for c in active]
+        for a, b in model_ops.row_chunks([n_rows for _, _, n_rows in micro]):
+            call, part = rows(active[a:b]), micro[a:b]
+            sizes = np.array([len(labels) for _, labels, _ in part])
+            state = cohort if isinstance(call, slice) else base_state.with_trainable(W[call])
+            _, cache = model_ops.forward(
+                state, [t for tokens, _, _ in part for t in tokens], "train",
+                [rng[c] for c in active[a:b]], groups=sizes,
+            )
+            grad = model_ops.backward(
+                state, cache, np.concatenate([labels for _, labels, _ in part]),
+                weights[call], cfg.proximal_mu, global_flat,
+            )
+            g[call] += grad / sizes[:, None]
+
+        # Clients whose step ends here: every accum-th micro-batch, and the last.
+        done = active if (i + 1) % accum == 0 else active[n_micro[active] == i + 1]
+        if len(done) == 0:
+            continue
+        step, done = i // accum, rows(done)
+        step_g = g[done] / k_table[done, step][:, None]
+        norms = np.array([np.linalg.norm(row) for row in step_g])
+        step_g *= (cfg.max_grad_norm / np.maximum(norms, cfg.max_grad_norm))[:, None]
+        lr = lr_table[done, step]
+        w = W[done] - lr[:, None] * step_g
         if cfg.weight_decay > 0.0:
-            w -= lr * cfg.weight_decay * w
+            w -= (lr * cfg.weight_decay)[:, None] * w
+        W[done] = w
+        g[done] = 0.0
 
-    delta = w - global_flat
-    return UpdateDelta(client.client_id, delta, n, float(np.linalg.norm(delta)))
+    updates = [
+        UpdateDelta(m.client_id, delta, m.n_samples, float(np.linalg.norm(delta)))
+        for m, delta in zip(members, W - global_flat)
+    ]
+    return updates[0] if solo else updates
 
 
 def clip_update(delta: np.ndarray, clip_bound: float) -> np.ndarray:
@@ -218,6 +307,7 @@ class FederatedTrainer:
         self.cfg = cfg
         self.ledger = ledger
         vocab = state.config.vocab_size
+        self.local_data = [LocalData.from_client(c, vocab) for c in clients]
         self.test_tokens = [token_ids_from_keys(s, vocab) for s in test_sequences]
         self.test_labels = list(test_labels)
         self.server_rng = np.random.default_rng(
@@ -240,11 +330,10 @@ class FederatedTrainer:
             cfg.k_clients, cfg.participation_rate, self._round_rng(_STREAM_SELECT, round_idx)
         )
         global_flat = self.state.get_trainable()
-        deltas = [
-            local_train(self.clients[k], self.state, global_flat, cfg,
-                        self._round_rng(_STREAM_CLIENT, round_idx, k))
-            for k in participants
-        ]
+        deltas = local_train(
+            Cohort(tuple(self.local_data[k] for k in participants)), self.state, global_flat,
+            cfg, [self._round_rng(_STREAM_CLIENT, round_idx, k) for k in participants],
+        )
 
         pre_clip = [d.pre_clip_norm for d in deltas if d.n_samples > 0]
         for d in deltas:

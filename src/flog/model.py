@@ -13,11 +13,14 @@ token e + 2. Out-of-range tokens fall back to UNK.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import struct
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,31 +61,23 @@ class ModelConfig:
 _PROJ = ("q", "k", "v")
 
 
-def _trainable_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of each trainable tensor, in flat-vector order.
+@functools.lru_cache(maxsize=None)
+def _layout(config: ModelConfig) -> MappingProxyType:
+    """Name -> (slice of the flat vector, shape) of each trainable tensor.
 
-    This table is the one definition of the trainable layout: per layer the
-    A then B adapter of q, k and v, then head_w, then head_b.
+    Built once per config, this table is the one definition of the
+    trainable layout: per layer the A then B adapter of q, k and v, then
+    head_w, then head_b.
     """
     d, r = config.hidden_dim, config.lora_rank
-    shapes: dict[str, tuple[int, ...]] = {}
-    for l in range(config.n_layers):
-        for p in _PROJ:
-            shapes[f"A{p}_{l}"] = (r, d)
-            shapes[f"B{p}_{l}"] = (d, r)
-    shapes["head_w"] = (d,)
-    shapes["head_b"] = (1,)
-    return shapes
-
-
-def _trainable_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Name -> reshaped view into the flat trainable vector `flat`."""
-    views, offset = {}, 0
-    for name, shape in _trainable_shapes(config).items():
+    shapes = [(f"{m}{p}_{l}", (r, d) if m == "A" else (d, r))
+              for l in range(config.n_layers) for p in _PROJ for m in "AB"]
+    table, offset = {}, 0
+    for name, shape in [*shapes, ("head_w", (d,)), ("head_b", (1,))]:
         size = math.prod(shape)
-        views[name] = flat[offset : offset + size].reshape(shape)
+        table[name] = (slice(offset, offset + size), shape)
         offset += size
-    return views
+    return MappingProxyType(table)
 
 
 def token_ids_from_keys(key_ids, vocab_size: int) -> np.ndarray:
@@ -117,8 +112,7 @@ class ModelState:
             self.frozen[f"W2_{l}"] = frozen(f, d)
 
         # B = 0 makes the adapted model identical to the base model at init.
-        shapes = _trainable_shapes(config).values()
-        self._bind(np.zeros(sum(math.prod(shape) for shape in shapes)))
+        self._bind(np.zeros(sum(math.prod(shape) for _, shape in _layout(config).values())))
         for l in range(L):
             for p in _PROJ:
                 self.adapters[f"A{p}_{l}"][...] = rng.normal(0.0, 1.0 / np.sqrt(r), size=(r, d))
@@ -126,16 +120,22 @@ class ModelState:
     # -- flat trainable parameter vector ------------------------------------
 
     def _bind(self, trainable: np.ndarray) -> None:
-        """Own `trainable` and make adapters, head_w and head_b views into it."""
+        """Own `trainable` and make adapters, head_w and head_b views into it.
+
+        `trainable` is one (P,) vector, or a (C, P) matrix with one row per
+        client, and then every view leads with the client axis.
+        """
         self.trainable = trainable
-        views = _trainable_views(self.config, trainable)
+        lead = trainable.shape[:-1]
+        views = {name: trainable[..., sl].reshape(*lead, *shape)
+                 for name, (sl, shape) in _layout(self.config).items()}
         self.head_w = views.pop("head_w")
         self.head_b = views.pop("head_b")
         self.adapters: dict[str, np.ndarray] = views
 
     @property
     def n_trainable(self) -> int:
-        return self.trainable.size
+        return self.trainable.shape[-1]
 
     def get_trainable(self) -> np.ndarray:
         return self.trainable.copy()
@@ -145,12 +145,21 @@ class ModelState:
             raise ValueError("flat vector length does not match layout")
         self.trainable[...] = flat
 
-    def copy(self) -> "ModelState":
+    def with_trainable(self, trainable: np.ndarray) -> "ModelState":
+        """A model sharing these frozen weights, bound to `trainable` uncopied.
+
+        A (C, P) `trainable` makes a cohort model: row c holds client c's
+        adapters and head, and `forward` runs each group of sequences with
+        its own row.
+        """
         clone = ModelState.__new__(ModelState)
         clone.config = self.config
         clone.frozen = self.frozen  # frozen weights are shared, never mutated
-        clone._bind(self.trainable.copy())
+        clone._bind(trainable)
         return clone
+
+    def copy(self) -> "ModelState":
+        return self.with_trainable(self.trainable.copy())
 
     # -- checkpoint io ------------------------------------------------------
 
@@ -224,6 +233,11 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 # are reduceats over the group starts. The head reads only each sequence's
 # last row, so the final layer computes Q, attention output and FFN for
 # those rows alone; earlier layers need every row and use all pairs.
+#
+# A cohort model (a (C, P) trainable matrix) runs C clients' sequences in
+# one batch. The sequences come grouped by client, so each client's rows are
+# one contiguous run: the frozen weights act on all rows at once, and each
+# client's adapters and head act on its own run.
 
 
 @dataclass(frozen=True)
@@ -264,20 +278,52 @@ def _heads(X: np.ndarray, n_heads: int) -> np.ndarray:
     return X.reshape(len(X), n_heads, -1)
 
 
-def adapted_projection(H, W, A, B, alpha, r, dropout_mask=None):
-    """H W plus the scaled low-rank bypass (alpha/r) (H o mask) B A."""
-    if H.shape[1] != W.shape[0] or A.shape[1] != H.shape[1] or B.shape[0] != W.shape[1]:
+def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
+    """Rows bounds[c]:bounds[c + 1] of X times M[c], for each client c."""
+    if len(M) == 1:
+        return X @ M[0]
+    out = np.empty((len(X), M.shape[-1]))
+    for a, b, m in zip(bounds, bounds[1:], M):
+        np.matmul(X[a:b], m, out=out[a:b])
+    return out
+
+
+def _gram_by_client(X: np.ndarray, Y: np.ndarray, bounds) -> np.ndarray:
+    """X^T Y over rows bounds[c]:bounds[c + 1], for each client c, stacked."""
+    if len(bounds) == 2:
+        return (X.T @ Y)[None]
+    out = np.empty((len(bounds) - 1, X.shape[1], Y.shape[1]))
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(X[a:b].T, Y[a:b], out=out[c])
+    return out
+
+
+def adapted_projection(H, W, A, B, alpha, r, dropout_mask=None, bounds=None):
+    """H W plus the scaled low-rank bypass (alpha/r) (H o mask) B A.
+
+    A (r, d) and B (d, r) may instead be stacks (C, r, d) and (C, d, r) of
+    one adapter per client; rows bounds[c]:bounds[c + 1] of H then take
+    adapter c.
+    """
+    if H.shape[1] != W.shape[0] or A.shape[-1] != H.shape[1] or B.shape[-2] != W.shape[1]:
         raise ValueError("inconsistent shapes in adapted projection")
     Hm = H if dropout_mask is None else H * dropout_mask
-    return H @ W + Hm @ ((alpha / r) * (B @ A))
+    S = (alpha / r) * (B @ A)
+    return H @ W + _by_client(Hm, S.reshape(-1, *S.shape[-2:]),
+                              (0, len(H)) if bounds is None else bounds)
 
 
-def forward(state: ModelState, sequences, mode: str = "eval", rng=None):
+def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=None):
     """Classify key sequences, packed into one batch; returns (probabilities, cache).
 
     `sequences` is a list of key-id sequences. A bare 1-D sequence is a
     batch of one and gets a scalar probability. In train mode with dropout,
     masks are drawn from `rng` for the rows each projection uses.
+
+    For a cohort model, whose `trainable` is a (C, P) matrix, the sequences
+    come in C consecutive groups, `groups[c]` of them for row c, and `rng`
+    is one generator per row. Each row's masks cover its own group's rows
+    and come from its own generator, in the order a one-row call draws them.
     """
     cfg = state.config
     single = len(sequences) == 0 or np.ndim(sequences[0]) == 0
@@ -289,11 +335,17 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None):
         raise ValueError("sequence longer than max_sequence_length")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
+    C = 1 if state.trainable.ndim == 1 else len(state.trainable)
+    groups = [len(batch)] if groups is None else [int(n) for n in groups]
+    if len(groups) != C or sum(groups) != len(batch):
+        raise ValueError("groups must give one sequence count per trainable row")
+    rngs = rng if isinstance(rng, (list, tuple)) else [rng] * C
     dropout = mode == "train" and cfg.lora_dropout > 0.0
-    if dropout and rng is None:
+    if dropout and any(g is None for g in rngs):
         raise ValueError("train mode with dropout requires an rng")
     keep = 1.0 - cfg.lora_dropout
     n_heads, d_k = cfg.n_heads, cfg.head_dim
+    d, r = cfg.hidden_dim, cfg.lora_rank
 
     ids = np.asarray(np.concatenate(batch), dtype=np.int64)
     ids[(ids < 0) | (ids >= cfg.vocab_size)] = UNK_ID
@@ -303,23 +355,31 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None):
     pos = np.arange(len(ids)) - starts[seg]
     H = np.take(state.frozen["embed"], ids, axis=0) + np.take(state.frozen["pos"], pos, axis=0)
     last = starts + lengths - 1
+    # Group c's sequences, and their packed rows, as [start, stop) bounds.
+    seq_bounds = [0, *itertools.accumulate(groups)]
+    row_bounds = [0, *itertools.accumulate(sum(lens[a:b])
+                                           for a, b in zip(seq_bounds, seq_bounds[1:]))]
 
-    cache = {"layers": []}
+    cache = {"layers": [], "groups": groups, "seq_bounds": seq_bounds}
     inner = _all_pairs(lengths, starts, seg, pos) if cfg.n_layers > 1 else None
     for l in range(cfg.n_layers):
         if l == cfg.n_layers - 1:  # queries: each sequence's last row, keys: its rows
-            rows, pairs = last, _Pairs(seg, slice(None), starts, None)
+            rows, pairs, q_bounds = last, _Pairs(seg, slice(None), starts, None), seq_bounds
         else:
-            rows, pairs = None, inner
+            rows, pairs, q_bounds = None, inner, row_bounds
         Hq = H if rows is None else H[rows]
-        lc = {"H_in": H, "rows": rows, "pairs": pairs}
+        lc = {"H_in": H, "rows": rows, "pairs": pairs, "bounds": (q_bounds, row_bounds, row_bounds)}
         proj = []
-        for p, X in zip(_PROJ, (Hq, H, H)):
-            mask = (rng.random(X.shape) < keep) / keep if dropout else None
+        for p, X, bounds in zip(_PROJ, (Hq, H, H), lc["bounds"]):
+            mask = None
+            if dropout:
+                u = np.concatenate([g.random((b - a, d))
+                                    for g, a, b in zip(rngs, bounds, bounds[1:])])
+                mask = (u < keep) / keep
             lc[f"mask_{p}"] = mask
             proj.append(adapted_projection(
-                X, state.frozen[f"W{p}_{l}"], state.adapters[f"A{p}_{l}"],
-                state.adapters[f"B{p}_{l}"], cfg.lora_alpha, cfg.lora_rank, mask,
+                X, state.frozen[f"W{p}_{l}"], state.adapters[f"A{p}_{l}"].reshape(C, r, d),
+                state.adapters[f"B{p}_{l}"].reshape(C, d, r), cfg.lora_alpha, r, mask, bounds,
             ))
         # Per-pair rows of Q, K and V, split into heads.
         Qp, Kp, Vp = (_heads(X, n_heads)[i] for X, i in zip(proj, (pairs.q, pairs.k, pairs.k)))
@@ -333,29 +393,38 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None):
         lc.update(Qp=Qp, Kp=Kp, Vp=Vp, P=P, Z=Z)
         cache["layers"].append(lc)
 
-    y_hat = 1.0 / (1.0 + np.exp(-(H @ state.head_w + state.head_b[0])))
+    z = _by_client(H, state.head_w.reshape(C, d, 1), seq_bounds)[:, 0]
+    y_hat = 1.0 / (1.0 + np.exp(-(z + np.repeat(state.head_b, groups))))
     cache["h_last"], cache["y_hat"] = H, y_hat
     return (y_hat[0] if single else y_hat), cache
 
 
-EVAL_ROWS = 1024  # packed rows per eval forward call, roughly
+EVAL_ROWS = 1024  # packed rows per forward call, roughly
+
+
+def row_chunks(row_counts) -> list[tuple[int, int]]:
+    """Split consecutive items into (start, stop) runs, one packed call each.
+
+    A run ends with the item whose rows reach a multiple of EVAL_ROWS, or
+    with the last item, and never splits an item. Bounding rows rather than
+    items bounds the packed arrays' memory and keeps each matmul small
+    enough for BLAS to run it on one thread: chunks of 64 windows of ~65
+    keys made OpenBLAS split the projections across the two cores of a
+    shared 2-core box, and scoring ran several times slower.
+    """
+    runs, start, rows = [], 0, 0
+    for i, n in enumerate(row_counts):
+        if (rows + n) // EVAL_ROWS > rows // EVAL_ROWS or i == len(row_counts) - 1:
+            runs.append((start, i + 1))
+            start = i + 1
+        rows += n
+    return runs
 
 
 def score(state: ModelState, sequences) -> list[float]:
-    """Eval-mode probability of each sequence.
-
-    Consecutive sequences are scored together; a chunk ends with the
-    sequence whose last row crosses a multiple of EVAL_ROWS. Bounding rows
-    rather than sequences bounds the packed arrays' memory and keeps each
-    matmul small enough for BLAS to run it on one thread: chunks of 64
-    windows of ~65 keys made OpenBLAS split the projections across the two
-    cores of a shared 2-core box, and scoring ran several times slower.
-    """
-    if not sequences:
-        return []
-    ends = np.cumsum([len(seq) for seq in sequences])
-    cuts = [0, *(np.flatnonzero(np.diff(ends // EVAL_ROWS)) + 1), len(sequences)]
-    return [float(p) for a, b in zip(cuts, cuts[1:]) for p in forward(state, sequences[a:b])[0]]
+    """Eval-mode probability of each sequence, scored in `row_chunks` runs."""
+    return [float(p) for a, b in row_chunks([len(seq) for seq in sequences])
+            for p in forward(state, sequences[a:b])[0]]
 
 
 EPS_LOG = 1e-12
@@ -374,23 +443,28 @@ def loss(y_hat, y, class_weights, w_flat=None, w_anchor=None, mu=0.0):
 
 
 def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
-    """Batch sum of the per-sample loss gradients over the trainable flat vector.
+    """Batch sum of the per-sample loss gradients, shaped like `state.trainable`.
 
     `y` holds one label per sequence of the forward call that made `cache`
-    (a scalar for a bare sequence).
+    (a scalar for a bare sequence). For a cohort model, row c of the result
+    sums over group c alone, `class_weights` may give one (w0, w1) pair per
+    row, and each row's proximal term pulls that row towards `w_anchor`.
     """
     cfg = state.config
-    s, n_heads = cfg.scale, cfg.n_heads
-    w0, w1 = class_weights
+    s, n_heads, d, r = cfg.scale, cfg.n_heads, cfg.hidden_dim, cfg.lora_rank
+    layout = _layout(cfg)
+    groups, seq_bounds = cache["groups"], cache["seq_bounds"]
+    C = len(groups)
+    weights = np.asarray(class_weights, dtype=float).reshape(-1, 2)
+    w0, w1 = (weights if len(weights) == 1 else np.repeat(weights, groups, axis=0)).T
     h_last, y_hat = cache["h_last"], cache["y_hat"]
     y = np.asarray(y, dtype=float)
     dz = -w1 * y * (1.0 - y_hat) + w0 * (1 - y) * y_hat
 
-    grad = np.zeros(state.n_trainable)
-    grads = _trainable_views(cfg, grad)
-    grads["head_w"][...] = dz @ h_last
-    grads["head_b"][0] = dz.sum()
-    dH = dz[:, None] * state.head_w
+    grad = np.zeros((C, state.n_trainable))
+    grad[:, layout["head_w"][0]] = _gram_by_client(dz[:, None], h_last, seq_bounds)[:, 0]
+    grad[:, layout["head_b"][0]] = [[dz[a:b].sum()] for a, b in zip(seq_bounds, seq_bounds[1:])]
+    dH = _by_client(dz[:, None], state.head_w.reshape(C, 1, d), seq_bounds)
 
     for l in reversed(range(cfg.n_layers)):
         lc = cache["layers"][l]
@@ -407,20 +481,20 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
         dQ = np.add.reduceat(dS[:, :, None] * lc["Kp"], pairs.starts, axis=0)
         dK = _key_sum(dS[:, :, None] * lc["Qp"], pairs)
         dV = _key_sum(P[:, :, None] * dO, pairs)
-        # Projections: X = H W + s (H o M) B A
+        # Projections: X = H W + s (H o M) B_c A_c on client c's rows
         H_in = lc["H_in"]
         dH_in = []
-        for p, X, dX in zip(_PROJ, (H_in if rows is None else H_in[rows], H_in, H_in),
-                            (dQ, dK, dV)):
+        for p, X, dX, bounds in zip(_PROJ, (H_in if rows is None else H_in[rows], H_in, H_in),
+                                    (dQ, dK, dV), lc["bounds"]):
             dX = dX.reshape(len(X), -1)
-            A = state.adapters[f"A{p}_{l}"]
-            B = state.adapters[f"B{p}_{l}"]
+            A = state.adapters[f"A{p}_{l}"].reshape(C, r, d)
+            B = state.adapters[f"B{p}_{l}"].reshape(C, d, r)
             M = lc[f"mask_{p}"]
-            G = s * ((X if M is None else X * M).T @ dX)
-            grads[f"A{p}_{l}"][...] = B.T @ G
-            grads[f"B{p}_{l}"][...] = G @ A.T
+            G = s * _gram_by_client(X if M is None else X * M, dX, bounds)
+            grad[:, layout[f"A{p}_{l}"][0]] = (B.transpose(0, 2, 1) @ G).reshape(C, -1)
+            grad[:, layout[f"B{p}_{l}"][0]] = (G @ A.transpose(0, 2, 1)).reshape(C, -1)
             if l > 0:  # the embeddings below layer 0 are frozen
-                bypass = dX @ (s * (B @ A)).T
+                bypass = _by_client(dX, (s * (B @ A)).transpose(0, 2, 1), bounds)
                 dH_in.append(dX @ state.frozen[f"W{p}_{l}"].T
                              + (bypass if M is None else bypass * M))
         if l > 0:
@@ -432,8 +506,8 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
                 dH[rows] += dH1 + dq
 
     if mu > 0.0 and w_anchor is not None:
-        grad += len(dz) * mu * (state.trainable - w_anchor)
-    return grad
+        grad += np.array(groups)[:, None] * mu * (state.trainable.reshape(C, -1) - w_anchor)
+    return grad.reshape(state.trainable.shape)
 
 
 def class_weights_from_labels(labels) -> tuple[float, float]:

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import flog.federated as federated
 import flog.model as model_ops
 from flog.accountant import PrivacyLedger
 from flog.federated import (
     AggregationError,
+    Cohort,
     FedConfig,
     FederatedTrainer,
+    LocalData,
     UpdateDelta,
     add_noise,
     aggregate,
@@ -304,6 +307,57 @@ class TestLocalTrain:
         assert out.pre_clip_norm == pytest.approx(float(np.linalg.norm(out.delta)))
 
 
+class TestCohort:
+    """A round's clients trained in lockstep against each client trained alone."""
+
+    @pytest.mark.parametrize("eval_rows", [None, 1])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_cohort_matches_solo_runs(self, monkeypatch, n_layers, eval_rows):
+        # Client 0 has 10 windows (9 micro-batches over 3 epochs, so 5 steps
+        # of 2 with a partial last one and 2 warmup steps); client 2 has 5
+        # and client 3 has 7 (6 micro-batches, 3 steps, 1 warmup step), so
+        # they stop early; client 1 is empty. Class balances differ, dropout
+        # is on, and weight decay, a binding max_grad_norm and the proximal
+        # term act on every step.
+        cfg = fed_config(
+            local_epochs=3, batch_size=4, grad_accum_steps=2, learning_rate=0.5,
+            proximal_mu=0.1, warmup_ratio=0.4, weight_decay=0.05, max_grad_norm=0.05,
+        )
+        state = init(tiny_model_config(n_layers=n_layers, lora_dropout=0.3), 6)
+        state.set_trainable(np.random.default_rng(15).normal(0, 0.2, size=state.n_trainable))
+        flat = state.get_trainable()
+        clients = [mk_client(0, 10, seed=42), ClientDataset(1, []),
+                   mk_client(2, 5, seed=41), mk_client(3, 7, seed=47)]
+        solo = [local_train(c, state, flat, cfg, np.random.default_rng(50 + k))
+                for k, c in enumerate(clients)]
+
+        if eval_rows is not None:  # every micro-batch then gets its own call
+            monkeypatch.setattr(model_ops, "EVAL_ROWS", eval_rows)
+        calls = []
+        engine = model_ops.forward
+
+        def counting_forward(state, sequences, *args, **kwargs):
+            calls.append(len(sequences))
+            return engine(state, sequences, *args, **kwargs)
+
+        monkeypatch.setattr(model_ops, "forward", counting_forward)
+        cohort = Cohort(tuple(LocalData.from_client(c, state.config.vocab_size) for c in clients))
+        rngs = [np.random.default_rng(50 + k) for k in range(4)]
+        out = local_train(cohort, state, flat, cfg, rngs)
+
+        # Micro-batch sizes per epoch: client 0 4, 4, 2; client 2 4, 1; client 3 4, 3.
+        if eval_rows is None:  # micro-batch i of every client that has one, in one call
+            assert calls == [4 + 4 + 4, 4 + 1 + 3, 2 + 4 + 4, 4 + 1 + 3, 4 + 4 + 4, 2 + 1 + 3,
+                             4, 4, 2]
+        else:
+            assert len(calls) == 9 + 6 + 6
+        assert [(d.client_id, d.n_samples) for d in out] == [(0, 10), (1, 0), (2, 5), (3, 7)]
+        assert not out[1].delta.any() and out[1].pre_clip_norm == 0.0
+        for got, want in zip(out, solo):
+            assert np.linalg.norm(got.delta - want.delta) <= 1e-9 * np.linalg.norm(want.delta)
+            assert got.pre_clip_norm == pytest.approx(want.pre_clip_norm, rel=1e-9, abs=0.0)
+
+
 def build_trainer(fc, model_seed=0, n_per_client=6, sigma=None):
     state = init(tiny_model_config(), model_seed)
     clients = [mk_client(k, n_per_client, seed=20 + k) for k in range(fc.k_clients)]
@@ -386,6 +440,22 @@ class TestTrainer:
         metrics = trainer.run()
         assert [m.round for m in metrics] == [0, 1, 2]
         assert all(m.participants >= 1 for m in metrics)
+
+    def test_windows_tokenized_once_per_run(self, monkeypatch):
+        calls = []
+        convert = federated.token_ids_from_keys
+
+        def counting_convert(*args):
+            calls.append(1)
+            return convert(*args)
+
+        monkeypatch.setattr(federated, "token_ids_from_keys", counting_convert)
+        monkeypatch.setattr(model_ops, "token_ids_from_keys", counting_convert)
+        trainer = build_trainer(fed_config(rounds=3, noise_multiplier=0.2))
+        at_construction = len(calls)
+        assert at_construction > 0
+        trainer.run()
+        assert len(calls) == at_construction
 
     def test_ledger_updated_each_round(self):
         fc = fed_config(rounds=4, noise_multiplier=0.5)

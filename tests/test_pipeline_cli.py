@@ -214,6 +214,18 @@ class TestCli:
         # training round did: accuracy, precision, recall, F1, ROC-AUC.
         last = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[-1]
         assert out.splitlines()[1].split(",")[2:7] == last.split(",")[2:7]
+        # ... and reports that round's index, participants and eps spent.
+        row, want = out.splitlines()[1].split(","), last.split(",")
+        assert [row[i] for i in (0, 1, 7)] == [want[i] for i in (0, 1, 7)]
+
+    def test_evaluate_without_rounds_csv_fails(self, cfg_path, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        (tmp_path / "out" / "rounds.csv").unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert "no rounds.csv" in capsys.readouterr().err
 
     def test_evaluate_without_checkpoint_fails(self, cfg_path, tmp_path, capsys):
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
