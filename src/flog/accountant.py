@@ -20,31 +20,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_ALPHA_GRID = tuple(np.arange(1.25, 512.0 + 1e-9, 0.25))
+DEFAULT_ALPHA_GRID = np.arange(1.25, 512.0 + 1e-9, 0.25)
+DEFAULT_ALPHA_GRID.flags.writeable = False
 
 
-def rdp_gaussian(sigma: float, alpha: float) -> float:
-    """Renyi divergence of order alpha for the Gaussian mechanism at ratio 1/sigma."""
-    if alpha <= 1.0:
+def rdp_gaussian(sigma: float, alpha):
+    """Renyi divergence of order alpha (a scalar or an array of orders) for the
+    Gaussian mechanism at ratio 1/sigma."""
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 1.0):
         raise ValueError("alpha must exceed 1")
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
-        return math.inf
+        return np.full_like(alpha, math.inf)
     return alpha / (2.0 * sigma * sigma)
 
 
 def to_epsilon(rho_total, delta: float, alphas=DEFAULT_ALPHA_GRID) -> tuple[float, float]:
-    """Best (epsilon, alpha*) over the alpha grid for the given delta."""
+    """Best (epsilon, alpha*) over the alpha grid for the given delta.
+
+    `rho_total` maps the array of orders to the composed RDP at each order.
+    alpha* is the first order where epsilon is smallest. If no order gives a
+    finite epsilon, the result is (inf, alphas[0]).
+    """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    log_inv_delta = math.log(1.0 / delta)
-    best_eps, best_alpha = math.inf, float(alphas[0])
-    for alpha in alphas:
-        eps = rho_total(alpha) + log_inv_delta / (alpha - 1.0)
-        if eps < best_eps:
-            best_eps, best_alpha = eps, float(alpha)
-    return best_eps, best_alpha
+    alphas = np.asarray(alphas, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 rounds * inf RDP is NaN
+        eps = rho_total(alphas) + math.log(1.0 / delta) / (alphas - 1.0)
+    eps[np.isnan(eps)] = math.inf
+    best = int(np.argmin(eps))
+    return float(eps[best]), float(alphas[best])
 
 
 def epsilon_for(sigma: float, rounds: int, delta: float) -> tuple[float, float]:

@@ -16,16 +16,16 @@ import sys
 from pathlib import Path
 
 from . import datasets, drain, model as model_ops, partition
-from .accountant import PrivacyLedger
 from .config import load_config
 from .metrics import CSV_HEADER, csv_row, evaluate
 from .model import token_ids_from_keys
 from .pipeline import (
     StageError,
     build_all_windows,
+    init_model,
     load_entries,
-    model_config,
     parse_corpus,
+    privacy_ledger,
     run_pipeline,
 )
 
@@ -105,11 +105,11 @@ def cmd_evaluate(args) -> int:
     last = rows[-1]
     corpus = parse_corpus(load_entries(cfg), cfg)
     _, test_windows = build_all_windows(corpus, cfg)
-    model_cfg = model_config(cfg, corpus.n_templates)
-    state = model_ops.init(model_cfg, [args.seed, 10])
+    state = init_model(cfg, corpus.n_templates, args.seed)
     state.load(ckpt)
+    vocab_size = state.config.vocab_size
     scores = model_ops.score(
-        state, [token_ids_from_keys(w.key_ids, model_cfg.vocab_size) for w in test_windows]
+        state, [token_ids_from_keys(w.key_ids, vocab_size) for w in test_windows]
     )
     labels = [w.label for w in test_windows]
     print(CSV_HEADER)
@@ -122,12 +122,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_account(args) -> int:
     cfg = load_config(args.config)
-    ledger = PrivacyLedger(
-        target_epsilon=cfg.privacy.target_epsilon,
-        delta=cfg.privacy.delta,
-        noise_multiplier=cfg.federated.noise_multiplier,
-        total_rounds=cfg.federated.rounds,
-    )
+    ledger = privacy_ledger(cfg)
     for _ in range(cfg.federated.rounds):
         ledger.update()
     print(ledger.dump(), end="")

@@ -7,7 +7,7 @@ back to a documented default, logged at load time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -36,6 +36,11 @@ class DatasetConfig:
                 raise ValueError("dataset.synthetic section required for synthetic format")
         elif self.path is None:
             raise ValueError("dataset.path required for file-based formats")
+        if self.max_samples is not None and self.max_samples < 1:
+            raise ValueError("dataset.max_samples must be >= 1 or null")
+        rate = self.min_anomaly_rate_per_node
+        if rate is not None and not (0.0 <= rate <= 1.0):
+            raise ValueError("dataset.min_anomaly_rate_per_node must be in [0, 1] or null")
 
 
 @dataclass(frozen=True)
@@ -81,18 +86,30 @@ class RunConfig:
     output_dir: str = "out"
 
 
+def _mapping(raw, section: str) -> dict:
+    """A copy of a config section; an absent or null section is empty."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} must be a mapping, got {type(raw).__name__}")
+    return dict(raw)
+
+
 def _build(cls, raw: dict, section: str):
     allowed = {f.name for f in fields(cls)}
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown key(s) in {section}: {sorted(unknown)}")
-    for f in fields(cls):
-        if f.name not in raw:
-            log.debug("%s.%s omitted; using default", section, f.name)
+    omitted = [f for f in fields(cls) if f.name not in raw]
+    missing = [f.name for f in omitted if f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing required key(s) in {section}: {missing}")
+    for f in omitted:
+        log.debug("%s.%s omitted; using default", section, f.name)
     try:
         return cls(**raw)
     except TypeError as exc:
-        raise ValueError(f"missing required key in {section}: {exc}") from exc
+        raise ValueError(f"invalid value in {section}: {exc}") from exc
 
 
 _SECTIONS = {
@@ -116,9 +133,9 @@ def load_config(path) -> RunConfig:
 
     sections = {}
     for name, cls in _SECTIONS.items():
-        sub = dict(raw.get(name) or {})
-        if name == "dataset" and "synthetic" in sub and sub["synthetic"] is not None:
-            synth = dict(sub["synthetic"])
+        sub = _mapping(raw.get(name), name)
+        if name == "dataset" and sub.get("synthetic") is not None:
+            synth = _mapping(sub["synthetic"], "dataset.synthetic")
             if "anomaly_template_ids" in synth:
                 synth["anomaly_template_ids"] = frozenset(synth["anomaly_template_ids"])
             sub["synthetic"] = _build(SyntheticSpec, synth, "dataset.synthetic")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,19 @@ def prf1_accuracy(conf) -> tuple[float, float, float, float, bool]:
 
 
 def roc_auc(scores, labels) -> float:
-    """Rank-based (Mann-Whitney) AUC with average-rank tie handling."""
+    """Mann-Whitney AUC, a tied (positive, negative) pair counting one half.
+
+    2U is counted exactly as an integer: for each positive, the negatives
+    scored strictly below it plus those scored at or below it.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
+    pos = scores[labels == 1]
+    neg = np.sort(scores[labels == 0])
+    if pos.size == 0 or neg.size == 0:
         raise ValueError("roc_auc needs at least one sample of each class")
-    ranks = rankdata(scores)
-    rank_sum_pos = float(ranks[labels == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    u2 = int(np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum())
+    return u2 / 2.0 / (pos.size * neg.size)
 
 
 def evaluate(scores, labels, round_idx=0, participants=0, eps_spent=0.0,

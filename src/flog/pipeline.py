@@ -98,6 +98,21 @@ def model_config(cfg: RunConfig, n_templates: int) -> ModelConfig:
     )
 
 
+def init_model(cfg: RunConfig, n_templates: int, seed: int) -> model_ops.ModelState:
+    """The run's initial model, seeded from the run seed."""
+    return model_ops.init(model_config(cfg, n_templates), [seed, 10])
+
+
+def privacy_ledger(cfg: RunConfig) -> PrivacyLedger:
+    """An empty privacy ledger for the run's noise, delta and round count."""
+    return PrivacyLedger(
+        target_epsilon=cfg.privacy.target_epsilon,
+        delta=cfg.privacy.delta,
+        noise_multiplier=cfg.federated.noise_multiplier,
+        total_rounds=cfg.federated.rounds,
+    )
+
+
 @contextmanager
 def _stage(name: str):
     """Re-raise any failure inside the block as a StageError for `name`."""
@@ -132,20 +147,14 @@ def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
         partition.write_assignment_dump(assignment, out / "assignment.tsv")
 
     with _stage("train"):
-        state = model_ops.init(model_config(cfg, corpus.n_templates), [seed, 10])
-        fed_cfg = replace(cfg.federated, seed=seed)
-        ledger = PrivacyLedger(
-            target_epsilon=cfg.privacy.target_epsilon,
-            delta=cfg.privacy.delta,
-            noise_multiplier=fed_cfg.noise_multiplier,
-            total_rounds=fed_cfg.rounds,
-        )
+        state = init_model(cfg, corpus.n_templates, seed)
+        ledger = privacy_ledger(cfg)
         trainer = federated.FederatedTrainer(
             state,
             clients,
             [w.key_ids for w in test_windows],
             [w.label for w in test_windows],
-            fed_cfg,
+            replace(cfg.federated, seed=seed),
             ledger,
         )
         metrics = trainer.run()

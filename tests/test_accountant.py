@@ -24,6 +24,18 @@ def dense_epsilon(sigma, rounds, delta):
     return float(eps.min())
 
 
+def loop_epsilon(sigma, rounds, delta, alphas=DEFAULT_ALPHA_GRID):
+    """The scalar loop that to_epsilon replaced: the first strict minimum."""
+    log_inv_delta = math.log(1.0 / delta)
+    best_eps, best_alpha = math.inf, float(alphas[0])
+    for alpha in alphas:
+        rho = rounds * (math.inf if sigma == 0.0 else alpha / (2.0 * sigma * sigma))
+        eps = rho + log_inv_delta / (alpha - 1.0)
+        if eps < best_eps:
+            best_eps, best_alpha = eps, float(alpha)
+    return best_eps, best_alpha
+
+
 class TestRdpGaussian:
     def test_closed_form(self):
         assert rdp_gaussian(2.0, 3.0) == pytest.approx(3.0 / 8.0)
@@ -74,6 +86,16 @@ class TestToEpsilon:
             for s in sigmas:
                 eps = [epsilon_for(s, T, delta)[0] for T in rounds]
                 assert all(a <= b + 1e-12 for a, b in zip(eps, eps[1:]))
+
+    def test_equals_scalar_loop(self):
+        for sigma in (0.0, 0.01, 0.3, 1.5, 7.0, 1e3):
+            for rounds in (0, 1, 5, 100, 10**6):
+                for delta in (1e-12, 1e-5, 0.5):
+                    assert epsilon_for(sigma, rounds, delta) == loop_epsilon(
+                        sigma, rounds, delta
+                    ), (sigma, rounds, delta)
+        # No order gives a finite epsilon: the loop's untouched start value.
+        assert epsilon_for(0.0, 0, 1e-5) == (math.inf, 1.25)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,11 @@ class TestLoad:
         doc = {**MINIMAL, "federated": {"k_clients": 2}}
         with pytest.raises(ValueError, match="missing required"):
             load_config(write(tmp_path, doc))
+        # A present but wrongly typed value is not reported as missing.
+        doc = {**MINIMAL, "federated": {"k_clients": "four", "rounds": 5}}
+        with pytest.raises(ValueError, match="invalid value in federated") as err:
+            load_config(write(tmp_path, doc))
+        assert "missing" not in str(err.value)
 
     def test_nonexistent_dataset_path_rejected(self, tmp_path):
         doc = {
@@ -119,11 +124,28 @@ class TestLoad:
         path.write_text("- just\n- a\n- list\n")
         with pytest.raises(ValueError):
             load_config(path)
+        for value in ([1, 2], 5):
+            for section, doc in [
+                ("federated", {**MINIMAL, "federated": value}),
+                ("dataset.synthetic", {**MINIMAL, "dataset": {"format": "synthetic",
+                                                              "synthetic": value}}),
+            ]:
+                with pytest.raises(ValueError, match=f"{section} must be a mapping"):
+                    load_config(write(tmp_path, doc))
 
     def test_section_invariants_enforced(self, tmp_path):
-        doc = {**MINIMAL, "privacy": {"delta": 2.0}}
-        with pytest.raises(ValueError):
-            load_config(write(tmp_path, doc))
+        bad_sections = [
+            ({"privacy": {"delta": 2.0}}, "privacy.delta"),
+            ({"dataset": {**MINIMAL["dataset"], "max_samples": -5}}, "max_samples"),
+            ({"dataset": {**MINIMAL["dataset"], "max_samples": 0}}, "max_samples"),
+            ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": 1.5}},
+             "min_anomaly_rate_per_node"),
+            ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": -0.1}},
+             "min_anomaly_rate_per_node"),
+        ]
+        for bad, match in bad_sections:
+            with pytest.raises(ValueError, match=match):
+                load_config(write(tmp_path, {**MINIMAL, **bad}))
 
 
 class TestRoundTrip:

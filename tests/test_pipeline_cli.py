@@ -1,10 +1,15 @@
 """End-to-end pipeline orchestration and the command-line interface."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
 
+import flog
 from flog.cli import main
 from flog.config import load_config
 from flog.pipeline import ARTIFACTS, StageError, run_pipeline
@@ -252,7 +257,36 @@ class TestCli:
         path.write_text("nonsense: {}\n")
         assert main(["train", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
+        for value in ([1, 2], 5):
+            path.write_text(yaml.safe_dump({**small_doc(tmp_path), "federated": value}))
+            assert main(["account", "--config", str(path)]) == 1
+            assert "configuration error: federated must be a mapping" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# Run in a fresh interpreter, so modules the test session has already
+# imported do not count.
+_IMPORTED_DISTRIBUTIONS = """
+import sys
+from importlib.metadata import packages_distributions
+before = set(sys.modules)
+import flog.cli, flog.pipeline
+owners = packages_distributions()
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted({d.lower() for name in loaded for d in owners.get(name, [])})))
+"""
+
+
+class TestDependencies:
+    def test_cli_and_pipeline_import_only_numpy_and_pyyaml(self):
+        src = str(Path(flog.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORTED_DISTRIBUTIONS],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert set(out.split()) - {"flog"} == {"numpy", "pyyaml"}
