@@ -137,7 +137,13 @@ def load_config(path) -> RunConfig:
         if name == "dataset" and sub.get("synthetic") is not None:
             synth = _mapping(sub["synthetic"], "dataset.synthetic")
             if "anomaly_template_ids" in synth:
-                synth["anomaly_template_ids"] = frozenset(synth["anomaly_template_ids"])
+                ids = synth["anomaly_template_ids"]
+                if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+                    raise ValueError(
+                        "dataset.synthetic.anomaly_template_ids must be a list of "
+                        f"integers, got {ids!r}"
+                    )
+                synth["anomaly_template_ids"] = frozenset(ids)
             sub["synthetic"] = _build(SyntheticSpec, synth, "dataset.synthetic")
         sections[name] = _build(cls, sub, name)
     cfg = RunConfig(output_dir=str(raw.get("output_dir", "out")), **sections)

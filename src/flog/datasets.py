@@ -197,22 +197,29 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
     return entries
 
 
-def read_log_file(path, fmt: str, max_samples: int | None = None):
+def read_log_file(path, fmt: str, max_samples: int | None = None,
+                  counts: dict[str, int] | None = None):
     """Yield (RawEntry, line_number); blank and malformed lines are skipped.
 
-    max_samples is a prefix cut in file order.
+    max_samples is a prefix cut in file order. A `counts` dict, if given,
+    keeps the number of lines read so far ("lines") and of malformed lines
+    skipped among them ("malformed").
     """
+    counts = {} if counts is None else counts
+    counts.update(lines=0, malformed=0)
     n_ok = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_number, line in enumerate(fh, start=1):
             if max_samples is not None and n_ok >= max_samples:
                 break
+            counts["lines"] = line_number
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             try:
                 entry = decode_line(line, fmt, line_number)
             except LineParseError:
+                counts["malformed"] += 1
                 continue
             n_ok += 1
             yield entry, line_number

@@ -5,6 +5,10 @@ leaf holding candidate templates. The best-matching template absorbs the
 message (diverging positions become the wildcard ``<*>``); if nothing is
 similar enough a new template is created. Event ids are dense integers in
 first-seen order and form the model vocabulary.
+
+Token lists seen before skip the tree: the parser remembers which template
+each one went to and replays that while the template's leaf is unchanged
+(see `DrainParser.parse_line`).
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 WILDCARD = "<*>"
+# The memo is emptied when it reaches this many token lists, so a log whose
+# lines rarely repeat after masking cannot grow it without bound.
+MEMO_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,13 @@ class LogRecord:
 
 
 class _Node:
-    __slots__ = ("children", "templates")
+    __slots__ = ("children", "templates", "version")
 
     def __init__(self) -> None:
         self.children: dict[str, _Node] = {}
         self.templates: list[LogTemplate] = []
+        # Bumped when one of `templates` gains a wildcard; appending one is not a change.
+        self.version = 0
 
 
 def preprocess_line(raw_line: str, config: ParserConfig) -> list[str]:
@@ -81,15 +90,31 @@ class DrainParser:
         self._root = _Node()
         self._templates: dict[int, LogTemplate] = {}
         self._next_id = 0
+        # Masked token tuple -> (its leaf, the leaf's version then, its template).
+        self._memo: dict[tuple[str, ...], tuple[_Node, int, LogTemplate]] = {}
 
     @property
     def templates(self) -> dict[int, LogTemplate]:
         return self._templates
 
     def parse_line(self, tokens: list[str]) -> tuple[int, LogTemplate]:
-        """Route the tokens to a leaf, merge into the best template or mint a new one."""
+        """Route the tokens to a leaf, merge into the best template or mint a new one.
+
+        Tokens seen before, in a leaf whose templates have not changed since,
+        go straight to their template. That is what the scan would pick: the
+        template matches them at similarity 1 and absorbs them unchanged,
+        every template before it in the leaf scored below 1 and still does,
+        later ones can only tie, ties keep the first, and the same tokens
+        always route to the same leaf.
+        """
         if not tokens:
             raise ValueError("parse_line requires a non-empty token list")
+        key = tuple(tokens)
+        hit = self._memo.get(key)
+        if hit is not None and hit[0].version == hit[1]:
+            tpl = hit[2]
+            tpl.occurrence_count += 1
+            return tpl.event_id, tpl
         leaf = self._descend(tokens)
         best, best_sim = None, -1.0
         for tpl in leaf.templates:
@@ -97,16 +122,20 @@ class DrainParser:
             if sim > best_sim:
                 best, best_sim = tpl, sim
         if best is not None and best_sim >= self.config.similarity_threshold:
-            best.tokens = [
-                t if t == u else WILDCARD for t, u in zip(best.tokens, tokens)
-            ]
+            merged = [t if t == u else WILDCARD for t, u in zip(best.tokens, tokens)]
+            if merged != best.tokens:
+                best.tokens = merged
+                leaf.version += 1
             best.occurrence_count += 1
-            return best.event_id, best
-        tpl = LogTemplate(event_id=self._next_id, tokens=list(tokens), occurrence_count=1)
-        self._next_id += 1
-        self._templates[tpl.event_id] = tpl
-        leaf.templates.append(tpl)
-        return tpl.event_id, tpl
+        else:
+            best = LogTemplate(event_id=self._next_id, tokens=list(tokens), occurrence_count=1)
+            self._next_id += 1
+            self._templates[best.event_id] = best
+            leaf.templates.append(best)
+        if len(self._memo) >= MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = (leaf, leaf.version, best)
+        return best.event_id, best
 
     def parse_message(self, raw_line: str) -> int | None:
         """Convenience: preprocess then parse; returns None for empty messages."""
@@ -117,7 +146,8 @@ class DrainParser:
         return event_id
 
     def _descend(self, tokens: list[str]) -> _Node:
-        node = self._child(self._root, str(len(tokens)))
+        # The length level has no max_children cap: a leaf must hold one length.
+        node = self._root.children.setdefault(str(len(tokens)), _Node())
         # Route by the leading tokens, at most tree_depth - 2 levels.
         n_levels = min(self.config.tree_depth - 2, len(tokens))
         for i in range(n_levels):

@@ -11,6 +11,7 @@ import logging
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import datasets, drain, federated, model as model_ops, partition, windows
@@ -49,15 +50,23 @@ def load_entries(cfg: RunConfig) -> list[datasets.RawEntry]:
         if ds.max_samples is not None:
             entries = entries[: ds.max_samples]
     else:
+        counts: dict[str, int] = {}
         entries = [
-            e for e, _ in datasets.read_log_file(ds.path, ds.format, ds.max_samples)
+            e for e, _ in datasets.read_log_file(ds.path, ds.format, ds.max_samples, counts)
         ]
+        log.info("read %d lines from %s; skipped %d malformed",
+                 counts["lines"], ds.path, counts["malformed"])
     if ds.min_anomaly_rate_per_node is not None:
         entries = datasets.filter_min_anomaly_rate(entries, ds.min_anomaly_rate_per_node)
     return entries
 
 
 def parse_corpus(entries: list[datasets.RawEntry], cfg: RunConfig) -> ParsedCorpus:
+    """Drain over the messages in file order, then each node's records by time.
+
+    A node whose lines arrived out of order is stable-sorted by timestamp,
+    so records with equal timestamps keep their file order.
+    """
     parser = drain.DrainParser(cfg.parser)
     records_by_node: dict[str, list[drain.LogRecord]] = {}
     for entry in entries:
@@ -73,6 +82,13 @@ def parse_corpus(entries: list[datasets.RawEntry], cfg: RunConfig) -> ParsedCorp
                 raw_content_hash=zlib.crc32(entry.message.encode("utf-8")),
             )
         )
+    n_sorted = 0
+    for records in records_by_node.values():
+        if any(a.timestamp > b.timestamp for a, b in zip(records, records[1:])):
+            records.sort(key=attrgetter("timestamp"))
+            n_sorted += 1
+    log.info("sorted the records of %d of %d nodes by timestamp",
+             n_sorted, len(records_by_node))
     return ParsedCorpus(parser=parser, records_by_node=records_by_node)
 
 

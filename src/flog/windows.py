@@ -4,12 +4,16 @@ A window covers [start, start + window_seconds) on a grid anchored at the
 node's first timestamp. Windows with too few records are discarded; a
 window is anomalous iff any member record is anomalous. Sequences are
 truncated to the most recent max_sequence_length keys for the model.
+
+Empty stretches of the grid are jumped over, so the cost grows with the
+records and the windows that hold one, not with the length of a node's span.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .drain import LogRecord
 
@@ -51,20 +55,27 @@ def build_windows(records: list[LogRecord], cfg: WindowConfig) -> list[WindowSeq
     if any(t1 > t2 for t1, t2 in zip(times, times[1:])):
         raise ValueError("records must be sorted by timestamp")
 
+    W, S = cfg.window_seconds, cfg.step_seconds
+    event_ids = [r.event_id for r in records]
+    n_anomalous = [0, *accumulate(r.is_anomalous for r in records)]
     t0, t_last = times[0], times[-1]
     out: list[WindowSequence] = []
     start = t0
     while start <= t_last:
         lo = bisect.bisect_left(times, start)
-        hi = bisect.bisect_left(times, start + cfg.window_seconds)
+        hi = bisect.bisect_left(times, start + W, lo)
+        if lo == hi:
+            # Empty window: jump to the first grid window that holds times[lo],
+            # ceil((times[lo] - t0 - W + 1) / S) steps from t0.
+            start = t0 - (t0 + W - 1 - times[lo]) // S * S
+            continue
         if hi - lo >= cfg.min_logs_per_window:
-            members = records[lo:hi]
-            keys = tuple(r.event_id for r in members[-cfg.max_sequence_length:])
-            label = int(any(r.is_anomalous for r in members))
+            keys = tuple(event_ids[max(lo, hi - cfg.max_sequence_length):hi])
+            label = int(n_anomalous[hi] > n_anomalous[lo])
             out.append(
                 WindowSequence(
                     node_id=node_id, start_time=start, key_ids=keys, label=label
                 )
             )
-        start += cfg.step_seconds
+        start += S
     return out

@@ -3,6 +3,7 @@
 import pytest
 import yaml
 
+from flog.cli import main
 from flog.config import RunConfig, dump_config, load_config
 
 MINIMAL = {
@@ -90,6 +91,17 @@ class TestLoad:
     def test_anomaly_ids_become_frozenset(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
         assert cfg.dataset.synthetic.anomaly_template_ids == frozenset({8, 9})
+
+    def test_anomaly_ids_must_be_a_list_of_integers(self, tmp_path, capsys):
+        for ids in (5, "8, 9", [8, "9"], [8.0, 9]):
+            synth = {**MINIMAL["dataset"]["synthetic"], "anomaly_template_ids": ids}
+            path = write(tmp_path, {**MINIMAL, "dataset": {"format": "synthetic",
+                                                           "synthetic": synth}})
+            with pytest.raises(ValueError, match="anomaly_template_ids must be a list"):
+                load_config(path)
+            assert main(["account", "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error: dataset.synthetic.anomaly_template_ids" in err
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         doc = dict(MINIMAL, typo_section={})

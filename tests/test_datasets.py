@@ -1,5 +1,7 @@
 """Dataset decoding, synthetic generation, and ingestion filters."""
 
+from pathlib import Path
+
 import pytest
 
 from flog.datasets import (
@@ -128,6 +130,14 @@ class TestReadLogFile:
         out = list(read_log_file(path, "thunderbird"))
         assert len(out) == 2
         assert [ln for _, ln in out] == [1, 3]
+
+    def test_counts_lines_and_malformed_lines(self):
+        fixture = Path(__file__).resolve().parent / "fixtures" / "thunderbird_small.log"
+        counts = {}
+        out = list(read_log_file(fixture, "thunderbird", counts=counts))
+        assert counts == {"lines": 30, "malformed": 1}
+        assert len(out) == 28  # minus one malformed and one blank line
+        assert len(list(read_log_file(fixture, "thunderbird"))) == 28
 
     def test_max_samples_prefix_cut(self, tmp_path):
         path = tmp_path / "log.txt"

@@ -1,15 +1,42 @@
-"""Template mining: similarity, routing, merging, masking, overflow."""
+"""Template mining: similarity, routing, merging, masking, overflow, memo."""
+
+import itertools
+import random
 
 import pytest
 
 from flog.drain import (
     WILDCARD,
     DrainParser,
+    LogTemplate,
     ParserConfig,
     preprocess_line,
     seq_similarity,
     write_template_table,
 )
+
+
+class ScanParser(DrainParser):
+    """Oracle: every line scans its leaf's templates, with no memo."""
+
+    def parse_line(self, tokens):
+        leaf = self._descend(tokens)
+        best, best_sim = None, -1.0
+        for tpl in leaf.templates:
+            sim = seq_similarity(tokens, tpl.tokens)
+            if sim > best_sim:
+                best, best_sim = tpl, sim
+        if best is not None and best_sim >= self.config.similarity_threshold:
+            best.tokens = [
+                t if t == u else WILDCARD for t, u in zip(best.tokens, tokens)
+            ]
+            best.occurrence_count += 1
+            return best.event_id, best
+        tpl = LogTemplate(event_id=self._next_id, tokens=list(tokens), occurrence_count=1)
+        self._next_id += 1
+        self._templates[tpl.event_id] = tpl
+        leaf.templates.append(tpl)
+        return tpl.event_id, tpl
 
 
 class TestSeqSimilarity:
@@ -126,6 +153,11 @@ class TestParser:
             eid = p.parse_message(f"{first} one two")
             assert eid in p.templates
 
+    def test_lengths_beyond_max_children_get_own_leaves(self):
+        p = DrainParser(ParserConfig(tree_depth=2, max_children=1))
+        ids = [p.parse_message(m) for m in ("a b", "a b c", "a b", "a")]
+        assert ids == [0, 1, 0, 2]
+
     def test_export_and_table(self, tmp_path):
         p = DrainParser()
         p.parse_message("session closed for user root")
@@ -137,6 +169,50 @@ class TestParser:
         lines = path.read_text().splitlines()
         assert lines[0] == "event_id\ttemplate\tcount"
         assert lines[1] == "0\tsession closed for user <*>\t2"
+
+
+def message_stream(rng, n):
+    """Messages drawn from a small pool, so most repeat, with one token
+    changed now and then, so templates, earlier ones too, gain wildcards."""
+    words = ["a", "b", "c", "d", "e", "x1", "y22", WILDCARD]
+    pool = [
+        [rng.choice(words) for _ in range(rng.randint(1, 6))] for _ in range(25)
+    ]
+    for _ in range(n):
+        msg = list(rng.choice(pool))
+        if rng.random() < 0.3:
+            msg[rng.randrange(len(msg))] = rng.choice(words)
+        yield " ".join(msg)
+
+
+class TestMemoAgainstScan:
+    @pytest.mark.parametrize("memo_limit", [None, 8])
+    @pytest.mark.parametrize("threshold", [0.1, 0.5, 1.0])
+    def test_same_ids_and_templates_after_every_line(self, threshold, memo_limit, monkeypatch):
+        if memo_limit is not None:
+            monkeypatch.setattr("flog.drain.MEMO_LIMIT", memo_limit)
+        rng = random.Random(int(threshold * 10))
+        for max_children, depth in itertools.product((1, 2, 3), (2, 3, 4, 5)):
+            cfg = ParserConfig(
+                tree_depth=depth, similarity_threshold=threshold, max_children=max_children
+            )
+            memo, scan = DrainParser(cfg), ScanParser(cfg)
+            earlier_changed = 0
+            for msg in message_stream(rng, 400):
+                before = {eid: list(t.tokens) for eid, t in scan.templates.items()}
+                assert memo.parse_message(msg) == scan.parse_message(msg), msg
+                assert memo.export_templates() == scan.export_templates()
+                assert {e: t.tokens for e, t in memo.templates.items()} == {
+                    e: t.tokens for e, t in scan.templates.items()
+                }
+                if memo_limit is not None:
+                    assert len(memo._memo) <= memo_limit
+                earlier_changed += sum(
+                    1 for eid, toks in before.items()
+                    if eid < len(before) - 1 and scan.templates[eid].tokens != toks
+                )
+            if threshold < 1.0:
+                assert earlier_changed > 0
 
 
 class TestParserConfig:

@@ -1,5 +1,6 @@
 """End-to-end pipeline orchestration and the command-line interface."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,12 @@ import yaml
 import flog
 from flog.cli import main
 from flog.config import load_config
-from flog.pipeline import ARTIFACTS, StageError, run_pipeline
+from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
+
+# Hand-written Thunderbird lines: node dn731's lines arrive out of order
+# (two with equal timestamps), node tn12 spans two months, and the file
+# holds one malformed line and one blank line among its 30.
+THUNDERBIRD_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "thunderbird_small.log"
 
 
 def small_doc(out_dir, n_lines=3000):
@@ -140,6 +146,42 @@ class TestRunPipeline:
         assert info.value.stage == "window"
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "stage 'window' failed" in capsys.readouterr().err
+
+
+class TestThunderbirdFixture:
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        doc = small_doc(tmp_path / "out")
+        doc["dataset"] = {"format": "thunderbird", "path": str(THUNDERBIRD_FIXTURE)}
+        doc["window"] = {"window_seconds": 60, "step_seconds": 30, "max_sequence_length": 16}
+        doc["federated"]["rounds"] = 1
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        return load_config(path)
+
+    def test_run_pipeline_completes(self, cfg, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="flog.pipeline"):
+            metrics = run_pipeline(cfg, seed=0)
+        assert len(metrics) == 1
+        for name in ARTIFACTS:
+            assert (tmp_path / "out" / name).exists(), name
+        assert "read 30 lines" in caplog.text and "skipped 1 malformed" in caplog.text
+        assert "sorted the records of 1 of 3 nodes" in caplog.text
+        rows = (tmp_path / "out" / "templates.tsv").read_text().splitlines()[1:]
+        assert sum(int(row.split("\t")[2]) for row in rows) == 28
+
+    def test_drain_in_file_order_windows_in_time_order(self, cfg):
+        corpus = parse_corpus(load_entries(cfg), cfg)
+        templates = {tpl.render(): eid for eid, tpl in corpus.parser.templates.items()}
+        # Event ids are first-seen ids in file order, not in time order.
+        assert templates["session opened for user <*> by <*>"] == 0
+        assert templates["Accepted publickey for <*> from <*> port <*> <*>"] == 1
+        records = corpus.records_by_node["dn731"]
+        times = [r.timestamp for r in records]
+        assert times == sorted(times) and len(records) == 13
+        # The two lines at 20:05:12 keep their file order.
+        tie = [r.event_id for r in records if r.timestamp == 1131566712]
+        assert tie == [1, 0]
 
 
 class TestLargeProfile:

@@ -56,6 +56,28 @@ class TestBruteForceOracle:
             records = mk_records(times, anomalous)
             assert build_windows(records, cfg) == brute_force(records, cfg)
 
+    def test_matches_oracle_on_long_clustered_spans(self):
+        # Spans of ~10^4 steps with records in a few clusters, so most of the
+        # grid is empty, and windows that are not a multiple of the step.
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            step = int(rng.integers(2, 8))
+            window = step * int(rng.integers(1, 40)) + int(rng.integers(1, step))
+            span = step * int(rng.integers(5_000, 15_000))
+            times = []
+            for center in rng.integers(0, span, size=int(rng.integers(1, 5))):
+                spread = int(rng.integers(1, 3 * window))
+                times += (center + rng.integers(0, spread, size=int(rng.integers(1, 10)))).tolist()
+            times = sorted(times + [0, span])
+            cfg = WindowConfig(
+                window_seconds=window,
+                step_seconds=step,
+                min_logs_per_window=int(rng.integers(1, 4)),
+                max_sequence_length=int(rng.integers(1, 8)),
+            )
+            records = mk_records(times, (rng.random(len(times)) < 0.2).tolist())
+            assert build_windows(records, cfg) == brute_force(records, cfg)
+
     def test_documented_small_case(self):
         # 10 records over 0-600 s, window 300, step 60, min 5.
         times = [0, 30, 90, 150, 290, 300, 390, 450, 520, 600]
@@ -91,6 +113,14 @@ class TestEdges:
     def test_empty_input(self):
         cfg = WindowConfig(window_seconds=10, step_seconds=10)
         assert build_windows([], cfg) == []
+
+    def test_sparse_node_gets_only_its_records_windows(self):
+        # A grid walk would take 10^9 steps here.
+        cfg = WindowConfig(window_seconds=300, step_seconds=1)
+        ws = build_windows(mk_records([0, 10**9], [False, True]), cfg)
+        assert ws == [WindowSequence("n0", 0, (0,), 0)] + [
+            WindowSequence("n0", start, (1,), 1) for start in range(10**9 - 299, 10**9 + 1)
+        ]
 
     def test_unsorted_rejected(self):
         cfg = WindowConfig(window_seconds=10, step_seconds=10)
