@@ -15,6 +15,7 @@ import yaml
 from .datasets import SyntheticSpec
 from .drain import ParserConfig
 from .federated import FedConfig
+from .model import ModelShape
 from .windows import WindowConfig
 
 log = logging.getLogger(__name__)
@@ -44,18 +45,6 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class ModelSection:
-    hidden_dim: int = 16
-    head_dim: int = 8
-    n_heads: int = 2
-    n_layers: int = 1
-    lora_rank: int = 4
-    lora_alpha: float = 32.0
-    lora_dropout: float = 0.1
-    ffn_dim: int = 32
-
-
-@dataclass(frozen=True)
 class PrivacyConfig:
     target_epsilon: float = 10.0
     delta: float = 1e-5
@@ -79,7 +68,7 @@ class RunConfig:
     dataset: DatasetConfig
     parser: ParserConfig
     window: WindowConfig
-    model: ModelSection
+    model: ModelShape
     federated: FedConfig
     privacy: PrivacyConfig
     evaluation: EvalConfig
@@ -116,7 +105,7 @@ _SECTIONS = {
     "dataset": DatasetConfig,
     "parser": ParserConfig,
     "window": WindowConfig,
-    "model": ModelSection,
+    "model": ModelShape,
     "federated": FedConfig,
     "privacy": PrivacyConfig,
     "evaluation": EvalConfig,

@@ -28,11 +28,7 @@ class RawEntry:
 
 
 class LineParseError(ValueError):
-    """Recoverable per-line decode failure; carries the offending line number."""
-
-    def __init__(self, message: str, line_number: int | None = None) -> None:
-        super().__init__(message)
-        self.line_number = line_number
+    """Recoverable per-line decode failure."""
 
 
 # Both formats put 9 header tokens, the node id fourth, before the message.
@@ -42,20 +38,18 @@ _N_HEADER = 9
 _NODE_INDEX = 3
 
 
-def decode_line(line: str, fmt: str, line_number: int | None = None) -> RawEntry:
+def decode_line(line: str, fmt: str) -> RawEntry:
     if fmt not in ("thunderbird", "bgl"):
         raise ValueError(f"unknown format: {fmt!r}")
     tokens = line.split()
     if len(tokens) <= _N_HEADER:
-        raise LineParseError(
-            f"expected more than {_N_HEADER} tokens, got {len(tokens)}", line_number
-        )
+        raise LineParseError(f"expected more than {_N_HEADER} tokens, got {len(tokens)}")
     try:
         epoch = int(tokens[1])
     except ValueError:
-        raise LineParseError(f"bad epoch field {tokens[1]!r}", line_number) from None
+        raise LineParseError(f"bad epoch field {tokens[1]!r}") from None
     if epoch < 0:
-        raise LineParseError(f"negative epoch {epoch}", line_number)
+        raise LineParseError(f"negative epoch {epoch}")
     return RawEntry(
         label_field=tokens[0],
         epoch_seconds=epoch,
@@ -138,39 +132,25 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
     # Row-stochastic transition matrix over normal templates, fixed per run.
     n = len(normal_ids)
     trans = rng.dirichlet(np.ones(n), size=n)
-    # Bursts of exactly mean_burst_length anomaly lines fire every
-    # burst_every lines per node, staggered across nodes, so the realized
+    # Bursts of exactly mean_burst_length anomaly lines recur every
+    # burst_every lines of a node, staggered across nodes, so the realized
     # anomaly fraction tracks anomaly_rate tightly at any corpus size.
+    # burst_every > mean_burst_length, so a burst ends before the next starts.
     burst_every = max(
         spec.mean_burst_length + 1,
         int(round(spec.mean_burst_length / spec.anomaly_rate)),
     )
 
-    base_epoch = 1_131_566_461
-    node_clock = {i: float(base_epoch) for i in range(spec.n_nodes)}
-    node_state = {i: int(rng.integers(n)) for i in range(spec.n_nodes)}
-    node_lines = {i: 0 for i in range(spec.n_nodes)}
-    node_phase = {
-        i: (i * burst_every) // spec.n_nodes for i in range(spec.n_nodes)
-    }
-    node_burst = {i: 0 for i in range(spec.n_nodes)}  # remaining anomaly lines
-
+    node_clock = [1_131_566_461.0] * spec.n_nodes
+    node_state = [int(rng.integers(n)) for _ in range(spec.n_nodes)]
     entries: list[RawEntry] = []
     for line_idx in range(spec.n_lines):
-        node = line_idx % spec.n_nodes
-        if node_burst[node] == 0 and node_lines[node] % burst_every == node_phase[node]:
-            node_burst[node] = spec.mean_burst_length
-        node_lines[node] += 1
-        if node_burst[node] > 0:
-            anomalous = True
-            node_burst[node] -= 1
-            # Failure cascades pour in quickly: bursts are dense in time.
-            gap = spec.mean_gap_seconds / 20.0
-        else:
-            anomalous = False
-            gap = spec.mean_gap_seconds
+        k, node = divmod(line_idx, spec.n_nodes)  # the node's k-th line
+        phase = node * burst_every // spec.n_nodes
+        anomalous = k >= phase and (k - phase) % burst_every < spec.mean_burst_length
+        # Failure cascades pour in quickly: bursts are dense in time.
+        gap = spec.mean_gap_seconds / 20.0 if anomalous else spec.mean_gap_seconds
         node_clock[node] += rng.exponential(gap)
-        epoch = int(node_clock[node])
         if anomalous:
             template_id = anomaly_ids[int(rng.integers(len(anomaly_ids)))]
             label = "FAILURE"
@@ -179,27 +159,17 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
                 f"unit {int(rng.integers(1000, 100000))}"
             )
         else:
-            state = node_state[node]
-            state = int(rng.choice(n, p=trans[state]))
-            node_state[node] = state
-            template_id = normal_ids[state]
+            node_state[node] = int(rng.choice(n, p=trans[node_state[node]]))
             label = "-"
-            message = _render_template(template_id, rng)
-        entries.append(
-            RawEntry(
-                label_field=label,
-                epoch_seconds=epoch,
-                node_id=f"node{node:03d}",
-                message=message,
-            )
-        )
+            message = _render_template(normal_ids[node_state[node]], rng)
+        entries.append(RawEntry(label, int(node_clock[node]), f"node{node:03d}", message))
     entries.sort(key=lambda e: e.epoch_seconds)
     return entries
 
 
 def read_log_file(path, fmt: str, max_samples: int | None = None,
                   counts: dict[str, int] | None = None):
-    """Yield (RawEntry, line_number); blank and malformed lines are skipped.
+    """Yield the RawEntry of each line; blank and malformed lines are skipped.
 
     max_samples is a prefix cut in file order. A `counts` dict, if given,
     keeps the number of lines read so far ("lines") and of malformed lines
@@ -209,20 +179,19 @@ def read_log_file(path, fmt: str, max_samples: int | None = None,
     counts.update(lines=0, malformed=0)
     n_ok = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_number, line in enumerate(fh, start=1):
+        for line in fh:
             if max_samples is not None and n_ok >= max_samples:
                 break
-            counts["lines"] = line_number
-            line = line.rstrip("\n")
+            counts["lines"] += 1
             if not line.strip():
                 continue
             try:
-                entry = decode_line(line, fmt, line_number)
+                entry = decode_line(line, fmt)
             except LineParseError:
                 counts["malformed"] += 1
                 continue
             n_ok += 1
-            yield entry, line_number
+            yield entry
 
 
 def filter_min_anomaly_rate(

@@ -53,7 +53,7 @@ class LogRecord:
     node_id: str
     is_anomalous: bool
     event_id: int
-    raw_content_hash: int
+    raw_content_hash: int = 0  # unused; kept so five-field constructions still work
 
 
 class _Node:

@@ -19,7 +19,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -29,8 +29,9 @@ N_RESERVED = 2
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    vocab_size: int
+class ModelShape:
+    """The model's size and adapter settings: the run config's `model:` section."""
+
     hidden_dim: int = 16
     head_dim: int = 8
     n_heads: int = 2
@@ -38,12 +39,11 @@ class ModelConfig:
     lora_rank: int = 4
     lora_alpha: float = 32.0
     lora_dropout: float = 0.1
-    max_sequence_length: int = 128
     ffn_dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 3:
-            raise ValueError("vocab_size must be >= 3 (templates + UNK + PAD)")
+        if min(self.head_dim, self.n_heads, self.n_layers, self.ffn_dim) < 1:
+            raise ValueError("head_dim, n_heads, n_layers and ffn_dim must be >= 1")
         if self.lora_rank < 1:
             raise ValueError("lora_rank must be >= 1")
         if self.lora_rank > self.hidden_dim // 2:
@@ -56,6 +56,19 @@ class ModelConfig:
     @property
     def scale(self) -> float:
         return self.lora_alpha / self.lora_rank
+
+
+@dataclass(frozen=True)
+class ModelConfig(ModelShape):
+    """A model shape with the vocabulary and sequence length of its data."""
+
+    vocab_size: int = field(kw_only=True)
+    max_sequence_length: int = field(default=128, kw_only=True)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.vocab_size < 3:
+            raise ValueError("vocab_size must be >= 3 (templates + UNK + PAD)")
 
 
 _PROJ = ("q", "k", "v")
@@ -280,8 +293,6 @@ def _heads(X: np.ndarray, n_heads: int) -> np.ndarray:
 
 def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
     """Rows bounds[c]:bounds[c + 1] of X times M[c], for each client c."""
-    if len(M) == 1:
-        return X @ M[0]
     out = np.empty((len(X), M.shape[-1]))
     for a, b, m in zip(bounds, bounds[1:], M):
         np.matmul(X[a:b], m, out=out[a:b])
@@ -290,8 +301,6 @@ def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
 
 def _gram_by_client(X: np.ndarray, Y: np.ndarray, bounds) -> np.ndarray:
     """X^T Y over rows bounds[c]:bounds[c + 1], for each client c, stacked."""
-    if len(bounds) == 2:
-        return (X.T @ Y)[None]
     out = np.empty((len(bounds) - 1, X.shape[1], Y.shape[1]))
     for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(X[a:b].T, Y[a:b], out=out[c])

@@ -8,7 +8,6 @@ re-run with the same seed reproduces them.
 from __future__ import annotations
 
 import logging
-import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
@@ -51,9 +50,7 @@ def load_entries(cfg: RunConfig) -> list[datasets.RawEntry]:
             entries = entries[: ds.max_samples]
     else:
         counts: dict[str, int] = {}
-        entries = [
-            e for e, _ in datasets.read_log_file(ds.path, ds.format, ds.max_samples, counts)
-        ]
+        entries = list(datasets.read_log_file(ds.path, ds.format, ds.max_samples, counts))
         log.info("read %d lines from %s; skipped %d malformed",
                  counts["lines"], ds.path, counts["malformed"])
     if ds.min_anomaly_rate_per_node is not None:
@@ -73,15 +70,9 @@ def parse_corpus(entries: list[datasets.RawEntry], cfg: RunConfig) -> ParsedCorp
         event_id = parser.parse_message(entry.message)
         if event_id is None:
             continue
-        records_by_node.setdefault(entry.node_id, []).append(
-            drain.LogRecord(
-                timestamp=entry.epoch_seconds,
-                node_id=entry.node_id,
-                is_anomalous=entry.is_anomalous,
-                event_id=event_id,
-                raw_content_hash=zlib.crc32(entry.message.encode("utf-8")),
-            )
-        )
+        record = drain.LogRecord(timestamp=entry.epoch_seconds, node_id=entry.node_id,
+                                 is_anomalous=entry.is_anomalous, event_id=event_id)
+        records_by_node.setdefault(entry.node_id, []).append(record)
     n_sorted = 0
     for records in records_by_node.values():
         if any(a.timestamp > b.timestamp for a, b in zip(records, records[1:])):

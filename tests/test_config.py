@@ -159,6 +159,22 @@ class TestLoad:
             with pytest.raises(ValueError, match=match):
                 load_config(write(tmp_path, {**MINIMAL, **bad}))
 
+    def test_bad_model_section_is_a_configuration_error(self, tmp_path, capsys):
+        # Caught at load, before any stage runs, by `flog account` too.
+        for model, match in [
+            ({"n_heads": 3}, r"n_heads \* head_dim must equal hidden_dim"),
+            ({"n_layers": 0}, "n_layers"),
+            ({"ffn_dim": 0}, "ffn_dim"),
+            ({"lora_rank": 9}, "lora_rank must be <= hidden_dim / 2"),
+            ({"lora_dropout": 1.0}, "lora_dropout"),
+            ({"lora_rank": "4"}, "invalid value in model"),
+        ]:
+            path = write(tmp_path, {**MINIMAL, "model": model})
+            with pytest.raises(ValueError, match=match):
+                load_config(path)
+            assert main(["account", "--config", str(path)]) == 1
+            assert "configuration error" in capsys.readouterr().err
+
 
 class TestRoundTrip:
     def test_realistic_profile_round_trips(self, tmp_path):

@@ -1,5 +1,6 @@
 """Dataset decoding, synthetic generation, and ingestion filters."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from flog.datasets import (
     generate_synthetic,
     read_log_file,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 TBIRD_LINE = (
     "- 1131566461 2005.11.09 dn228 Nov 9 12:01:01 dn228/dn228 "
@@ -47,10 +50,9 @@ class TestDecode:
         assert e.node_id == "R27-M1-N4-I:J18-U11"
         assert e.message == "ciod: failed to read message prefix"
 
-    def test_malformed_raises_with_line_number(self):
-        with pytest.raises(LineParseError) as exc:
-            decode_line("too short", "thunderbird", line_number=17)
-        assert exc.value.line_number == 17
+    def test_malformed_raises(self):
+        with pytest.raises(LineParseError, match="expected more than 9 tokens, got 2"):
+            decode_line("too short", "thunderbird")
 
     def test_bad_epoch(self):
         bad = TBIRD_LINE.replace("1131566461", "notanumber")
@@ -80,7 +82,40 @@ def small_spec(**kw):
     return SyntheticSpec(**base)
 
 
+def corpus_digest(spec):
+    """sha256 of the generated corpus, one tab-separated entry a line."""
+    h = hashlib.sha256()
+    for e in generate_synthetic(spec):
+        h.update(f"{e.label_field}\t{e.epoch_seconds}\t{e.node_id}\t{e.message}\n".encode())
+    return h.hexdigest()
+
+
 class TestSynthetic:
+    def test_golden_digests(self):
+        # Pins the corpus, and with it the generator's random stream, draw
+        # for draw. The first spec is configs/synthetic.yaml's. In the second,
+        # burst_every is 20 and node 7's bursts start at its 17th line, past
+        # burst_every - mean_burst_length.
+        shipped = small_spec(n_templates=20, n_nodes=8, n_lines=50000,
+                             anomaly_template_ids=frozenset({17, 18, 19}), seed=7,
+                             mean_burst_length=40, mean_gap_seconds=8.0)
+        late_phase = small_spec(n_nodes=8, n_lines=2000, anomaly_rate=0.5, mean_burst_length=10)
+        assert corpus_digest(shipped) == (
+            "be9599bfa72e5dc212aa6e13548a1528f8466a64752a1577ea9d7ab06a234632")
+        assert corpus_digest(late_phase) == (
+            "1fc22b1a1d77c5f19a5dabb0f76f50dd6346c88f48a1f361023a0ae3b97162ec")
+
+    def test_burst_schedule(self):
+        # Each node's lines come in a fixed order (line i belongs to node
+        # i % n_nodes), so its k-th line in time is its k-th generated line.
+        spec = small_spec(n_nodes=8, n_lines=2000, anomaly_rate=0.5, mean_burst_length=10)
+        by_node = {}
+        for e in generate_synthetic(spec):
+            by_node.setdefault(e.node_id, []).append(e.is_anomalous)
+        flags = by_node["node007"]
+        assert flags[:17] == [False] * 17
+        assert flags[17:37] == [True] * 10 + [False] * 10
+
     def test_deterministic(self):
         assert generate_synthetic(small_spec()) == generate_synthetic(small_spec())
 
@@ -127,17 +162,38 @@ class TestReadLogFile:
     def test_skips_malformed_and_counts_lines(self, tmp_path):
         path = tmp_path / "log.txt"
         path.write_text(TBIRD_LINE + "\ngarbage\n" + TBIRD_LINE + "\n\n")
-        out = list(read_log_file(path, "thunderbird"))
-        assert len(out) == 2
-        assert [ln for _, ln in out] == [1, 3]
+        counts = {}
+        out = list(read_log_file(path, "thunderbird", counts=counts))
+        assert out == [decode_line(TBIRD_LINE, "thunderbird")] * 2
+        assert counts == {"lines": 4, "malformed": 1}
 
     def test_counts_lines_and_malformed_lines(self):
-        fixture = Path(__file__).resolve().parent / "fixtures" / "thunderbird_small.log"
+        fixture = FIXTURES / "thunderbird_small.log"
         counts = {}
         out = list(read_log_file(fixture, "thunderbird", counts=counts))
         assert counts == {"lines": 30, "malformed": 1}
         assert len(out) == 28  # minus one malformed and one blank line
         assert len(list(read_log_file(fixture, "thunderbird"))) == 28
+
+    def test_bgl_fixture_with_crlf_and_invalid_utf8(self):
+        fixture = FIXTURES / "bgl_small.log"
+        raw = fixture.read_bytes()
+        assert raw.count(b"\r\n") == 24 and raw.count(b"\n") == 24
+        with pytest.raises(UnicodeDecodeError):
+            raw.decode("utf-8")
+        counts = {}
+        out = list(read_log_file(fixture, "bgl", counts=counts))
+        assert counts == {"lines": 24, "malformed": 1}  # the malformed line has no message
+        assert len(out) == 22  # minus one malformed and one blank line
+        assert not any("\r" in e.message for e in out)
+        # Each invalid byte decodes to U+FFFD.
+        replaced = {e.message for e in out if "\ufffd" in e.message}
+        assert replaced == {
+            "ciod: LOGIN chdir(/home/\ufffdt\ufffde) failed: No such file or directory"}
+        labels = [e.label_field for e in out if e.is_anomalous]
+        assert labels == ["KERNDTLB", "KERNDTLB", "APPREAD", "KERNDTLB"]
+        assert {e.node_id for e in out} == {
+            "R02-M1-N0-C:J12-U11", "R23-M0-NE-C:J05-U01", "R71-M1-N4-I:J18-U11"}
 
     def test_max_samples_prefix_cut(self, tmp_path):
         path = tmp_path / "log.txt"

@@ -109,6 +109,15 @@ class TestRocAuc:
         b = roc_auc(np.exp(5 * scores), labels)
         assert a == pytest.approx(b, abs=1e-12)
 
+    def test_rounding_tie_changes_auc(self):
+        # 0.010000000000000002 ** 0.5 == 0.01 ** 0.5 in floating point, so a
+        # "monotone" transform can tie two distinct scores and move the AUC.
+        scores = [0.5, 0.5, 0.010000000000000002, 0.01]
+        labels = [0, 1, 0, 1]
+        assert roc_auc(scores, labels) == 0.375
+        assert roc_auc([0.5, 0.5, 0.01, 0.01], labels) == 0.5
+        assert roc_auc([s**0.5 for s in scores], labels) == 0.5
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_auc([0.4, 0.6], [1, 1])

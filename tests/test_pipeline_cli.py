@@ -19,6 +19,9 @@ from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run
 # (two with equal timestamps), node tn12 spans two months, and the file
 # holds one malformed line and one blank line among its 30.
 THUNDERBIRD_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "thunderbird_small.log"
+# Hand-written BGL lines with CRLF endings and invalid UTF-8 bytes; 24
+# lines, one of them malformed (no message) and one blank.
+BGL_FIXTURE = THUNDERBIRD_FIXTURE.with_name("bgl_small.log")
 
 
 def small_doc(out_dir, n_lines=3000):
@@ -148,16 +151,21 @@ class TestRunPipeline:
         assert "stage 'window' failed" in capsys.readouterr().err
 
 
+def log_file_config(tmp_path, fmt, log_path):
+    """A one-round config over a log file, with outputs under tmp_path/out."""
+    doc = small_doc(tmp_path / "out")
+    doc["dataset"] = {"format": fmt, "path": str(log_path)}
+    doc["window"] = {"window_seconds": 60, "step_seconds": 30, "max_sequence_length": 16}
+    doc["federated"]["rounds"] = 1
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
 class TestThunderbirdFixture:
     @pytest.fixture
     def cfg(self, tmp_path):
-        doc = small_doc(tmp_path / "out")
-        doc["dataset"] = {"format": "thunderbird", "path": str(THUNDERBIRD_FIXTURE)}
-        doc["window"] = {"window_seconds": 60, "step_seconds": 30, "max_sequence_length": 16}
-        doc["federated"]["rounds"] = 1
-        path = tmp_path / "cfg.yaml"
-        path.write_text(yaml.safe_dump(doc))
-        return load_config(path)
+        return load_config(log_file_config(tmp_path, "thunderbird", THUNDERBIRD_FIXTURE))
 
     def test_run_pipeline_completes(self, cfg, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="flog.pipeline"):
@@ -182,6 +190,20 @@ class TestThunderbirdFixture:
         # The two lines at 20:05:12 keep their file order.
         tie = [r.event_id for r in records if r.timestamp == 1131566712]
         assert tie == [1, 0]
+
+
+class TestBglFixture:
+    def test_train_completes(self, tmp_path, caplog):
+        path = log_file_config(tmp_path, "bgl", BGL_FIXTURE)
+        with caplog.at_level(logging.INFO, logger="flog.pipeline"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(path)]) == 0
+        for name in ARTIFACTS:
+            assert (tmp_path / "out" / name).exists(), name
+        assert "read 24 lines" in caplog.text and "skipped 1 malformed" in caplog.text
+        rows = (tmp_path / "out" / "templates.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assert sum(int(row.split("\t")[2]) for row in rows) == 22
+        assert any("\ufffd" in row for row in rows)
 
 
 class TestLargeProfile:

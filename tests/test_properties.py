@@ -1,7 +1,7 @@
 """Property-based checks over the pure helpers."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flog.accountant import epsilon_for
@@ -67,8 +67,12 @@ def test_confusion_partitions_and_f1_identity(rows):
 @settings(max_examples=30)
 def test_auc_monotone_transform_invariant(scores, gain):
     labels = [i % 2 for i in range(len(scores))]
+    transformed = [s**gain for s in scores]  # monotone on (0, 1)
+    # In floating point it can still round two distinct scores to one value,
+    # a tie that changes the AUC (see test_metrics); skip such draws.
+    assume(len(set(transformed)) == len(set(scores)))
     a = roc_auc(scores, labels)
-    b = roc_auc([s**gain for s in scores], labels)  # strictly monotone on (0,1)
+    b = roc_auc(transformed, labels)
     assert abs(a - b) < 1e-9
 
 
