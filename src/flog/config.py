@@ -113,7 +113,11 @@ _SECTIONS = {
 
 
 def load_config(path) -> RunConfig:
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        raise ValueError(f"cannot load {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
     unknown = set(raw) - set(_SECTIONS) - {"output_dir"}

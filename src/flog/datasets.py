@@ -10,6 +10,7 @@ rare templates so that desk-scale detection is learnable by construction.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,10 +108,15 @@ def _template_tag(template_id: int) -> str:
             return tag
 
 
-def _render_template(template_id: int, rng: np.random.Generator) -> str:
-    # One variable field per message so Drain sees a parameter position.
-    value = int(rng.integers(1000, 100000))
-    return f"daemon proc-{_template_tag(template_id)} reported event code {value} status ok"
+def transition_cdf(trans: np.ndarray) -> list[list[float]]:
+    """Each row's normalised CDF, as rng.choice(n, p=row) builds it on every call.
+
+    bisect_right(cdf[i], rng.random()) is then rng.choice(n, p=trans[i]),
+    draw for draw: the same uniform, the same search, the same index.
+    """
+    cdf = trans.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf.tolist()
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
@@ -131,7 +137,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
 
     # Row-stochastic transition matrix over normal templates, fixed per run.
     n = len(normal_ids)
-    trans = rng.dirichlet(np.ones(n), size=n)
+    cdf_rows = transition_cdf(rng.dirichlet(np.ones(n), size=n))
     # Bursts of exactly mean_burst_length anomaly lines recur every
     # burst_every lines of a node, staggered across nodes, so the realized
     # anomaly fraction tracks anomaly_rate tightly at any corpus size.
@@ -140,6 +146,11 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
         spec.mean_burst_length + 1,
         int(round(spec.mean_burst_length / spec.anomaly_rate)),
     )
+    # Message heads and node names are fixed per run; each message adds one
+    # variable field, so Drain sees a parameter position.
+    normal_heads = [f"daemon proc-{_template_tag(t)} reported event code " for t in normal_ids]
+    anomaly_heads = [f"daemon proc-{_template_tag(t)} fatal fault detected unit " for t in anomaly_ids]
+    node_names = [f"node{node:03d}" for node in range(spec.n_nodes)]
 
     node_clock = [1_131_566_461.0] * spec.n_nodes
     node_state = [int(rng.integers(n)) for _ in range(spec.n_nodes)]
@@ -152,17 +163,15 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
         gap = spec.mean_gap_seconds / 20.0 if anomalous else spec.mean_gap_seconds
         node_clock[node] += rng.exponential(gap)
         if anomalous:
-            template_id = anomaly_ids[int(rng.integers(len(anomaly_ids)))]
+            head = anomaly_heads[int(rng.integers(len(anomaly_ids)))]
             label = "FAILURE"
-            message = (
-                f"daemon proc-{_template_tag(template_id)} fatal fault detected "
-                f"unit {int(rng.integers(1000, 100000))}"
-            )
+            message = f"{head}{int(rng.integers(1000, 100000))}"
         else:
-            node_state[node] = int(rng.choice(n, p=trans[node_state[node]]))
+            state = bisect_right(cdf_rows[node_state[node]], rng.random())
+            node_state[node] = state
             label = "-"
-            message = _render_template(normal_ids[node_state[node]], rng)
-        entries.append(RawEntry(label, int(node_clock[node]), f"node{node:03d}", message))
+            message = f"{normal_heads[state]}{int(rng.integers(1000, 100000))} status ok"
+        entries.append(RawEntry(label, int(node_clock[node]), node_names[node], message))
     entries.sort(key=lambda e: e.epoch_seconds)
     return entries
 

@@ -13,12 +13,16 @@ each one went to and replays that while the template's leaf is unchanged
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 WILDCARD = "<*>"
 # The memo is emptied when it reaches this many token lists, so a log whose
 # lines rarely repeat after masking cannot grow it without bound.
 MEMO_LIMIT = 1 << 16
+# `\d` is Unicode Nd (str.isdecimal), a subset of str.isdigit; the digits it
+# misses (superscripts, circled digits, ...) are all non-ASCII.
+_DECIMAL = re.compile(r"\d").search
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,11 @@ def preprocess_line(raw_line: str, config: ParserConfig) -> list[str]:
     """Split a message into tokens, masking digit-bearing tokens if configured."""
     tokens = raw_line.split()
     if config.mask_numeric_tokens:
-        tokens = [WILDCARD if any(c.isdigit() for c in t) else t for t in tokens]
+        # Exactly "some character of t is str.isdigit", one regex search per token.
+        tokens = [
+            WILDCARD if _DECIMAL(t) or (not t.isascii() and any(map(str.isdigit, t))) else t
+            for t in tokens
+        ]
     return tokens
 
 

@@ -1,8 +1,10 @@
 """Dataset decoding, synthetic generation, and ingestion filters."""
 
 import hashlib
+from bisect import bisect_right
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flog.datasets import (
@@ -14,6 +16,7 @@ from flog.datasets import (
     filter_min_anomaly_rate,
     generate_synthetic,
     read_log_file,
+    transition_cdf,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -104,6 +107,26 @@ class TestSynthetic:
             "be9599bfa72e5dc212aa6e13548a1528f8466a64752a1577ea9d7ab06a234632")
         assert corpus_digest(late_phase) == (
             "1fc22b1a1d77c5f19a5dabb0f76f50dd6346c88f48a1f361023a0ae3b97162ec")
+
+    def test_cdf_draws_are_rng_choice(self):
+        # Rows of several sizes and concentrations, one with exact zeros (equal
+        # CDF steps); the search must pick rng.choice's index from the same
+        # uniform, and leave the generator in the same state.
+        dirichlet = np.random.default_rng(0).dirichlet
+        trans = [dirichlet(np.full(n, a), size=n)
+                 for n, a in ((1, 1.0), (2, 1.0), (17, 1.0), (17, 0.05), (300, 1.0))]
+        trans.append(np.array([[0.0, 0.5, 0.0, 0.5, 0.0]]))
+        cdfs = [transition_cdf(t) for t in trans]
+        # Sampling cannot see a one-ulp change in a CDF step, so also pin each
+        # row to the CDF Generator.choice computes, p.cumsum() / its last entry.
+        for t, cdf in zip(trans, cdfs):
+            assert cdf == [(row.cumsum() / row.cumsum()[-1]).tolist() for row in t]
+        reference, searched = np.random.default_rng(11), np.random.default_rng(11)
+        for i in range(24000):
+            t, cdf = trans[i % len(trans)], cdfs[i % len(trans)]
+            row = i // len(trans) % len(t)
+            assert bisect_right(cdf[row], searched.random()) == reference.choice(len(t[row]), p=t[row])
+        assert searched.bit_generator.state == reference.bit_generator.state
 
     def test_burst_schedule(self):
         # Each node's lines come in a fixed order (line i belongs to node

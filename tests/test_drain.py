@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -74,6 +75,24 @@ class TestPreprocess:
         cfg = ParserConfig()
         toks = preprocess_line("pid 4742 exited status0 ok", cfg)
         assert toks == ["pid", WILDCARD, "exited", WILDCARD, "ok"]
+
+    def test_mask_is_str_isdigit_on_every_code_point(self):
+        # The oracle is the mask as first written, one str.isdigit per
+        # character, so the check follows the interpreter's Unicode tables.
+        def oracle(token):
+            return any(ch.isdigit() for ch in token)
+
+        tokens = ["a" + chr(cp) for cp in range(sys.maxunicode + 1) if not chr(cp).isspace()]
+        masked = preprocess_line(" ".join(tokens), ParserConfig())
+        assert len(masked) == len(tokens)
+        wrong = [t for t, m in zip(tokens, masked) if (m == WILDCARD) != oracle(t)]
+        assert wrong == []
+
+    @pytest.mark.parametrize("token, masked", [
+        ("²", True), ("①", True), ("\u0663", True), ("x-y", False), ("v9", True), ("Ⅻ", False),
+    ])
+    def test_mask_named_cases(self, token, masked):
+        assert (preprocess_line(token, ParserConfig()) == [WILDCARD]) is masked
 
     def test_masking_disabled(self):
         cfg = ParserConfig(mask_numeric_tokens=False)

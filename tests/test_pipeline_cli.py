@@ -325,6 +325,12 @@ class TestCli:
             path.write_text(yaml.safe_dump({**small_doc(tmp_path), "federated": value}))
             assert main(["account", "--config", str(path)]) == 1
             assert "configuration error: federated must be a mapping" in capsys.readouterr().err
+        # A missing file, a directory and malformed YAML name the path.
+        path.write_text("dataset: [unclosed\n")
+        for unreadable in (tmp_path / "missing.yaml", tmp_path, path):
+            assert main(["train", "--config", str(unreadable)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"configuration error: cannot load {unreadable}: ")
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
