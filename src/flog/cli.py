@@ -32,18 +32,17 @@ from .pipeline import (
 log = logging.getLogger(__name__)
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(args.out if args.out else cfg.output_dir)
+def _out_dir(cfg) -> Path:
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
+def cmd_synth(args, cfg) -> int:
     if cfg.dataset.synthetic is None:
         print("config has no dataset.synthetic section", file=sys.stderr)
         return 1
-    out = _out_dir(args, cfg)
+    out = _out_dir(cfg)
     entries = datasets.generate_synthetic(cfg.dataset.synthetic)
     path = out / "synthetic.log"
     with open(path, "w", encoding="utf-8") as fh:
@@ -53,18 +52,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_parse(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
+def cmd_parse(args, cfg) -> int:
+    out = _out_dir(cfg)
     corpus = parse_corpus(load_entries(cfg), cfg)
     drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
     print(f"{corpus.n_templates} templates -> {out / 'templates.tsv'}")
     return 0
 
 
-def cmd_partition(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
+def cmd_partition(args, cfg) -> int:
+    out = _out_dir(cfg)
     corpus = parse_corpus(load_entries(cfg), cfg)
     assignment = partition.round_robin_assign(
         list(corpus.records_by_node), cfg.federated.k_clients
@@ -75,19 +72,15 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.out:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
+def cmd_train(args, cfg) -> int:
     metrics = run_pipeline(cfg, args.seed)
     for m in metrics:
         print(csv_row(m))
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
+def cmd_evaluate(args, cfg) -> int:
+    out = Path(cfg.output_dir)  # read only: evaluate writes nothing there
     ckpt = out / "model.ckpt"
     if not ckpt.exists():
         print(f"no checkpoint at {ckpt}; run `flog train` first", file=sys.stderr)
@@ -120,8 +113,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_account(args) -> int:
-    cfg = load_config(args.config)
+def cmd_account(args, cfg) -> int:
     ledger = privacy_ledger(cfg)
     for _ in range(cfg.federated.rounds):
         ledger.update()
@@ -158,7 +150,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        if args.out:
+            cfg = dataclasses.replace(cfg, output_dir=args.out)
+        return args.fn(args, cfg)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

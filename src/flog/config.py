@@ -1,13 +1,17 @@
 """Run configuration: YAML loading, validation, defaults, round-trip dump.
 
 Unknown keys are rejected so typos fail loudly; every omitted key falls
-back to a documented default, logged at load time.
+back to a documented default, logged at load time. Every value must have
+its field's annotated type: an int is no bool, a float may be written as
+an int and is kept as written, `X | None` also takes null, a frozenset is
+a YAML list, and a dataclass is a nested mapping checked the same way.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import MISSING, dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -26,7 +30,6 @@ class DatasetConfig:
     format: str = "synthetic"
     path: str | None = None
     max_samples: int | None = None
-    min_anomaly_rate_per_node: float | None = None
     synthetic: SyntheticSpec | None = None
 
     def __post_init__(self) -> None:
@@ -39,9 +42,6 @@ class DatasetConfig:
             raise ValueError("dataset.path required for file-based formats")
         if self.max_samples is not None and self.max_samples < 1:
             raise ValueError("dataset.max_samples must be >= 1 or null")
-        rate = self.min_anomaly_rate_per_node
-        if rate is not None and not (0.0 <= rate <= 1.0):
-            raise ValueError("dataset.min_anomaly_rate_per_node must be in [0, 1] or null")
 
 
 @dataclass(frozen=True)
@@ -75,41 +75,60 @@ class RunConfig:
     output_dir: str = "out"
 
 
+_SECTIONS = [name for name, tp in typing.get_type_hints(RunConfig).items() if is_dataclass(tp)]
+
+
 def _mapping(raw, section: str) -> dict:
-    """A copy of a config section; an absent or null section is empty."""
+    """A config section; an absent or null section is empty."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ValueError(f"{section} must be a mapping, got {type(raw).__name__}")
-    return dict(raw)
+    return raw
+
+
+def _is(tp, value) -> bool:
+    """Whether a YAML scalar fits `tp`: int excludes bool, and float admits int."""
+    return type(value) is tp or (tp is float and type(value) is int)
+
+
+def _value(tp, value, key: str):
+    """`value` as the field annotated `tp` holds it, or a ValueError naming the key."""
+    if is_dataclass(tp):
+        return _build(tp, _mapping(value, key), key)
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _value(args[0], value, key)
+    if typing.get_origin(tp) is frozenset:
+        if not isinstance(value, list) or not all(_is(args[0], v) for v in value):
+            raise ValueError(f"{key} must be a list of {args[0].__name__}, got {value!r}")
+        return frozenset(value)
+    if not _is(tp, value):
+        section, _, name = key.rpartition(".")
+        raise ValueError(f"invalid value in {section or 'top level'}: {name} must be "
+                         f"{tp.__name__}, got {type(value).__name__} {value!r}")
+    return value
 
 
 def _build(cls, raw: dict, section: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(raw) - allowed
+    """A `cls` from one config mapping, every value checked by `_value`."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - set(hints)
     if unknown:
         raise ValueError(f"unknown key(s) in {section}: {sorted(unknown)}")
+    prefix = f"{section}." if section else ""
+    for f in fields(cls):
+        # A field the command line sets, such as the training seed, is no config key.
+        if f.name in raw and "option" in f.metadata:
+            raise ValueError(f"{prefix}{f.name} is not a config key; "
+                             f"set it with {f.metadata['option']}")
     omitted = [f for f in fields(cls) if f.name not in raw]
     missing = [f.name for f in omitted if f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"missing required key(s) in {section}: {missing}")
     for f in omitted:
-        log.debug("%s.%s omitted; using default", section, f.name)
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ValueError(f"invalid value in {section}: {exc}") from exc
-
-
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "parser": ParserConfig,
-    "window": WindowConfig,
-    "model": ModelShape,
-    "federated": FedConfig,
-    "privacy": PrivacyConfig,
-    "evaluation": EvalConfig,
-}
+        log.debug("%s%s omitted; using default", prefix, f.name)
+    return cls(**{name: _value(hints[name], v, prefix + name) for name, v in raw.items()})
 
 
 def load_config(path) -> RunConfig:
@@ -120,26 +139,11 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"cannot load {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
-    unknown = set(raw) - set(_SECTIONS) - {"output_dir"}
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown top-level key(s): {sorted(unknown)}")
-
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        sub = _mapping(raw.get(name), name)
-        if name == "dataset" and sub.get("synthetic") is not None:
-            synth = _mapping(sub["synthetic"], "dataset.synthetic")
-            if "anomaly_template_ids" in synth:
-                ids = synth["anomaly_template_ids"]
-                if not isinstance(ids, list) or any(type(i) is not int for i in ids):
-                    raise ValueError(
-                        "dataset.synthetic.anomaly_template_ids must be a list of "
-                        f"integers, got {ids!r}"
-                    )
-                synth["anomaly_template_ids"] = frozenset(ids)
-            sub["synthetic"] = _build(SyntheticSpec, synth, "dataset.synthetic")
-        sections[name] = _build(cls, sub, name)
-    cfg = RunConfig(output_dir=str(raw.get("output_dir", "out")), **sections)
+    # A section left out takes every default, as a null one does.
+    cfg = _build(RunConfig, {**dict.fromkeys(_SECTIONS), **raw}, "")
     if cfg.dataset.format != "synthetic" and not Path(cfg.dataset.path).exists():
         raise ValueError(f"dataset.path does not exist: {cfg.dataset.path}")
     return cfg
@@ -148,19 +152,10 @@ def load_config(path) -> RunConfig:
 def dump_config(cfg: RunConfig) -> str:
     """YAML text that load_config reads back to an equal RunConfig."""
 
-    def as_dict(obj):
-        out = {}
-        for f in fields(obj):
-            v = getattr(obj, f.name)
-            if isinstance(v, SyntheticSpec):
-                d = as_dict(v)
-                d["anomaly_template_ids"] = sorted(v.anomaly_template_ids)
-                v = d
-            elif isinstance(v, frozenset):
-                v = sorted(v)
-            out[f.name] = v
-        return out
+    def plain(v):
+        if is_dataclass(v):
+            return {f.name: plain(getattr(v, f.name)) for f in fields(v)
+                    if "option" not in f.metadata}
+        return sorted(v) if isinstance(v, frozenset) else v
 
-    doc = {name: as_dict(getattr(cfg, name)) for name in _SECTIONS}
-    doc["output_dir"] = cfg.output_dir
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.safe_dump(plain(cfg), sort_keys=False)

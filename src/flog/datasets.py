@@ -202,19 +202,3 @@ def read_log_file(path, fmt: str, max_samples: int | None = None,
             n_ok += 1
             yield entry
 
-
-def filter_min_anomaly_rate(
-    entries: list[RawEntry], min_rate: float
-) -> list[RawEntry]:
-    """Drop all entries of nodes whose anomaly fraction is below min_rate."""
-    totals: dict[str, int] = {}
-    anomalies: dict[str, int] = {}
-    for e in entries:
-        totals[e.node_id] = totals.get(e.node_id, 0) + 1
-        if e.is_anomalous:
-            anomalies[e.node_id] = anomalies.get(e.node_id, 0) + 1
-    keep = {
-        node for node, total in totals.items()
-        if anomalies.get(node, 0) / total >= min_rate
-    }
-    return [e for e in entries if e.node_id in keep]

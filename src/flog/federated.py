@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,8 @@ class FedConfig:
     warmup_ratio: float = 0.0
     grad_accum_steps: int = 1
     max_grad_norm: float = 1.0
-    seed: int = 0
+    # The run seed comes from `flog --seed`; a config file cannot set it.
+    seed: int = field(default=0, metadata={"option": "--seed"})
 
     def __post_init__(self) -> None:
         if self.k_clients < 1 or self.rounds < 1:
@@ -205,22 +206,18 @@ def local_train(
                         cfg.learning_rate)
     batches = [_micro_batches(m, cfg, g) for m, g in zip(members, rng)]
     W = np.tile(global_flat, (len(members), 1))
-    cohort = base_state.with_trainable(W)
     g = np.zeros_like(W)
-
-    def rows(clients):  # a basic slice, no copy, when every member is selected
-        return slice(None) if len(clients) == len(members) else clients
 
     for i in range(n_micro.max(initial=0)):
         active = np.flatnonzero(n_micro > i)
         micro = [next(batches[c]) for c in active]
         for a, b in model_ops.row_chunks([n_rows for _, _, n_rows in micro]):
-            call, part = rows(active[a:b]), micro[a:b]
+            call, part = active[a:b], micro[a:b]
             sizes = np.array([len(labels) for _, labels, _ in part])
-            state = cohort if isinstance(call, slice) else base_state.with_trainable(W[call])
+            state = base_state.with_trainable(W[call])
             _, cache = model_ops.forward(
                 state, [t for tokens, _, _ in part for t in tokens], "train",
-                [rng[c] for c in active[a:b]], groups=sizes,
+                [rng[c] for c in call], groups=sizes,
             )
             grad = model_ops.backward(
                 state, cache, np.concatenate([labels for _, labels, _ in part]),
@@ -232,7 +229,7 @@ def local_train(
         done = active if (i + 1) % accum == 0 else active[n_micro[active] == i + 1]
         if len(done) == 0:
             continue
-        step, done = i // accum, rows(done)
+        step = i // accum
         step_g = g[done] / k_table[done, step][:, None]
         norms = np.array([np.linalg.norm(row) for row in step_g])
         step_g *= (cfg.max_grad_norm / np.maximum(norms, cfg.max_grad_norm))[:, None]

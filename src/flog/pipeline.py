@@ -53,8 +53,6 @@ def load_entries(cfg: RunConfig) -> list[datasets.RawEntry]:
         entries = list(datasets.read_log_file(ds.path, ds.format, ds.max_samples, counts))
         log.info("read %d lines from %s; skipped %d malformed",
                  counts["lines"], ds.path, counts["malformed"])
-    if ds.min_anomaly_rate_per_node is not None:
-        entries = datasets.filter_min_anomaly_rate(entries, ds.min_anomaly_rate_per_node)
     return entries
 
 

@@ -1,5 +1,9 @@
 """YAML run configuration: loading, validation, defaults, round-trip."""
 
+import copy
+import typing
+from dataclasses import fields, is_dataclass
+
 import pytest
 import yaml
 
@@ -150,10 +154,9 @@ class TestLoad:
             ({"privacy": {"delta": 2.0}}, "privacy.delta"),
             ({"dataset": {**MINIMAL["dataset"], "max_samples": -5}}, "max_samples"),
             ({"dataset": {**MINIMAL["dataset"], "max_samples": 0}}, "max_samples"),
-            ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": 1.5}},
-             "min_anomaly_rate_per_node"),
-            ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": -0.1}},
-             "min_anomaly_rate_per_node"),
+            # The per-node anomaly-rate filter is gone, and so is its key.
+            ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": 0.5}},
+             r"unknown key\(s\) in dataset: \['min_anomaly_rate_per_node'\]"),
         ]
         for bad, match in bad_sections:
             with pytest.raises(ValueError, match=match):
@@ -176,6 +179,87 @@ class TestLoad:
             assert "configuration error" in capsys.readouterr().err
 
 
+def with_value(doc, key, value):
+    """A deep copy of `doc` with the dotted `key` set to `value`."""
+    doc = copy.deepcopy(doc)
+    *path, name = key.split(".")
+    node = doc
+    for part in path:
+        node = node.setdefault(part, {})
+    node[name] = value
+    return doc
+
+
+def annotated_fields(cls, prefix=""):
+    """(dotted key, annotation) of every config key under the dataclass `cls`."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if "option" in f.metadata:
+            continue
+        yield prefix + f.name, hints[f.name]
+        inner = [a for a in (hints[f.name], *typing.get_args(hints[f.name])) if is_dataclass(a)]
+        for sub in inner:
+            yield from annotated_fields(sub, f"{prefix}{f.name}.")
+
+
+# The YAML types each annotation accepts; every other YAML type is an error.
+ACCEPTS = {int: {int}, float: {int, float}, str: {str}, bool: {bool},
+           frozenset[int]: {"list of int"}}
+WRONG_VALUES = {bool: True, int: 7, float: 2.5, str: "7", "list of int": [7], dict: {}}
+
+
+def accepted(tp):
+    if is_dataclass(tp):
+        return {dict}
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return accepted(args[0])
+    return ACCEPTS[tp]
+
+
+class TestTyping:
+    # Each key as a user would write it, with a value PyYAML gives a wrong
+    # type, and the message it must give.
+    BAD = [
+        # PyYAML reads 1e1 as a string.
+        ("privacy.target_epsilon", "1e1", "invalid value in privacy: target_epsilon"),
+        ("model.lora_alpha", "3.2e1", "invalid value in model: lora_alpha"),
+        ("federated.k_clients", True, "invalid value in federated: k_clients"),
+        ("dataset.path", 5, "invalid value in dataset: path"),
+        ("output_dir", None, "invalid value in top level: output_dir"),
+        ("federated.seed", 1, "federated.seed is not a config key; set it with --seed"),
+    ]
+
+    @pytest.mark.parametrize("key,value,match", BAD)
+    def test_wrong_type_is_a_configuration_error(self, tmp_path, capsys, key, value, match):
+        path = write(tmp_path, with_value(MINIMAL, key, value))
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
+        assert main(["account", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {match}")
+
+    def test_every_annotated_field_rejects_wrong_yaml_types(self, tmp_path):
+        keys = dict(annotated_fields(RunConfig))
+        # The seven sections and 45 values within them; the seed is no key.
+        assert len(keys) == 7 + 45 and "federated.seed" not in keys
+        for key, tp in keys.items():
+            for kind, value in WRONG_VALUES.items():
+                if kind in accepted(tp):
+                    continue
+                path = write(tmp_path, with_value(MINIMAL, key, value))
+                with pytest.raises(ValueError, match=rf"\b{key.rpartition('.')[2]} must be"):
+                    load_config(path)
+
+    def test_values_keep_their_yaml_type(self, tmp_path):
+        doc = with_value(MINIMAL, "privacy.target_epsilon", 10)
+        doc = with_value(doc, "federated.learning_rate", 0.5)
+        cfg = load_config(write(tmp_path, doc))
+        assert type(cfg.privacy.target_epsilon) is int
+        assert type(cfg.federated.learning_rate) is float
+        cfg = load_config(write(tmp_path, with_value(MINIMAL, "dataset.path", None)))
+        assert cfg.dataset.path is None
+
+
 class TestRoundTrip:
     def test_realistic_profile_round_trips(self, tmp_path):
         cfg = load_config(write(tmp_path, REALISTIC))
@@ -189,3 +273,8 @@ class TestRoundTrip:
             write(tmp_path, yaml.safe_load(dump_config(cfg)), "again.yaml")
         )
         assert again == cfg
+
+    def test_dump_lists_only_config_keys(self, tmp_path):
+        doc = yaml.safe_load(dump_config(load_config(write(tmp_path, REALISTIC))))
+        assert "seed" not in doc["federated"]
+        assert "min_anomaly_rate_per_node" not in doc["dataset"]

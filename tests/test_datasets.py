@@ -1,4 +1,4 @@
-"""Dataset decoding, synthetic generation, and ingestion filters."""
+"""Dataset decoding, synthetic generation, and log file reading."""
 
 import hashlib
 from bisect import bisect_right
@@ -13,7 +13,6 @@ from flog.datasets import (
     SyntheticSpec,
     decode_line,
     encode_line,
-    filter_min_anomaly_rate,
     generate_synthetic,
     read_log_file,
     transition_cdf,
@@ -223,15 +222,3 @@ class TestReadLogFile:
         path.write_text("\n".join([TBIRD_LINE] * 5) + "\n")
         out = list(read_log_file(path, "thunderbird", max_samples=3))
         assert len(out) == 3
-
-
-class TestMinAnomalyRateFilter:
-    def test_drops_quiet_nodes(self):
-        mk = lambda node, anom: RawEntry("A" if anom else "-", 0, node, "m")
-        entries = [mk("n0", True), mk("n0", False), mk("n1", False), mk("n1", False)]
-        kept = filter_min_anomaly_rate(entries, 0.25)
-        assert {e.node_id for e in kept} == {"n0"}
-
-    def test_zero_threshold_keeps_all(self):
-        entries = [RawEntry("-", 0, "n0", "m")]
-        assert filter_min_anomaly_rate(entries, 0.0) == entries

@@ -300,6 +300,12 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
         assert "no checkpoint" in capsys.readouterr().err
 
+    def test_evaluate_creates_no_output_directory(self, cfg_path, tmp_path, capsys):
+        typo = tmp_path / "typo"
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(typo)]) == 1
+        assert "no checkpoint" in capsys.readouterr().err
+        assert not typo.exists()
+
     def test_account(self, cfg_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -315,6 +321,12 @@ class TestCli:
                 ["train", "--config", str(cfg_path), "--out", str(alt)]
             ) == 0
         assert (alt / "model.ckpt").exists()
+        # Every subcommand that writes takes --out the same way.
+        for command, artifact in [("synth", "synthetic.log"), ("parse", "templates.tsv"),
+                                  ("partition", "assignment.tsv")]:
+            assert main([command, "--config", str(cfg_path), "--out", str(alt)]) == 0
+            assert (alt / artifact).exists()
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
