@@ -21,11 +21,11 @@ from .metrics import CSV_HEADER, csv_row, evaluate
 from .model import token_ids_from_keys
 from .pipeline import (
     StageError,
+    _stage,
     build_all_windows,
     init_model,
-    load_entries,
-    parse_corpus,
     privacy_ledger,
+    read_corpus,
     run_pipeline,
 )
 
@@ -39,9 +39,8 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_synth(args, cfg) -> int:
-    if cfg.dataset.synthetic is None:
-        print("config has no dataset.synthetic section", file=sys.stderr)
-        return 1
+    if cfg.dataset.format != "synthetic":
+        raise ValueError(f"flog synth needs dataset.format synthetic, got {cfg.dataset.format!r}")
     out = _out_dir(cfg)
     entries = datasets.generate_synthetic(cfg.dataset.synthetic)
     path = out / "synthetic.log"
@@ -54,7 +53,7 @@ def cmd_synth(args, cfg) -> int:
 
 def cmd_parse(args, cfg) -> int:
     out = _out_dir(cfg)
-    corpus = parse_corpus(load_entries(cfg), cfg)
+    corpus = read_corpus(cfg)
     drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
     print(f"{corpus.n_templates} templates -> {out / 'templates.tsv'}")
     return 0
@@ -62,7 +61,7 @@ def cmd_parse(args, cfg) -> int:
 
 def cmd_partition(args, cfg) -> int:
     out = _out_dir(cfg)
-    corpus = parse_corpus(load_entries(cfg), cfg)
+    corpus = read_corpus(cfg)
     assignment = partition.round_robin_assign(
         list(corpus.records_by_node), cfg.federated.k_clients
     )
@@ -96,8 +95,9 @@ def cmd_evaluate(args, cfg) -> int:
         print(f"{rounds_csv} has no completed round", file=sys.stderr)
         return 1
     last = rows[-1]
-    corpus = parse_corpus(load_entries(cfg), cfg)
-    _, test_windows = build_all_windows(corpus, cfg)
+    corpus = read_corpus(cfg)
+    with _stage("window"):
+        _, test_windows = build_all_windows(corpus, cfg)
     state = init_model(cfg, corpus.n_templates, args.seed)
     state.load(ckpt)
     vocab_size = state.config.vocab_size

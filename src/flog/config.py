@@ -35,11 +35,18 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.format not in ("thunderbird", "bgl", "synthetic"):
             raise ValueError(f"dataset.format must be thunderbird|bgl|synthetic, got {self.format!r}")
+        # Each format reads one of path and synthetic; the other must be absent or null.
         if self.format == "synthetic":
             if self.synthetic is None:
                 raise ValueError("dataset.synthetic section required for synthetic format")
+            if self.path is not None:
+                raise ValueError("dataset.path is read only by the thunderbird and bgl "
+                                 "formats, not by format synthetic")
         elif self.path is None:
             raise ValueError("dataset.path required for file-based formats")
+        elif self.synthetic is not None:
+            raise ValueError(f"dataset.synthetic is read only by format synthetic, "
+                             f"not by format {self.format}")
         if self.max_samples is not None and self.max_samples < 1:
             raise ValueError("dataset.max_samples must be >= 1 or null")
 

@@ -10,6 +10,12 @@ adjacency the realised denominator n changes too and the bound does not
 hold as stated; ROADMAP.md item 3 tracks the fix. Noise touches only the
 communicated (trainable) coordinates.
 
+Every configured round is one release. Participation is exact Poisson
+sampling, each client drawn independently with probability q, so a round
+may draw no client, or only clients without windows. The mean of no
+updates leaves the weights where they were, and the round still adds its
+noise, is accounted and is evaluated like any other.
+
 A round's participants train as one cohort, in lockstep: micro-batch i of
 every client that has one shares packed forward/backward calls, while each
 client keeps its own row of adapters and head, its own class weights and
@@ -89,16 +95,9 @@ class UpdateDelta:
     pre_clip_norm: float
 
 
-class AggregationError(RuntimeError):
-    """No usable client updates this round; the round is skipped."""
-
-
 def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> list[int]:
-    """Poisson sampling: each client independently with probability q, redraw if empty."""
-    while True:
-        mask = rng.random(k_clients) < q
-        if mask.any():
-            return [int(i) for i in np.flatnonzero(mask)]
+    """Poisson sampling: each client independently with probability q; may be empty."""
+    return np.flatnonzero(rng.random(k_clients) < q).tolist()
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,8 @@ def local_train(
     members = clients.members
     weights = np.array([m.class_weights for m in members])
     accum = cfg.grad_accum_steps
-    n_micro = np.array([cfg.local_epochs * -(-m.n_samples // cfg.batch_size) for m in members])
+    n_micro = np.array([cfg.local_epochs * -(-m.n_samples // cfg.batch_size) for m in members],
+                       dtype=int)
     total_steps = -(-n_micro // accum)
     warmup_steps = np.round(cfg.warmup_ratio * total_steps).astype(int)
     # Per client and step: the micro-batches it averages (the last step takes
@@ -258,11 +258,12 @@ def clip_update(delta: np.ndarray, clip_bound: float) -> np.ndarray:
 
 
 def aggregate(deltas: list[UpdateDelta], w_t: np.ndarray, clip_bound: float) -> np.ndarray:
-    """n-weighted mean of clipped deltas applied to the broadcast weights."""
+    """n-weighted mean of clipped deltas applied to the broadcast weights.
+
+    With no samples among the deltas the mean moves nothing: a copy of w_t.
+    """
     usable = [d for d in deltas if d.n_samples > 0]
     total = sum(d.n_samples for d in usable)
-    if total == 0:
-        raise AggregationError("no participant contributed samples this round")
     for d in usable:
         norm = float(np.linalg.norm(d.delta))
         if norm > clip_bound + 1e-9:
@@ -356,11 +357,7 @@ class FederatedTrainer:
 
     def run(self) -> list[RoundMetrics]:
         for round_idx in range(self.cfg.rounds):
-            try:
-                m = self.run_round(round_idx)
-            except AggregationError as exc:
-                log.warning("round %d skipped: %s", round_idx, exc)
-                continue
+            m = self.run_round(round_idx)
             log.info(
                 "round %d: f1=%.4f auc=%.4f eps_rdp=%.4g",
                 round_idx, m.f1, m.roc_auc, m.eps_spent,

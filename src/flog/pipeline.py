@@ -127,19 +127,25 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def read_corpus(cfg: RunConfig) -> ParsedCorpus:
+    """The configured dataset ingested and parsed, as stages 'ingest' and 'parse'."""
+    with _stage("ingest"):
+        entries = load_entries(cfg)
+    log.info("ingested %d entries", len(entries))
+    with _stage("parse"):
+        corpus = parse_corpus(entries, cfg)
+    log.info("parsed %d templates across %d nodes",
+             corpus.n_templates, len(corpus.records_by_node))
+    return corpus
+
+
 def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with _stage("ingest"):
-        entries = load_entries(cfg)
-    log.info("ingested %d entries", len(entries))
-
+    corpus = read_corpus(cfg)
     with _stage("parse"):
-        corpus = parse_corpus(entries, cfg)
         drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
-    log.info("parsed %d templates across %d nodes",
-             corpus.n_templates, len(corpus.records_by_node))
 
     with _stage("window"):
         train_windows, test_windows = build_all_windows(corpus, cfg)

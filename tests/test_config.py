@@ -154,6 +154,15 @@ class TestLoad:
             ({"privacy": {"delta": 2.0}}, "privacy.delta"),
             ({"dataset": {**MINIMAL["dataset"], "max_samples": -5}}, "max_samples"),
             ({"dataset": {**MINIMAL["dataset"], "max_samples": 0}}, "max_samples"),
+            # Each dataset key belongs to the format that reads it.
+            ({"dataset": {**MINIMAL["dataset"], "path": str(tmp_path)}},
+             "dataset.path is read only by the thunderbird and bgl formats"),
+            ({"dataset": {"format": "thunderbird", "path": str(tmp_path),
+                          "synthetic": MINIMAL["dataset"]["synthetic"]}},
+             "dataset.synthetic is read only by format synthetic, not by format thunderbird"),
+            ({"dataset": {"format": "bgl", "path": str(tmp_path),
+                          "synthetic": MINIMAL["dataset"]["synthetic"]}},
+             "dataset.synthetic is read only by format synthetic, not by format bgl"),
             # The per-node anomaly-rate filter is gone, and so is its key.
             ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": 0.5}},
              r"unknown key\(s\) in dataset: \['min_anomaly_rate_per_node'\]"),

@@ -7,7 +7,6 @@ import flog.federated as federated
 import flog.model as model_ops
 from flog.accountant import PrivacyLedger
 from flog.federated import (
-    AggregationError,
     Cohort,
     FedConfig,
     FederatedTrainer,
@@ -101,10 +100,14 @@ class TestSelectParticipants:
         total = sum(len(select_participants(14, 0.5, rng)) for _ in range(10_000))
         assert abs(total / 10_000 - 7.0) <= 0.35
 
-    def test_never_empty(self):
+    def test_empty_draws_at_poisson_rate(self):
+        # No redraw: at K=5, q=0.01 a draw is empty with probability
+        # (1 - q)^K ~ 0.951; the count over 10,000 draws stays within four
+        # binomial standard deviations of that.
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            assert select_participants(5, 0.01, rng)
+        n, p_empty = 10_000, 0.99 ** 5
+        empty = sum(not select_participants(5, 0.01, rng) for _ in range(n))
+        assert abs(empty - n * p_empty) <= 4 * np.sqrt(n * p_empty * (1 - p_empty))
 
     def test_full_participation(self):
         rng = np.random.default_rng(2)
@@ -161,9 +164,13 @@ class TestAggregate:
         ]
         np.testing.assert_allclose(aggregate(deltas, w_t, 10.0), [1.0, 0.0])
 
-    def test_all_empty_raises(self):
-        with pytest.raises(AggregationError):
-            aggregate([UpdateDelta(0, np.zeros(2), 0, 0.0)], np.zeros(2), 1.0)
+    def test_no_samples_returns_copy_of_broadcast(self):
+        # The mean of no updates moves nothing, even a zero-sample delta that is not 0.
+        w_t = np.array([0.1, -2.5, 3e-17])
+        out = aggregate([UpdateDelta(0, np.array([5.0, 5.0, 5.0]), 0, 0.0)], w_t, 1.0)
+        assert out is not w_t
+        np.testing.assert_array_equal(out, w_t)
+        assert out.tobytes() == w_t.tobytes()
 
     def test_unclipped_delta_asserts(self):
         deltas = [UpdateDelta(0, np.array([5.0, 0.0]), 4, 5.0)]
@@ -299,6 +306,11 @@ class TestLocalTrain:
 
         assert steps == 5 and clipped > 0
         np.testing.assert_array_equal(out.delta, ref.trainable - flat)
+
+    def test_empty_cohort_returns_no_updates(self):
+        state = init(tiny_model_config(), 4)
+        flat = state.get_trainable()
+        assert local_train(Cohort(()), state, flat, fed_config(), []) == []
 
     def test_pre_clip_norm_reported(self):
         state = init(tiny_model_config(), 4)
@@ -440,6 +452,19 @@ class TestTrainer:
         metrics = trainer.run()
         assert [m.round for m in metrics] == [0, 1, 2]
         assert all(m.participants >= 1 for m in metrics)
+
+    def test_empty_rounds_are_noise_only_releases(self):
+        # At q=0.01 over 2 clients nearly every round draws nobody. Each such
+        # round still adds noise, is accounted and gets a metrics row.
+        fc = fed_config(rounds=6, participation_rate=0.01, noise_multiplier=0.5)
+        trainer = build_trainer(fc)
+        before = trainer.state.get_trainable().copy()
+        metrics = trainer.run()
+        assert [m.round for m in metrics] == list(range(6))
+        assert trainer.ledger.rounds_completed == 6
+        empty = [m for m in metrics if m.participants == 0]
+        assert empty and all(m.mean_pre_clip_norm == 0.0 for m in empty)
+        assert not np.array_equal(trainer.state.get_trainable(), before)
 
     def test_windows_tokenized_once_per_run(self, monkeypatch):
         calls = []

@@ -150,6 +150,39 @@ class TestRunPipeline:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "stage 'window' failed" in capsys.readouterr().err
 
+    def test_unreadable_dataset_names_ingest_stage(self, tmp_path, capsys):
+        # A directory passes the load-time existence check and fails on read.
+        path = log_file_config(tmp_path, "thunderbird", tmp_path)
+        for command in ("parse", "partition", "train"):
+            assert main([command, "--config", str(path)]) == 1, command
+            assert "stage 'ingest' failed" in capsys.readouterr().err, command
+        # evaluate reads the corpus once it has a checkpoint and a round to report.
+        out = tmp_path / "out"
+        (out / "model.ckpt").write_bytes(b"")
+        (out / "rounds.csv").write_text(
+            "round,participants,eps_spent\n0,1,0.5\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert "stage 'ingest' failed" in capsys.readouterr().err
+
+    def test_every_round_is_a_release(self, tmp_path, capsys):
+        # 8 clients over 4 nodes: clients 4-7 hold no window, and at q=0.25
+        # some rounds draw only them or nobody. Each round still writes a
+        # row and is accounted, so ledger.txt matches `flog account`.
+        doc = small_doc(tmp_path / "out")
+        doc["federated"].update(k_clients=8, rounds=10, participation_rate=0.25)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(path), "--seed", "1"]) == 0
+            capsys.readouterr()
+            assert main(["account", "--config", str(path)]) == 0
+        rows = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(10))
+        ledger = (tmp_path / "out" / "ledger.txt").read_text()
+        assert "rounds=10" in ledger
+        assert ledger == capsys.readouterr().out
+
 
 def log_file_config(tmp_path, fmt, log_path):
     """A one-round config over a log file, with outputs under tmp_path/out."""
@@ -264,6 +297,13 @@ class TestCli:
         assert main(["parse", "--config", str(cfg_path)]) == 0
         table = (tmp_path / "out" / "templates.tsv").read_text()
         assert table.startswith("event_id\ttemplate\tcount\n")
+
+    def test_synth_on_file_format_is_configuration_error(self, tmp_path, capsys):
+        path = log_file_config(tmp_path, "thunderbird", THUNDERBIRD_FIXTURE)
+        assert main(["synth", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: flog synth needs dataset.format synthetic")
+        assert not (tmp_path / "out" / "synthetic.log").exists()
 
     def test_partition(self, cfg_path, tmp_path):
         assert main(["partition", "--config", str(cfg_path)]) == 0
