@@ -99,7 +99,8 @@ def cmd_evaluate(args, cfg) -> int:
     with _stage("window"):
         _, test_windows = build_all_windows(corpus, cfg)
     state = init_model(cfg, corpus.n_templates, args.seed)
-    state.load(ckpt)
+    with _stage("load"):
+        state.load(ckpt)
     vocab_size = state.config.vocab_size
     scores = model_ops.score(
         state, [token_ids_from_keys(w.key_ids, vocab_size) for w in test_windows]

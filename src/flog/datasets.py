@@ -12,12 +12,14 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RawEntry:
+class RawEntry(NamedTuple):
+    """One decoded line. A tuple, so building one per line costs one allocation."""
+
     label_field: str
     epoch_seconds: int
     node_id: str
@@ -51,12 +53,7 @@ def decode_line(line: str, fmt: str) -> RawEntry:
         raise LineParseError(f"bad epoch field {tokens[1]!r}") from None
     if epoch < 0:
         raise LineParseError(f"negative epoch {epoch}")
-    return RawEntry(
-        label_field=tokens[0],
-        epoch_seconds=epoch,
-        node_id=tokens[_NODE_INDEX],
-        message=" ".join(tokens[_N_HEADER:]),
-    )
+    return RawEntry(tokens[0], epoch, tokens[_NODE_INDEX], " ".join(tokens[_N_HEADER:]))
 
 
 def encode_line(entry: RawEntry) -> str:

@@ -9,16 +9,23 @@ first-seen order and form the model vocabulary.
 Token lists seen before skip the tree: the parser remembers which template
 each one went to and replays that while the template's leaf is unchanged
 (see `DrainParser.parse_line`).
+
+Words seen before skip the digit mask: each parser keeps a `TokenMask`, a
+dict of the tokens the mask left alone, so a repeated word is one dict
+lookup in C. A token with a digit is masked every time it is met and never
+stored, so numbers, which rarely repeat, cannot fill the dict. Both memos
+belong to the parser and are emptied at MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 WILDCARD = "<*>"
-# The memo is emptied when it reaches this many token lists, so a log whose
-# lines rarely repeat after masking cannot grow it without bound.
+# Each memo is emptied when it reaches this many entries, so a log whose
+# lines or words rarely repeat cannot grow it without bound.
 MEMO_LIMIT = 1 << 16
 # `\d` is Unicode Nd (str.isdecimal), a subset of str.isdigit; the digits it
 # misses (superscripts, circled digits, ...) are all non-ASCII.
@@ -51,8 +58,9 @@ class LogTemplate:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
+    """One parsed line. A tuple, so building one per line costs one allocation."""
+
     timestamp: int
     node_id: str
     is_anomalous: bool
@@ -70,15 +78,34 @@ class _Node:
         self.version = 0
 
 
-def preprocess_line(raw_line: str, config: ParserConfig) -> list[str]:
-    """Split a message into tokens, masking digit-bearing tokens if configured."""
+class TokenMask(dict):
+    """Token -> the token, or WILDCARD if some character of it is str.isdigit.
+
+    Look tokens up with `mask[token]`. Only tokens the mask leaves alone are
+    stored, and the dict is emptied when it reaches MEMO_LIMIT of them.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> str:
+        # One regex search per token; only non-ASCII tokens need the full test.
+        if _DECIMAL(token) or (not token.isascii() and any(map(str.isdigit, token))):
+            return WILDCARD
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        self[token] = token
+        return token
+
+
+def preprocess_line(raw_line: str, config: ParserConfig,
+                    mask: TokenMask | None = None) -> list[str]:
+    """Split a message into tokens, masking digit-bearing tokens if configured.
+
+    A parser passes its own `mask` so repeated words are looked up, not tested.
+    """
     tokens = raw_line.split()
     if config.mask_numeric_tokens:
-        # Exactly "some character of t is str.isdigit", one regex search per token.
-        tokens = [
-            WILDCARD if _DECIMAL(t) or (not t.isascii() and any(map(str.isdigit, t))) else t
-            for t in tokens
-        ]
+        tokens = list(map((TokenMask() if mask is None else mask).__getitem__, tokens))
     return tokens
 
 
@@ -100,6 +127,7 @@ class DrainParser:
         self._next_id = 0
         # Masked token tuple -> (its leaf, the leaf's version then, its template).
         self._memo: dict[tuple[str, ...], tuple[_Node, int, LogTemplate]] = {}
+        self._token_mask = TokenMask()
 
     @property
     def templates(self) -> dict[int, LogTemplate]:
@@ -147,7 +175,7 @@ class DrainParser:
 
     def parse_message(self, raw_line: str) -> int | None:
         """Convenience: preprocess then parse; returns None for empty messages."""
-        tokens = preprocess_line(raw_line, self.config)
+        tokens = preprocess_line(raw_line, self.config, self._token_mask)
         if not tokens:
             return None
         event_id, _ = self.parse_line(tokens)

@@ -203,13 +203,27 @@ class ModelState:
     def load(self, path) -> None:
         """Read a checkpoint written by `save` for a model of this config.
 
-        Raises ValueError naming the tensor when the manifest misses or adds
-        a tensor, a shape differs, or the data is not exactly the manifest's.
+        Raises ValueError naming the file when its header or manifest cannot
+        be read, and naming the tensor when the manifest misses or adds a
+        tensor, a shape differs, or the data is not exactly the manifest's.
         """
         with open(path, "rb") as fh:
-            (n,) = struct.unpack("<I", fh.read(4))
-            manifest = json.loads(fh.read(n).decode("utf-8"))
+            header = fh.read(4)
+            if len(header) < 4:
+                raise ValueError(f"{path}: {len(header)} bytes, too short for a checkpoint header")
+            (n,) = struct.unpack("<I", header)
+            blob = fh.read(n)
             raw = fh.read()
+        if len(blob) < n:
+            raise ValueError(f"{path}: manifest truncated at {len(blob)} of {n} bytes")
+        try:
+            manifest = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ValueError(f"{path}: manifest is not JSON: {exc}") from None
+        if not (isinstance(manifest, list) and all(
+                isinstance(e, dict) and e.keys() >= {"name", "offset", "length", "shape"}
+                for e in manifest)):
+            raise ValueError(f"{path}: manifest is not a list of tensor entries")
         tensors = self.all_tensors()
         named = {entry["name"] for entry in manifest}
         if missing := sorted(tensors.keys() - named):

@@ -68,8 +68,7 @@ def parse_corpus(entries: list[datasets.RawEntry], cfg: RunConfig) -> ParsedCorp
         event_id = parser.parse_message(entry.message)
         if event_id is None:
             continue
-        record = drain.LogRecord(timestamp=entry.epoch_seconds, node_id=entry.node_id,
-                                 is_anomalous=entry.is_anomalous, event_id=event_id)
+        record = drain.LogRecord(entry.epoch_seconds, entry.node_id, entry.is_anomalous, event_id)
         records_by_node.setdefault(entry.node_id, []).append(record)
     n_sorted = 0
     for records in records_by_node.values():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .drain import LogRecord
 
@@ -36,8 +37,7 @@ class WindowConfig:
             raise ValueError("max_sequence_length must be >= 1")
 
 
-@dataclass(frozen=True)
-class WindowSequence:
+class WindowSequence(NamedTuple):
     node_id: str
     start_time: int
     key_ids: tuple[int, ...]
@@ -48,16 +48,16 @@ def build_windows(records: list[LogRecord], cfg: WindowConfig) -> list[WindowSeq
     """All qualifying windows for one node's time-ordered records."""
     if not records:
         return []
-    node_id = records[0].node_id
-    times = [r.timestamp for r in records]
-    if any(r.node_id != node_id for r in records):
+    # One column per field; the event id column is sliced into each window's keys.
+    times, node_ids, anomalous, event_ids, _ = zip(*records)
+    node_id = node_ids[0]
+    if node_ids.count(node_id) != len(node_ids):
         raise ValueError("build_windows expects records from a single node")
     if any(t1 > t2 for t1, t2 in zip(times, times[1:])):
         raise ValueError("records must be sorted by timestamp")
 
     W, S = cfg.window_seconds, cfg.step_seconds
-    event_ids = [r.event_id for r in records]
-    n_anomalous = [0, *accumulate(r.is_anomalous for r in records)]
+    n_anomalous = [0, *accumulate(anomalous)]
     t0, t_last = times[0], times[-1]
     out: list[WindowSequence] = []
     start = t0
@@ -70,12 +70,8 @@ def build_windows(records: list[LogRecord], cfg: WindowConfig) -> list[WindowSeq
             start = t0 - (t0 + W - 1 - times[lo]) // S * S
             continue
         if hi - lo >= cfg.min_logs_per_window:
-            keys = tuple(event_ids[max(lo, hi - cfg.max_sequence_length):hi])
+            keys = event_ids[max(lo, hi - cfg.max_sequence_length):hi]
             label = int(n_anomalous[hi] > n_anomalous[lo])
-            out.append(
-                WindowSequence(
-                    node_id=node_id, start_time=start, key_ids=keys, label=label
-                )
-            )
+            out.append(WindowSequence(node_id, start, keys, label))
         start += S
     return out

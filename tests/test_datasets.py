@@ -65,6 +65,16 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_line(TBIRD_LINE, "hdfs")
 
+    def test_entry_is_an_immutable_record(self):
+        e = decode_line(TBIRD_LINE, "thunderbird")
+        assert type(e) is RawEntry
+        assert e == RawEntry(label_field="-", epoch_seconds=1131566461, node_id="dn228",
+                             message="session closed for user root")
+        assert not RawEntry("-", 0, "n", "m").is_anomalous
+        assert RawEntry("FAILURE", 0, "n", "m").is_anomalous
+        with pytest.raises(AttributeError):
+            e.node_id = "dn229"
+
     def test_encode_decode_round_trip(self):
         entry = RawEntry("-", 1131566461, "node007", "daemon started status ok")
         again = decode_line(encode_line(entry), "thunderbird")

@@ -3,12 +3,16 @@
 import itertools
 import random
 import sys
+from operator import attrgetter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flog.drain import (
     WILDCARD,
     DrainParser,
+    LogRecord,
     LogTemplate,
     ParserConfig,
     preprocess_line,
@@ -70,6 +74,11 @@ class TestSeqSimilarity:
             assert (s == 1.0) == all_match
 
 
+def digit_rule(token):
+    """The mask as first written: some character of the token is str.isdigit."""
+    return any(ch.isdigit() for ch in token)
+
+
 class TestPreprocess:
     def test_digit_tokens_masked(self):
         cfg = ParserConfig()
@@ -77,15 +86,12 @@ class TestPreprocess:
         assert toks == ["pid", WILDCARD, "exited", WILDCARD, "ok"]
 
     def test_mask_is_str_isdigit_on_every_code_point(self):
-        # The oracle is the mask as first written, one str.isdigit per
-        # character, so the check follows the interpreter's Unicode tables.
-        def oracle(token):
-            return any(ch.isdigit() for ch in token)
-
+        # The oracle is one str.isdigit per character, so the check follows
+        # the interpreter's Unicode tables.
         tokens = ["a" + chr(cp) for cp in range(sys.maxunicode + 1) if not chr(cp).isspace()]
         masked = preprocess_line(" ".join(tokens), ParserConfig())
         assert len(masked) == len(tokens)
-        wrong = [t for t, m in zip(tokens, masked) if (m == WILDCARD) != oracle(t)]
+        wrong = [t for t, m in zip(tokens, masked) if (m == WILDCARD) != digit_rule(t)]
         assert wrong == []
 
     @pytest.mark.parametrize("token, masked", [
@@ -232,6 +238,71 @@ class TestMemoAgainstScan:
                 )
             if threshold < 1.0:
                 assert earlier_changed > 0
+
+
+# ASCII words, digit-bearing ASCII tokens, and tokens whose only digits are
+# non-ASCII: a superscript, a circled digit and an Arabic-Indic digit.
+mask_tokens = st.sampled_from(
+    ["ok", "node", "a", "b", "c", "d", "e", "f", "g", "h", WILDCARD,
+     "4742", "x1", "y22", "²", "①", "\u0663", "a²", "b①", "c\u0663", "Ⅻ", "é"]
+)
+
+
+class TestTokenMask:
+    @given(st.lists(st.lists(mask_tokens, min_size=1, max_size=8), min_size=1, max_size=40))
+    def test_memoised_mask_is_the_digit_rule(self, lines):
+        # MEMO_LIMIT 8 holds fewer words than the stream draws from, so the
+        # memo empties and refills while the stream runs.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("flog.drain.MEMO_LIMIT", 8)
+            parser, cfg = DrainParser(), ParserConfig()
+            for tokens in lines:
+                line = " ".join(tokens)
+                masked = preprocess_line(line, cfg, parser._token_mask)
+                assert masked == [WILDCARD if digit_rule(t) else t for t in tokens]
+                assert masked == preprocess_line(line, cfg)
+                assert len(parser._token_mask) <= 8
+                parser.parse_message(line)
+                assert len(parser._token_mask) <= 8
+
+    def test_new_parser_starts_empty(self):
+        first = DrainParser()
+        first.parse_message("session closed for user root")
+        assert len(first._token_mask) == 5
+        assert len(DrainParser()._token_mask) == 0
+
+    def test_digit_tokens_never_stored(self):
+        p = DrainParser()
+        for line in ("pid 4742 exited status0 ok", "² ① \u0663 x1 y22 ok", "pid 4742 ok"):
+            p.parse_message(line)
+        assert set(p._token_mask) == {"pid", "exited", "ok"}
+        assert all(key == value for key, value in p._token_mask.items())
+
+
+class TestLogRecord:
+    def test_positional_and_keyword_construction(self):
+        positional = LogRecord(7, "n0", True, 3, 0)
+        keyword = LogRecord(timestamp=7, node_id="n0", is_anomalous=True, event_id=3)
+        assert positional == keyword
+        assert keyword.raw_content_hash == 0
+        assert (keyword.timestamp, keyword.node_id, keyword.is_anomalous, keyword.event_id) == (
+            7, "n0", True, 3)
+
+    def test_fields_cannot_be_assigned(self):
+        record = LogRecord(7, "n0", False, 3)
+        with pytest.raises(AttributeError):
+            record.timestamp = 8
+
+    def test_equal_records_hash_equal(self):
+        a, b = LogRecord(7, "n0", False, 3), LogRecord(7, "n0", False, 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, LogRecord(7, "n0", False, 4)}) == 2
+
+    def test_sort_by_timestamp_is_stable(self):
+        records = [LogRecord(t, "n0", False, i) for i, t in enumerate([5, 3, 5, 1, 3, 5])]
+        records.sort(key=attrgetter("timestamp"))
+        assert [(r.timestamp, r.event_id) for r in records] == [
+            (1, 3), (3, 1), (3, 4), (5, 0), (5, 2), (5, 5)]
 
 
 class TestParserConfig:

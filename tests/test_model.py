@@ -367,6 +367,25 @@ class TestStateAndCheckpoint:
         with pytest.raises(ValueError, match="'pos'"):  # the last tensor in the file
             init(tiny_config(), 0).load(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: b"", "too short for a checkpoint header"),
+        (lambda raw: raw[:2], "too short for a checkpoint header"),
+        (lambda raw: raw[:20], "manifest truncated"),
+        (lambda raw: b"garbage\n", "manifest truncated"),
+        (lambda raw: struct.pack("<I", 3) + b"{x}", "manifest is not JSON"),
+        (lambda raw: struct.pack("<I", 2) + b"\xff\xfe", "manifest is not JSON"),
+        (lambda raw: struct.pack("<I", 2) + b"{}", "not a list of tensor entries"),
+        (lambda raw: struct.pack("<I", 4) + b"[17]", "not a list of tensor entries"),
+    ])
+    def test_load_names_the_file_when_the_manifest_is_unreadable(self, tmp_path, damage,
+                                                                 message):
+        path = tmp_path / "model.ckpt"
+        init(tiny_config(), 0).save(path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=message) as info:
+            init(tiny_config(), 0).load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_load_rejects_missing_tensor(self, tmp_path):
         state = init(tiny_config(), 0)
         path = tmp_path / "model.ckpt"

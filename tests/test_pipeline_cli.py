@@ -336,6 +336,20 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
         assert "no rounds.csv" in capsys.readouterr().err
 
+    def test_evaluate_on_damaged_checkpoint_names_load_stage(self, cfg_path, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        ckpt = tmp_path / "out" / "model.ckpt"
+        good = ckpt.read_bytes()
+        for damaged in (b"garbage", good[: len(good) // 2], b""):
+            ckpt.write_bytes(damaged)
+            capsys.readouterr()
+            assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
+            err = capsys.readouterr().err
+            assert f"stage 'load' failed: {ckpt}: " in err, damaged[:8]
+            assert "configuration error" not in err
+
     def test_evaluate_without_checkpoint_fails(self, cfg_path, tmp_path, capsys):
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
         assert "no checkpoint" in capsys.readouterr().err

@@ -109,6 +109,22 @@ class TestTruncation:
         assert ws[0].key_ids == (15, 16, 17, 18, 19)
 
 
+class TestWindowSequence:
+    def test_positional_construction(self):
+        # As the benchmark's training grid builds its windows.
+        w = WindowSequence("grid", 3, (1, 2), 1)
+        assert (w.node_id, w.start_time, w.key_ids, w.label) == ("grid", 3, (1, 2), 1)
+        assert w == WindowSequence(node_id="grid", start_time=3, key_ids=(1, 2), label=1)
+        with pytest.raises(AttributeError):
+            w.label = 0
+
+    def test_build_windows_returns_window_sequences(self):
+        cfg = WindowConfig(window_seconds=10, step_seconds=5)
+        ws = build_windows(mk_records([0, 4, 12]), cfg)
+        assert ws and all(type(w) is WindowSequence for w in ws)
+        assert all(type(w.key_ids) is tuple for w in ws)
+
+
 class TestEdges:
     def test_empty_input(self):
         cfg = WindowConfig(window_seconds=10, step_seconds=10)
