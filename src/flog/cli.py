@@ -78,6 +78,19 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
+def _last_round(path: Path) -> tuple[int, int, float] | None:
+    """Round, participants and privacy spend of the last row of a rounds.csv, if any."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        return None
+    last = rows[-1]
+    try:
+        return int(last["round"]), int(last["participants"]), float(last["eps_spent"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: last row does not parse: {exc}") from None
+
+
 def cmd_evaluate(args, cfg) -> int:
     out = Path(cfg.output_dir)  # read only: evaluate writes nothing there
     ckpt = out / "model.ckpt"
@@ -89,12 +102,14 @@ def cmd_evaluate(args, cfg) -> int:
     if not rounds_csv.exists():
         print(f"no rounds.csv at {rounds_csv}; run `flog train` first", file=sys.stderr)
         return 1
-    with open(rounds_csv, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
+    # Both files are checked before the corpus is read; the checkpoint's
+    # shapes only once the parsed templates give the vocabulary size.
+    with _stage("load"):
+        last = _last_round(rounds_csv)
+        model_ops.read_checkpoint(ckpt)
+    if last is None:
         print(f"{rounds_csv} has no completed round", file=sys.stderr)
         return 1
-    last = rows[-1]
     corpus = read_corpus(cfg)
     with _stage("window"):
         _, test_windows = build_all_windows(corpus, cfg)
@@ -106,10 +121,10 @@ def cmd_evaluate(args, cfg) -> int:
         state, [token_ids_from_keys(w.key_ids, vocab_size) for w in test_windows]
     )
     labels = [w.label for w in test_windows]
+    round_idx, participants, eps_spent = last
     print(CSV_HEADER)
     print(csv_row(evaluate(
-        scores, labels, round_idx=int(last["round"]), participants=int(last["participants"]),
-        eps_spent=float(last["eps_spent"]),
+        scores, labels, round_idx=round_idx, participants=participants, eps_spent=eps_spent,
     )))
     return 0
 

@@ -42,18 +42,24 @@ _NODE_INDEX = 3
 
 
 def decode_line(line: str, fmt: str) -> RawEntry:
+    """Decode one line: 9 header fields, then the message.
+
+    The line is split once: the message is the rest of the line after the
+    ninth header field, trailing whitespace dropped and internal whitespace
+    kept as it is, so Drain's split of the message gives the same tokens.
+    """
     if fmt not in ("thunderbird", "bgl"):
         raise ValueError(f"unknown format: {fmt!r}")
-    tokens = line.split()
-    if len(tokens) <= _N_HEADER:
-        raise LineParseError(f"expected more than {_N_HEADER} tokens, got {len(tokens)}")
+    parts = line.split(None, _N_HEADER)
+    if len(parts) <= _N_HEADER:
+        raise LineParseError(f"expected more than {_N_HEADER} tokens, got {len(parts)}")
     try:
-        epoch = int(tokens[1])
+        epoch = int(parts[1])
     except ValueError:
-        raise LineParseError(f"bad epoch field {tokens[1]!r}") from None
+        raise LineParseError(f"bad epoch field {parts[1]!r}") from None
     if epoch < 0:
         raise LineParseError(f"negative epoch {epoch}")
-    return RawEntry(tokens[0], epoch, tokens[_NODE_INDEX], " ".join(tokens[_N_HEADER:]))
+    return RawEntry(parts[0], epoch, parts[_NODE_INDEX], parts[_N_HEADER].rstrip())
 
 
 def encode_line(entry: RawEntry) -> str:

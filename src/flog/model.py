@@ -7,6 +7,12 @@ with a proximal anchor term, and analytic gradients are implemented in
 numpy, double precision throughout so finite-difference checks are exact
 to ~1e-5.
 
+Where no dropout mask applies (eval mode, or lora_dropout 0), each
+client's bypass is merged into its frozen projection, W + (alpha/r) B A,
+and its rows take one product with that effective weight (Hu et al.,
+LoRA, 2022, sec. 4.1). A dropout mask drops bypass inputs only, so under
+masks the frozen product and the masked bypass stay separate.
+
 Token convention: id 0 is PAD (reserved), id 1 is UNK, event id e maps to
 token e + 2. Out-of-range tokens fall back to UNK.
 """
@@ -203,49 +209,65 @@ class ModelState:
     def load(self, path) -> None:
         """Read a checkpoint written by `save` for a model of this config.
 
-        Raises ValueError naming the file when its header or manifest cannot
-        be read, and naming the tensor when the manifest misses or adds a
-        tensor, a shape differs, or the data is not exactly the manifest's.
+        See `read_checkpoint`: every tensor of the model must be in the file,
+        with its shape, and nothing else.
         """
-        with open(path, "rb") as fh:
-            header = fh.read(4)
-            if len(header) < 4:
-                raise ValueError(f"{path}: {len(header)} bytes, too short for a checkpoint header")
-            (n,) = struct.unpack("<I", header)
-            blob = fh.read(n)
-            raw = fh.read()
-        if len(blob) < n:
-            raise ValueError(f"{path}: manifest truncated at {len(blob)} of {n} bytes")
-        try:
-            manifest = json.loads(blob.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-            raise ValueError(f"{path}: manifest is not JSON: {exc}") from None
-        if not (isinstance(manifest, list) and all(
-                isinstance(e, dict) and e.keys() >= {"name", "offset", "length", "shape"}
-                for e in manifest)):
-            raise ValueError(f"{path}: manifest is not a list of tensor entries")
         tensors = self.all_tensors()
+        for name, arr in read_checkpoint(path, {n: a.shape for n, a in tensors.items()}).items():
+            tensors[name][...] = arr
+
+
+def read_checkpoint(path, shapes=None) -> dict[str, np.ndarray]:
+    """The tensors, by name, of a checkpoint written by `ModelState.save`.
+
+    Raises ValueError naming the file when its header or manifest cannot be
+    read, and naming the tensor when the data is not exactly the manifest's.
+    Given `shapes`, the name -> shape of every tensor a model holds, it also
+    names a tensor that the manifest misses or adds, or whose shape differs,
+    before it looks at the data.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(4)
+        if len(header) < 4:
+            raise ValueError(f"{path}: {len(header)} bytes, too short for a checkpoint header")
+        (n,) = struct.unpack("<I", header)
+        blob = fh.read(n)
+        raw = fh.read()
+    if len(blob) < n:
+        raise ValueError(f"{path}: manifest truncated at {len(blob)} of {n} bytes")
+    try:
+        manifest = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"{path}: manifest is not JSON: {exc}") from None
+    if not (isinstance(manifest, list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and all(type(e.get(k)) is int for k in ("offset", "length"))
+            and isinstance(e.get("shape"), list) and all(type(x) is int for x in e["shape"])
+            for e in manifest)):
+        raise ValueError(f"{path}: manifest is not a list of tensor entries")
+    if shapes is not None:
         named = {entry["name"] for entry in manifest}
-        if missing := sorted(tensors.keys() - named):
+        if missing := sorted(shapes.keys() - named):
             raise ValueError(f"{path}: tensor {missing[0]!r} is missing from the checkpoint")
-        if unknown := sorted(named - tensors.keys()):
+        if unknown := sorted(named - shapes.keys()):
             raise ValueError(f"{path}: tensor {unknown[0]!r} is not part of the model")
-        offset = 0
-        for entry in manifest:
-            name, shape = entry["name"], tuple(entry["shape"])
-            if shape != tensors[name].shape or entry["length"] != tensors[name].size:
-                raise ValueError(f"{path}: tensor {name!r} has shape {list(shape)}, "
-                                 f"the model expects {list(tensors[name].shape)}")
-            if entry["offset"] != offset or 8 * (offset + entry["length"]) > len(raw):
-                raise ValueError(f"{path}: data of tensor {name!r} is misplaced or truncated")
-            offset += entry["length"]
-        if len(raw) != 8 * offset:
-            raise ValueError(f"{path}: {len(raw) - 8 * offset} bytes after tensor {name!r}")
-        data = np.frombuffer(raw, dtype="<f8")
-        for entry in manifest:
-            tensors[entry["name"]][...] = data[
-                entry["offset"] : entry["offset"] + entry["length"]
-            ].reshape(entry["shape"])
+    offset, name = 0, None
+    for entry in manifest:
+        name, shape = entry["name"], tuple(entry["shape"])
+        if shapes is not None and shape != shapes[name]:
+            raise ValueError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+                             f"the model expects {list(shapes[name])}")
+        if entry["length"] != math.prod(shape) or min(shape, default=0) < 0:
+            raise ValueError(f"{path}: tensor {name!r} has length {entry['length']} "
+                             f"for shape {list(shape)}")
+        if entry["offset"] != offset or 8 * (offset + entry["length"]) > len(raw):
+            raise ValueError(f"{path}: data of tensor {name!r} is misplaced or truncated")
+        offset += entry["length"]
+    if len(raw) != 8 * offset:
+        raise ValueError(f"{path}: {len(raw) - 8 * offset} bytes after tensor {name!r}")
+    data = np.frombuffer(raw, dtype="<f8")
+    return {entry["name"]: data[entry["offset"]:entry["offset"] + entry["length"]]
+            .reshape(entry["shape"]) for entry in manifest}
 
 
 def init(config: ModelConfig, seed: int) -> ModelState:
@@ -258,13 +280,24 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 # padding, and attention runs over (query, key) pairs inside each sequence.
 # Pairs are grouped by query, so segment softmax and the weighted sum over V
 # are reduceats over the group starts. The head reads only each sequence's
-# last row, so the final layer computes Q, attention output and FFN for
+# last row, so the final layer's queries, attention output and FFN are
 # those rows alone; earlier layers need every row and use all pairs.
 #
 # A cohort model (a (C, P) trainable matrix) runs C clients' sequences in
 # one batch. The sequences come grouped by client, so each client's rows are
 # one contiguous run: the frozen weights act on all rows at once, and each
 # client's adapters and head act on its own run.
+#
+# A layer's q, k and v projections are one (d, 3d) matrix [Wq | Wk | Wv],
+# and client c's bypasses one S_c = s [Bq Aq | Bk Ak | Bv Av], made by one
+# batched product over the stacked adapters. Without a dropout mask (eval
+# mode, or lora_dropout 0) the bypass is merged into the weight, as LoRA
+# allows: each client's rows take one product with W + S_c, which gives K,
+# V and the queries (in the final layer, Q of every row, of which the last
+# rows are kept; fewer calls cost less than the extra rows). A mask applies
+# to the bypass input alone, so with masks the frozen product stays apart
+# from each projection's masked bypass (H o M)_c S_c, Q is computed on the
+# query rows only, and K and V share one frozen product H [Wk | Wv].
 
 
 @dataclass(frozen=True)
@@ -273,12 +306,12 @@ class _Pairs:
 
     Pair p joins query q[p] (an index into the layer's query rows) with key
     row k[p]; starts[g] is the first pair of query g. by_key permutes the
-    pairs into key order, with the same group starts, or is None when pair p
-    is key row p, in which case k is the slice of all rows.
+    pairs into key order, with the same group starts. k and by_key are None
+    when pair p is key row p.
     """
 
     q: np.ndarray
-    k: np.ndarray | slice
+    k: np.ndarray | None
     starts: np.ndarray
     by_key: np.ndarray | None
 
@@ -298,11 +331,16 @@ def _key_sum(X: np.ndarray, pairs: _Pairs) -> np.ndarray:
     """Sum per-pair rows X into one row per key row."""
     if pairs.by_key is None:
         return X
-    return np.add.reduceat(X[pairs.by_key], pairs.starts, axis=0)
+    return np.add.reduceat(np.take(X, pairs.by_key, axis=0), pairs.starts, axis=0)
 
 
 def _heads(X: np.ndarray, n_heads: int) -> np.ndarray:
     return X.reshape(len(X), n_heads, -1)
+
+
+def _gather(X: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """Rows idx of X, or X itself for None; np.take copies rows faster than X[idx]."""
+    return X if idx is None else np.take(X, idx, axis=0)
 
 
 def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
@@ -313,12 +351,44 @@ def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
     return out
 
 
-def _gram_by_client(X: np.ndarray, Y: np.ndarray, bounds) -> np.ndarray:
-    """X^T Y over rows bounds[c]:bounds[c + 1], for each client c, stacked."""
-    out = np.empty((len(bounds) - 1, X.shape[1], Y.shape[1]))
+def _gram_by_client(X: np.ndarray, Y: np.ndarray, bounds, out: np.ndarray) -> None:
+    """X^T Y over rows bounds[c]:bounds[c + 1] into out[c], for each client c."""
     for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(X[a:b].T, Y[a:b], out=out[c])
-    return out
+
+
+def _adapter_stacks(flat: np.ndarray, start: int, r: int, d: int):
+    """Views A (C, 3, r, d) and B (C, 3, d, r) of the q, k and v adapters in a (C, P) matrix.
+
+    A layer's six adapters lie side by side from column `start`, in the
+    layout's order Aq Bq Ak Bk Av Bv, each r * d long.
+    """
+    block = flat[:, start:start + 6 * r * d].reshape(len(flat), 3, 2, r * d)
+    return block[:, :, 0].reshape(-1, 3, r, d), block[:, :, 1].reshape(-1, 3, d, r)
+
+
+def _blocks(X: np.ndarray) -> np.ndarray:
+    """The q, k and v column blocks of (C, d, 3d) matrices, as a (C, 3, d, d) view."""
+    C, d = X.shape[:2]
+    return X.reshape(C, d, 3, d).transpose(0, 2, 1, 3)
+
+
+def _projection(H, W, S, mask, bounds):
+    """Rows bounds[c]:bounds[c + 1] of H through W and client c's bypass S[c].
+
+    Without a mask each client's rows take one product H_c (W + S_c). With
+    one, the mask drops bypass inputs only: H W + (H o mask)_c S_c.
+    """
+    if mask is None:
+        return _by_client(H, W + S, bounds)
+    return H @ W + _by_client(H * mask, S, bounds)
+
+
+def _projection_input_grad(dX, W, S, mask, bounds):
+    """The gradient reaching H from dX through `_projection`."""
+    if mask is None:
+        return _by_client(dX, (W + S).swapaxes(-1, -2), bounds)
+    return dX @ W.T + _by_client(dX, S.swapaxes(-1, -2), bounds) * mask
 
 
 def adapted_projection(H, W, A, B, alpha, r, dropout_mask=None, bounds=None):
@@ -326,14 +396,14 @@ def adapted_projection(H, W, A, B, alpha, r, dropout_mask=None, bounds=None):
 
     A (r, d) and B (d, r) may instead be stacks (C, r, d) and (C, d, r) of
     one adapter per client; rows bounds[c]:bounds[c + 1] of H then take
-    adapter c.
+    adapter c. Without a mask the bypass is merged into the weight, so each
+    client's rows take one product H_c (W + (alpha/r) B_c A_c).
     """
     if H.shape[1] != W.shape[0] or A.shape[-1] != H.shape[1] or B.shape[-2] != W.shape[1]:
         raise ValueError("inconsistent shapes in adapted projection")
-    Hm = H if dropout_mask is None else H * dropout_mask
     S = (alpha / r) * (B @ A)
-    return H @ W + _by_client(Hm, S.reshape(-1, *S.shape[-2:]),
-                              (0, len(H)) if bounds is None else bounds)
+    return _projection(H, W, S.reshape(-1, *S.shape[-2:]), dropout_mask,
+                       (0, len(H)) if bounds is None else bounds)
 
 
 def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=None):
@@ -344,9 +414,10 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
     masks are drawn from `rng` for the rows each projection uses.
 
     For a cohort model, whose `trainable` is a (C, P) matrix, the sequences
-    come in C consecutive groups, `groups[c]` of them for row c, and `rng`
-    is one generator per row. Each row's masks cover its own group's rows
-    and come from its own generator, in the order a one-row call draws them.
+    come in C consecutive non-empty groups, `groups[c]` of them for row c,
+    and `rng` is one generator per row. Each row's masks cover its own
+    group's rows and come from its own generator, in the order a one-row
+    call draws them.
     """
     cfg = state.config
     single = len(sequences) == 0 or np.ndim(sequences[0]) == 0
@@ -360,15 +431,14 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
         raise ValueError(f"unknown mode {mode!r}")
     C = 1 if state.trainable.ndim == 1 else len(state.trainable)
     groups = [len(batch)] if groups is None else [int(n) for n in groups]
-    if len(groups) != C or sum(groups) != len(batch):
-        raise ValueError("groups must give one sequence count per trainable row")
+    if len(groups) != C or sum(groups) != len(batch) or min(groups) < 1:
+        raise ValueError("groups must give one positive sequence count per trainable row")
     rngs = rng if isinstance(rng, (list, tuple)) else [rng] * C
     dropout = mode == "train" and cfg.lora_dropout > 0.0
     if dropout and any(g is None for g in rngs):
         raise ValueError("train mode with dropout requires an rng")
     keep = 1.0 - cfg.lora_dropout
-    n_heads, d_k = cfg.n_heads, cfg.head_dim
-    d, r = cfg.hidden_dim, cfg.lora_rank
+    n_heads, d_k, d, r = cfg.n_heads, cfg.head_dim, cfg.hidden_dim, cfg.lora_rank
 
     ids = np.asarray(np.concatenate(batch), dtype=np.int64)
     ids[(ids < 0) | (ids >= cfg.vocab_size)] = UNK_ID
@@ -384,37 +454,48 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
                                            for a, b in zip(seq_bounds, seq_bounds[1:]))]
 
     cache = {"layers": [], "groups": groups, "seq_bounds": seq_bounds}
+    layout = _layout(cfg)
     inner = _all_pairs(lengths, starts, seg, pos) if cfg.n_layers > 1 else None
     for l in range(cfg.n_layers):
         if l == cfg.n_layers - 1:  # queries: each sequence's last row, keys: its rows
-            rows, pairs, q_bounds = last, _Pairs(seg, slice(None), starts, None), seq_bounds
+            rows, pairs, q_bounds = last, _Pairs(seg, None, starts, None), seq_bounds
         else:
             rows, pairs, q_bounds = None, inner, row_bounds
-        Hq = H if rows is None else H[rows]
-        lc = {"H_in": H, "rows": rows, "pairs": pairs, "bounds": (q_bounds, row_bounds, row_bounds)}
-        proj = []
-        for p, X, bounds in zip(_PROJ, (Hq, H, H), lc["bounds"]):
-            mask = None
-            if dropout:
+        Hq = _gather(H, rows)
+        W = np.concatenate([state.frozen[f"W{p}_{l}"] for p in _PROJ], axis=1)
+        A, B = _adapter_stacks(state.trainable.reshape(C, -1), layout[f"Aq_{l}"][0].start, r, d)
+        S = np.empty((C, d, 3 * d))
+        np.matmul(B, A, out=_blocks(S))
+        S *= cfg.scale
+        masks = None
+        if dropout:  # q, k, v in turn, each from every client's generator for its rows
+            masks = []
+            for bounds in (q_bounds, row_bounds, row_bounds):
                 u = np.concatenate([g.random((b - a, d))
                                     for g, a, b in zip(rngs, bounds, bounds[1:])])
-                mask = (u < keep) / keep
-            lc[f"mask_{p}"] = mask
-            proj.append(adapted_projection(
-                X, state.frozen[f"W{p}_{l}"], state.adapters[f"A{p}_{l}"].reshape(C, r, d),
-                state.adapters[f"B{p}_{l}"].reshape(C, d, r), cfg.lora_alpha, r, mask, bounds,
-            ))
+                masks.append((u < keep) / keep)
+        if masks is None:  # one product per client with [Wq + S_q | Wk + S_k | Wv + S_v]
+            QKV = _projection(H, W, S, None, row_bounds)
+            Q, K, V = _gather(QKV[:, :d], rows), QKV[:, d:2 * d], QKV[:, 2 * d:]
+        else:  # Q on its rows; one frozen product for K and V, then each masked bypass
+            Q = _projection(Hq, W[:, :d], S[..., :d], masks[0], q_bounds)
+            KV = H @ W[:, d:]
+            K = KV[:, :d] + _by_client(H * masks[1], S[..., d:2 * d], row_bounds)
+            V = KV[:, d:] + _by_client(H * masks[2], S[..., 2 * d:], row_bounds)
         # Per-pair rows of Q, K and V, split into heads.
-        Qp, Kp, Vp = (_heads(X, n_heads)[i] for X, i in zip(proj, (pairs.q, pairs.k, pairs.k)))
-        S = np.einsum("phd,phd->ph", Qp, Kp) / math.sqrt(d_k)
-        E = np.exp(S - np.maximum.reduceat(S, pairs.starts, axis=0)[pairs.q])
-        P = E / np.add.reduceat(E, pairs.starts, axis=0)[pairs.q]
+        Qp, Kp, Vp = (_gather(_heads(X, n_heads), i)
+                      for X, i in zip((Q, K, V), (pairs.q, pairs.k, pairs.k)))
+        scores = np.einsum("phd,phd->ph", Qp, Kp) / math.sqrt(d_k)
+        E = np.exp(scores - _gather(np.maximum.reduceat(scores, pairs.starts, axis=0), pairs.q))
+        P = E / _gather(np.add.reduceat(E, pairs.starts, axis=0), pairs.q)
         O = np.add.reduceat(P[:, :, None] * Vp, pairs.starts, axis=0)
         H1 = Hq + O.reshape(len(Hq), -1) @ state.frozen[f"Wo_{l}"]
         Z = H1 @ state.frozen[f"W1_{l}"]
+        cache["layers"].append(dict(
+            H_in=H, Hq=Hq, rows=rows, pairs=pairs, bounds=(q_bounds, row_bounds), W=W, S=S,
+            masks=masks, Qp=Qp, Kp=Kp, Vp=Vp, P=P, Z=Z,
+        ))
         H = H1 + np.maximum(Z, 0.0) @ state.frozen[f"W2_{l}"]
-        lc.update(Qp=Qp, Kp=Kp, Vp=Vp, P=P, Z=Z)
-        cache["layers"].append(lc)
 
     z = _by_client(H, state.head_w.reshape(C, d, 1), seq_bounds)[:, 0]
     y_hat = 1.0 / (1.0 + np.exp(-(z + np.repeat(state.head_b, groups))))
@@ -430,10 +511,13 @@ def row_chunks(row_counts) -> list[tuple[int, int]]:
 
     A run ends with the item whose rows reach a multiple of EVAL_ROWS, or
     with the last item, and never splits an item. Bounding rows rather than
-    items bounds the packed arrays' memory and keeps each matmul small
-    enough for BLAS to run it on one thread: chunks of 64 windows of ~65
-    keys made OpenBLAS split the projections across the two cores of a
-    shared 2-core box, and scoring ran several times slower.
+    items bounds the packed arrays' memory and the size of each matmul:
+    chunks of 64 windows of ~65 keys made OpenBLAS split the projections
+    across the two cores of a shared 2-core box, and scoring ran several
+    times slower. OpenBLAS's default build keeps a product on one thread
+    while m*n*k <= 262,144, which 1024 rows reach with one (16, 16) weight;
+    the merged (d, 3d) projection of an eval call crosses it from 342 rows
+    at hidden_dim 16, and from 1,366 rows at hidden_dim 8.
     """
     runs, start, rows = [], 0, 0
     for i, n in enumerate(row_counts):
@@ -474,7 +558,7 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     row, and each row's proximal term pulls that row towards `w_anchor`.
     """
     cfg = state.config
-    s, n_heads, d, r = cfg.scale, cfg.n_heads, cfg.hidden_dim, cfg.lora_rank
+    n_heads, d, r = cfg.n_heads, cfg.hidden_dim, cfg.lora_rank
     layout = _layout(cfg)
     groups, seq_bounds = cache["groups"], cache["seq_bounds"]
     C = len(groups)
@@ -484,10 +568,12 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     y = np.asarray(y, dtype=float)
     dz = -w1 * y * (1.0 - y_hat) + w0 * (1 - y) * y_hat
 
+    # Head: z = h_last . head_w[c] + head_b[c] for each sequence of group c.
     grad = np.zeros((C, state.n_trainable))
-    grad[:, layout["head_w"][0]] = _gram_by_client(dz[:, None], h_last, seq_bounds)[:, 0]
-    grad[:, layout["head_b"][0]] = [[dz[a:b].sum()] for a, b in zip(seq_bounds, seq_bounds[1:])]
-    dH = _by_client(dz[:, None], state.head_w.reshape(C, 1, d), seq_bounds)
+    firsts = seq_bounds[:-1]
+    grad[:, layout["head_w"][0]] = np.add.reduceat(dz[:, None] * h_last, firsts, axis=0)
+    grad[:, layout["head_b"][0]] = np.add.reduceat(dz, firsts)[:, None]
+    dH = dz[:, None] * np.repeat(state.head_w.reshape(C, d), groups, axis=0)
 
     for l in reversed(range(cfg.n_layers)):
         lc = cache["layers"][l]
@@ -496,33 +582,41 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
         dZ = (dH @ state.frozen[f"W2_{l}"].T) * (lc["Z"] > 0.0)
         dH1 = dH + dZ @ state.frozen[f"W1_{l}"].T
         # Attention: H1 = H_q + O Wo, O = reduceat over pairs of P V
-        dO = _heads(dH1 @ state.frozen[f"Wo_{l}"].T, n_heads)[pairs.q]
+        dO = _gather(_heads(dH1 @ state.frozen[f"Wo_{l}"].T, n_heads), pairs.q)
         P = lc["P"]
         dP = np.einsum("phd,phd->ph", dO, lc["Vp"])
-        dS = P * (dP - np.add.reduceat(dP * P, pairs.starts, axis=0)[pairs.q])
+        dS = P * (dP - _gather(np.add.reduceat(dP * P, pairs.starts, axis=0), pairs.q))
         dS /= math.sqrt(cfg.head_dim)
-        dQ = np.add.reduceat(dS[:, :, None] * lc["Kp"], pairs.starts, axis=0)
-        dK = _key_sum(dS[:, :, None] * lc["Qp"], pairs)
-        dV = _key_sum(P[:, :, None] * dO, pairs)
-        # Projections: X = H W + s (H o M) B_c A_c on client c's rows
-        H_in = lc["H_in"]
-        dH_in = []
-        for p, X, dX, bounds in zip(_PROJ, (H_in if rows is None else H_in[rows], H_in, H_in),
-                                    (dQ, dK, dV), lc["bounds"]):
-            dX = dX.reshape(len(X), -1)
-            A = state.adapters[f"A{p}_{l}"].reshape(C, r, d)
-            B = state.adapters[f"B{p}_{l}"].reshape(C, d, r)
-            M = lc[f"mask_{p}"]
-            G = s * _gram_by_client(X if M is None else X * M, dX, bounds)
-            grad[:, layout[f"A{p}_{l}"][0]] = (B.transpose(0, 2, 1) @ G).reshape(C, -1)
-            grad[:, layout[f"B{p}_{l}"][0]] = (G @ A.transpose(0, 2, 1)).reshape(C, -1)
-            if l > 0:  # the embeddings below layer 0 are frozen
-                bypass = _by_client(dX, (s * (B @ A)).transpose(0, 2, 1), bounds)
-                dH_in.append(dX @ state.frozen[f"W{p}_{l}"].T
-                             + (bypass if M is None else bypass * M))
-        if l > 0:
-            dq, dk, dv = dH_in
-            dH = dk + dv
+        dQ = np.add.reduceat(dS[:, :, None] * lc["Kp"], pairs.starts, axis=0).reshape(len(dH1), d)
+        dKV = np.empty((len(P), 2, n_heads, cfg.head_dim))  # per pair, [dK | dV]
+        np.multiply(dS[:, :, None], lc["Qp"], out=dKV[:, 0])
+        np.multiply(P[:, :, None], dO, out=dKV[:, 1])
+        dKV = _key_sum(dKV, pairs).reshape(-1, 2 * d)
+        dK, dV = dKV[:, :d], dKV[:, d:]
+        # Projections: [Q | K | V] = H (W + S_c) on client c's rows, or with
+        # masks H W + (H o M)_c S_c per projection, and S_c = s B_c A_c.
+        H, Hq, W, S, masks = lc["H_in"], lc["Hq"], lc["W"], lc["S"], lc["masks"]
+        q_bounds, row_bounds = lc["bounds"]
+        if masks is None:  # K and V share their input rows, so one gram serves both
+            parts = [(Hq, dQ, q_bounds, slice(0, d), None),
+                     (H, dKV, row_bounds, slice(d, 3 * d), None)]
+        else:
+            parts = [(Hq, dQ, q_bounds, slice(0, d), masks[0]),
+                     (H, dK, row_bounds, slice(d, 2 * d), masks[1]),
+                     (H, dV, row_bounds, slice(2 * d, 3 * d), masks[2])]
+        G = np.empty((C, d, 3 * d))  # the gradient of each B_c A_c, in S's column blocks
+        for X, dX, bounds, cols, M in parts:
+            _gram_by_client(X if M is None else X * M, dX, bounds, G[:, :, cols])
+        G *= cfg.scale
+        start = layout[f"Aq_{l}"][0].start
+        A, B = _adapter_stacks(state.trainable.reshape(C, -1), start, r, d)
+        dA, dB = _adapter_stacks(grad, start, r, d)
+        np.matmul(B.swapaxes(-1, -2), _blocks(G), out=dA)
+        np.matmul(_blocks(G), A.swapaxes(-1, -2), out=dB)
+        if l > 0:  # the embeddings below layer 0 are frozen
+            dq, *dkv = (_projection_input_grad(dX, W[:, cols], S[..., cols], M, bounds)
+                        for _, dX, bounds, cols, M in parts)
+            dH = sum(dkv)
             if rows is None:
                 dH += dH1 + dq
             else:

@@ -52,6 +52,19 @@ class TestDecode:
         assert e.node_id == "R27-M1-N4-I:J18-U11"
         assert e.message == "ciod: failed to read message prefix"
 
+    def test_message_keeps_internal_whitespace(self):
+        # The message is the rest of the line: header whitespace and trailing
+        # whitespace go, internal whitespace stays, and splitting it gives
+        # the tokens after the header.
+        line = TBIRD_LINE.replace(" dn228 Nov", "\tdn228  Nov").replace(
+            "session closed", "session \t closed") + " \t\n"
+        e = decode_line(line, "thunderbird")
+        assert e.node_id == "dn228"
+        assert e.message == "session \t closed for user root"
+        assert e.message.split() == line.split()[9:]
+        with pytest.raises(LineParseError, match="expected more than 9 tokens, got 9"):
+            decode_line(" ".join(line.split()[:9]) + " \t\n", "thunderbird")
+
     def test_malformed_raises(self):
         with pytest.raises(LineParseError, match="expected more than 9 tokens, got 2"):
             decode_line("too short", "thunderbird")

@@ -77,6 +77,28 @@ class TestAdaptedProjection:
         want = H @ (W + (alpha / r) * B @ A)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_cohort_equals_dense_per_client(self, masked):
+        # Three clients with unequal row runs, one a single row. Without a
+        # mask each run takes H_c (W + s B_c A_c); a mask drops bypass inputs
+        # only, so the frozen product keeps every input.
+        rng = np.random.default_rng(8)
+        d, r, alpha = 6, 2, 16.0
+        bounds = (0, 4, 5, 11)
+        H = rng.normal(size=(11, d))
+        W = rng.normal(size=(d, d))
+        A = rng.normal(size=(3, r, d))
+        B = rng.normal(size=(3, d, r))
+        mask = (rng.random((11, d)) < 0.7) / 0.7 if masked else None
+        got = adapted_projection(H, W, A, B, alpha, r, mask, bounds)
+        for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            S = (alpha / r) * B[c] @ A[c]
+            if masked:
+                want = H[a:b] @ W + (H[a:b] * mask[a:b]) @ S
+            else:
+                want = H[a:b] @ (W + S)
+            np.testing.assert_allclose(got[a:b], want, rtol=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             adapted_projection(
@@ -122,6 +144,12 @@ class TestForward:
             forward(state, list(range(17)))
         with pytest.raises(ValueError):
             forward(state, [1], mode="predict")
+
+    def test_rejects_empty_group(self):
+        state = init(tiny_config(), 0)
+        cohort = state.with_trainable(np.tile(state.get_trainable(), (3, 1)))
+        with pytest.raises(ValueError, match="groups"):
+            forward(cohort, [[1, 2], [3], [4]], groups=[2, 0, 1])
 
     def test_train_dropout_requires_rng(self):
         state = init(tiny_config(lora_dropout=0.5), 0)
@@ -200,6 +228,41 @@ class TestPacking:
         np.testing.assert_allclose(score(state, seqs), want, rtol=1e-12, atol=0.0)
         assert score(state, seqs[:1]) == want[:1]
         assert score(state, []) == []
+
+
+class TestCohort:
+    """A cohort call against each client's solo calls of the same engine."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_cohort_call_equals_solo_calls(self, n_layers, dropout):
+        cfg = tiny_config(n_layers=n_layers, n_heads=2, head_dim=4, lora_dropout=dropout)
+        state = init(cfg, 9)
+        rng = np.random.default_rng(20 + n_layers)
+        W = rng.normal(0.0, 0.3, size=(3, state.n_trainable))
+        anchor = rng.normal(0.0, 0.3, size=state.n_trainable)
+        weights = np.array([(0.7, 3.1), (1.0, 1.0), (2.0, 0.5)])
+        # Client 1 holds one single-row sequence.
+        lengths = [(5, 16, 2), (1,), (3, 1, 9, 4)]
+        seqs = [[rng.integers(0, cfg.vocab_size, size=t) for t in ts] for ts in lengths]
+        labels = [rng.integers(0, 2, size=len(ts)) for ts in lengths]
+        mu = 0.05
+
+        cohort = state.with_trainable(W.copy())
+        probs, cache = forward(cohort, [s for group in seqs for s in group], "train",
+                               [np.random.default_rng([5, c]) for c in range(3)],
+                               groups=[len(ts) for ts in lengths])
+        grad = backward(cohort, cache, np.concatenate(labels), weights, mu, anchor)
+        assert grad.shape == W.shape
+
+        at = 0
+        for c in range(3):
+            solo = state.with_trainable(W[c].copy())
+            p, solo_cache = forward(solo, seqs[c], "train", np.random.default_rng([5, c]))
+            g = backward(solo, solo_cache, labels[c], weights[c], mu, anchor)
+            np.testing.assert_allclose(probs[at:at + len(p)], p, rtol=1e-12, atol=0.0)
+            assert np.linalg.norm(grad[c] - g) <= 1e-12 * np.linalg.norm(g)
+            at += len(p)
 
 
 class TestGradients:

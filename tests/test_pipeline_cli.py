@@ -13,6 +13,7 @@ import yaml
 import flog
 from flog.cli import main
 from flog.config import load_config
+from flog.model import ModelConfig, init
 from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
 
 # Hand-written Thunderbird lines: node dn731's lines arrive out of order
@@ -156,9 +157,10 @@ class TestRunPipeline:
         for command in ("parse", "partition", "train"):
             assert main([command, "--config", str(path)]) == 1, command
             assert "stage 'ingest' failed" in capsys.readouterr().err, command
-        # evaluate reads the corpus once it has a checkpoint and a round to report.
+        # evaluate reads the corpus once its checkpoint and last round read
+        # cleanly; the checkpoint's shapes are checked after the corpus.
         out = tmp_path / "out"
-        (out / "model.ckpt").write_bytes(b"")
+        init(ModelConfig(vocab_size=3), 0).save(out / "model.ckpt")
         (out / "rounds.csv").write_text(
             "round,participants,eps_spent\n0,1,0.5\n", encoding="utf-8")
         assert main(["evaluate", "--config", str(path)]) == 1
@@ -336,19 +338,42 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
         assert "no rounds.csv" in capsys.readouterr().err
 
-    def test_evaluate_on_damaged_checkpoint_names_load_stage(self, cfg_path, tmp_path, capsys):
+    def test_evaluate_on_damaged_checkpoint_names_load_stage(self, cfg_path, tmp_path,
+                                                             monkeypatch, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
         ckpt = tmp_path / "out" / "model.ckpt"
         good = ckpt.read_bytes()
+
+        def unread(cfg):
+            raise AssertionError("the corpus was read")
+
+        # The checkpoint file is checked before the corpus is read.
+        monkeypatch.setattr("flog.cli.read_corpus", unread)
         for damaged in (b"garbage", good[: len(good) // 2], b""):
             ckpt.write_bytes(damaged)
             capsys.readouterr()
             assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             assert f"stage 'load' failed: {ckpt}: " in err, damaged[:8]
             assert "configuration error" not in err
+            assert out == ""
+
+    def test_evaluate_on_unparsable_last_round_names_load_stage(self, cfg_path, tmp_path,
+                                                                capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        rounds_csv = tmp_path / "out" / "rounds.csv"
+        lines = rounds_csv.read_text(encoding="utf-8").splitlines()
+        rounds_csv.write_text("\n".join([*lines[:-1], "x,y,z"]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert f"stage 'load' failed: {rounds_csv}: " in err
+        assert "configuration error" not in err
+        assert out == ""
 
     def test_evaluate_without_checkpoint_fails(self, cfg_path, tmp_path, capsys):
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
