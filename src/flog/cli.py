@@ -18,7 +18,6 @@ from pathlib import Path
 from . import datasets, drain, model as model_ops, partition
 from .config import load_config
 from .metrics import CSV_HEADER, csv_row, evaluate
-from .model import token_ids_from_keys
 from .pipeline import (
     StageError,
     _stage,
@@ -116,9 +115,8 @@ def cmd_evaluate(args, cfg) -> int:
     state = init_model(cfg, corpus.n_templates, args.seed)
     with _stage("load"):
         state.load(ckpt)
-    vocab_size = state.config.vocab_size
     scores = model_ops.score(
-        state, [token_ids_from_keys(w.key_ids, vocab_size) for w in test_windows]
+        state, model_ops.pack_keys([w.key_ids for w in test_windows], state.config)
     )
     labels = [w.label for w in test_windows]
     round_idx, participants, eps_spent = last

@@ -19,16 +19,22 @@ noise, is accounted and is evaluated like any other.
 A round's participants train as one cohort, in lockstep: micro-batch i of
 every client that has one shares packed forward/backward calls, while each
 client keeps its own row of adapters and head, its own class weights and
-its own optimizer step. All randomness is derived from the run seed through
-named sub-streams, and each client draws from its own stream in the order
-it would if trained alone, so its update equals its solo training up to
-rounding.
+its own optimizer step. A client's windows are kept as one flat int32
+token array with their lengths; each epoch is packed once, right after its
+permutation, and a micro-batch is slices of that packing, which a call
+joins with one concatenate per array. The cohort model is bound to the
+round's weight matrix once, and that matrix is updated in place.
+
+All randomness is derived from the run seed through named sub-streams,
+and each client draws from its own stream in the order it would if
+trained alone, so its update equals its solo training up to rounding.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -102,10 +108,15 @@ def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> l
 
 @dataclass(frozen=True)
 class LocalData:
-    """One client's training windows as token ids, labels and class weights."""
+    """One client's training windows as token ids, labels and class weights.
+
+    `tokens` holds every window's int32 token ids back to back, in window
+    order, and `lengths` each window's length.
+    """
 
     client_id: int
-    tokens: list[np.ndarray]
+    tokens: np.ndarray
+    lengths: np.ndarray
     labels: np.ndarray
     class_weights: tuple[float, float]
 
@@ -114,21 +125,30 @@ class LocalData:
         return len(self.labels)
 
     @classmethod
-    def from_client(cls, client: ClientDataset, vocab_size: int) -> "LocalData":
-        """Convert every window's keys to token ids in one pass."""
+    def from_client(cls, client: ClientDataset, vocab_size: int,
+                    max_sequence_length: int | None = None) -> "LocalData":
+        """Convert every window's keys to token ids in one pass.
+
+        Raises ValueError naming the client for a window without keys, or,
+        given `max_sequence_length`, one with more keys.
+        """
         keys = [s.key_ids for s in client.sequences]
         labels = np.array([s.label for s in client.sequences])
-        if not keys:
-            return cls(client.client_id, [], labels, (1.0, 1.0))
+        lengths = np.fromiter(map(len, keys), np.int64, len(keys))
+        _check_windows(client.client_id, lengths, max_sequence_length)
         tokens = token_ids_from_keys(
             np.fromiter(itertools.chain.from_iterable(keys), np.int64), vocab_size
-        )
-        return cls(
-            client.client_id,
-            np.split(tokens, np.cumsum([len(k) for k in keys])[:-1]),
-            labels,
-            model_ops.class_weights_from_labels(labels),
-        )
+        ).astype(np.int32)
+        weights = model_ops.class_weights_from_labels(labels) if keys else (1.0, 1.0)
+        return cls(client.client_id, tokens, lengths, labels, weights)
+
+
+def _check_windows(client_id: int, lengths: np.ndarray, max_sequence_length: int | None):
+    if lengths.min(initial=1) < 1:
+        raise ValueError(f"client {client_id}: a window has no keys")
+    if max_sequence_length is not None and lengths.max(initial=0) > max_sequence_length:
+        raise ValueError(f"client {client_id}: a window of {lengths.max()} keys, "
+                         f"longer than max_sequence_length {max_sequence_length}")
 
 
 @dataclass(frozen=True)
@@ -143,21 +163,35 @@ class Cohort:
         return sum(m.n_samples for m in self.members)
 
 
-def _micro_batches(data: LocalData, cfg: FedConfig, rng: np.random.Generator):
-    """(token ids, labels, packed rows) of one client's micro-batches, epoch after epoch.
+def _pack_epoch(data: LocalData, order: np.ndarray):
+    """The windows in `order` as a `model.Packed`, with their labels and row ends.
 
-    Lazy: an epoch's permutation is drawn when its first batch is pulled,
-    after the dropout draws of the previous epoch's last batch.
+    The batch is the one `model.pack` makes of the windows in that order,
+    and row_ends[j] is the number of rows of windows order[:j].
+    """
+    lengths = data.lengths.take(order)
+    starts = (data.lengths.cumsum() - data.lengths).take(order)  # in `tokens`
+    batch = model_ops.Packed.gather(data.tokens, starts, lengths)
+    return batch, data.labels.take(order), np.append(0, lengths.cumsum())
+
+
+def _micro_batches(data: LocalData, cfg: FedConfig, rng: np.random.Generator):
+    """(ids, positions, lengths, labels) of one client's micro-batches, epoch after epoch.
+
+    Each epoch is packed once, and a micro-batch is slices of it. Lazy: an
+    epoch's permutation is drawn when its first batch is pulled, after the
+    dropout draws of the previous epoch's last batch.
     """
     n = data.n_samples
     for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        tokens = [data.tokens[j] for j in order.tolist()]
-        labels = data.labels[order]
-        row_ends = [0, *itertools.accumulate(len(t) for t in tokens)]
+        batch, labels, row_ends = _pack_epoch(data, rng.permutation(n))
         for a in range(0, n, cfg.batch_size):
             b = min(a + cfg.batch_size, n)
-            yield tokens[a:b], labels[a:b], row_ends[b] - row_ends[a]
+            rows = slice(row_ends[a], row_ends[b])
+            yield batch.ids[rows], batch.pos[rows], batch.lengths[a:b], labels[a:b]
+        # Free this epoch's packing before the next one is built: two at
+        # once raise the run's peak memory.
+        del batch, labels, row_ends
 
 
 def local_train(
@@ -186,15 +220,18 @@ def local_train(
     own class weights and its own generator, which it draws in the order of
     a solo run, so its update is its solo update up to rounding.
     """
+    mcfg = base_state.config
     solo = isinstance(clients, ClientDataset)
     if solo:
-        clients = Cohort((LocalData.from_client(clients, base_state.config.vocab_size),))
+        clients = Cohort((LocalData.from_client(clients, mcfg.vocab_size,
+                                                mcfg.max_sequence_length),))
         rng = [rng]
     members = clients.members
+    for m in members:
+        _check_windows(m.client_id, m.lengths, mcfg.max_sequence_length)
+    C, accum, bs = len(members), cfg.grad_accum_steps, cfg.batch_size
     weights = np.array([m.class_weights for m in members])
-    accum = cfg.grad_accum_steps
-    n_micro = np.array([cfg.local_epochs * -(-m.n_samples // cfg.batch_size) for m in members],
-                       dtype=int)
+    n_micro = np.array([cfg.local_epochs * -(-m.n_samples // bs) for m in members], dtype=int)
     total_steps = -(-n_micro // accum)
     warmup_steps = np.round(cfg.warmup_ratio * total_steps).astype(int)
     # Per client and step: the micro-batches it averages (the last step takes
@@ -204,34 +241,49 @@ def local_train(
     warm = warmup_steps[:, None]
     lr_table = np.where(steps < warm, cfg.learning_rate * ((steps + 1) / np.maximum(warm, 1)),
                         cfg.learning_rate)
+    # Per client and micro-batch: its windows (an epoch's last batch may be short).
+    size_table = np.zeros((C, n_micro.max(initial=0)), dtype=int)
+    for c, m in enumerate(members):
+        per_epoch = np.minimum(bs, m.n_samples - np.arange(0, m.n_samples, bs))
+        size_table[c, :n_micro[c]] = np.tile(per_epoch, cfg.local_epochs)
     batches = [_micro_batches(m, cfg, g) for m, g in zip(members, rng)]
-    W = np.tile(global_flat, (len(members), 1))
+    W = np.tile(global_flat, (C, 1))
     g = np.zeros_like(W)
+    cohort = base_state.with_trainable(W)  # bound once; calls with every client use it
+    # Until micro-batch n_micro.min() every client is active, and a call's
+    # clients are a slice of the cohort.
+    everyone, n_whole = np.arange(C), n_micro.min(initial=0)
 
     for i in range(n_micro.max(initial=0)):
-        active = np.flatnonzero(n_micro > i)
-        micro = [next(batches[c]) for c in active]
-        for a, b in model_ops.row_chunks([n_rows for _, _, n_rows in micro]):
-            call, part = active[a:b], micro[a:b]
-            sizes = np.array([len(labels) for _, labels, _ in part])
-            state = base_state.with_trainable(W[call])
+        whole = i < n_whole
+        active = everyone if whole else np.flatnonzero(n_micro > i)
+        micro = [next(batches[c]) for c in active.tolist()]
+        for a, b in model_ops.row_chunks([len(ids) for ids, _, _, _ in micro]):
+            call = slice(a, b) if whole else active[a:b]
+            sizes = size_table[call, i]
+            ids, pos, lengths, labels = map(np.concatenate, zip(*micro[a:b]))
+            state = cohort if whole and b - a == C else base_state.with_trainable(W[call])
             _, cache = model_ops.forward(
-                state, [t for tokens, _, _ in part for t in tokens], "train",
-                [rng[c] for c in call], groups=sizes,
+                state, model_ops.Packed(ids, pos, lengths), "train",
+                rng[call] if whole else [rng[c] for c in call], groups=sizes,
             )
             grad = model_ops.backward(
-                state, cache, np.concatenate([labels for _, labels, _ in part]),
-                weights[call], cfg.proximal_mu, global_flat,
+                state, cache, labels, weights[call], cfg.proximal_mu, global_flat,
             )
             g[call] += grad / sizes[:, None]
+        del micro  # its slices would keep a finished epoch's packing alive
 
         # Clients whose step ends here: every accum-th micro-batch, and the last.
-        done = active if (i + 1) % accum == 0 else active[n_micro[active] == i + 1]
-        if len(done) == 0:
-            continue
+        if (i + 1) % accum == 0:
+            done = slice(None) if whole else active
+        else:
+            done = np.flatnonzero(n_micro == i + 1)
+            if len(done) == 0:
+                continue
         step = i // accum
         step_g = g[done] / k_table[done, step][:, None]
-        norms = np.array([np.linalg.norm(row) for row in step_g])
+        # The l2 norm of each row, as np.linalg.norm computes it for a vector.
+        norms = [math.sqrt(row.dot(row)) for row in step_g]
         step_g *= (cfg.max_grad_norm / np.maximum(norms, cfg.max_grad_norm))[:, None]
         lr = lr_table[done, step]
         w = W[done] - lr[:, None] * step_g
@@ -305,8 +357,10 @@ class FederatedTrainer:
         self.cfg = cfg
         self.ledger = ledger
         vocab = state.config.vocab_size
-        self.local_data = [LocalData.from_client(c, vocab) for c in clients]
-        self.test_tokens = [token_ids_from_keys(s, vocab) for s in test_sequences]
+        self.local_data = [
+            LocalData.from_client(c, vocab, state.config.max_sequence_length) for c in clients
+        ]
+        self.test_tokens = model_ops.pack_keys(test_sequences, state.config)
         self.test_labels = list(test_labels)
         self.server_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _STREAM_SERVER])

@@ -13,6 +13,14 @@ and its rows take one product with that effective weight (Hu et al.,
 LoRA, 2022, sec. 4.1). A dropout mask drops bypass inputs only, so under
 masks the frozen product and the masked bypass stay separate.
 
+`forward` takes a batch as a `Packed`: the sequences' rows back to back,
+as int32 token ids and positions, with each sequence's length. `pack`
+makes one from token-id sequences and `pack_keys` from windows' event ids;
+both check lengths, so `forward` does not. Matrices derived from the frozen
+weights ([Wq | Wk | Wv] per layer, and the transposes `backward` uses) are
+built once per model and shared by its `with_trainable` clones; they are
+not written to the checkpoint.
+
 Token convention: id 0 is PAD (reserved), id 1 is UNK, event id e maps to
 token e + 2. Out-of-range tokens fall back to UNK.
 """
@@ -27,6 +35,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +115,39 @@ def token_ids_from_keys(key_ids, vocab_size: int) -> np.ndarray:
     return ids
 
 
+class _Layer(NamedTuple):
+    """One layer's frozen weights in the forms the engine uses.
+
+    W is [Wq | Wk | Wv], (d, 3d); the model's Wq, Wk and Wv tensors are
+    views of its column blocks, so a checkpoint load updates it too. The
+    transposes are views. `adapters` is the first column of the layer's
+    adapters in the trainable vector.
+    """
+
+    W: np.ndarray
+    Wo: np.ndarray
+    W1: np.ndarray
+    W2: np.ndarray
+    WoT: np.ndarray
+    W1T: np.ndarray
+    W2T: np.ndarray
+    adapters: int
+
+
+class _Bound(NamedTuple):
+    """The views of a model's trainable weights that the engine reads.
+
+    `flat` is the trainable vector as a (C, P) matrix, one row per client;
+    `stacks` holds each layer's adapter stacks A (C, 3, r, d) and
+    B (C, 3, d, r); head_w is (C, d) and head_b (C,).
+    """
+
+    flat: np.ndarray
+    stacks: tuple
+    head_w: np.ndarray
+    head_b: np.ndarray
+
+
 class ModelState:
     """Frozen base weights plus trainable adapters and classifier head.
 
@@ -123,34 +165,66 @@ class ModelState:
         def frozen(*shape):
             return rng.normal(0.0, 0.02, size=shape)
 
+        layout = _layout(config)
         self.frozen: dict[str, np.ndarray] = {"embed": frozen(V, d), "pos": frozen(P, d)}
+        layers = []
         for l in range(L):
-            for name in ("Wq", "Wk", "Wv", "Wo"):
-                self.frozen[f"{name}_{l}"] = frozen(d, d)
-            self.frozen[f"W1_{l}"] = frozen(d, f)
-            self.frozen[f"W2_{l}"] = frozen(f, d)
+            W = np.empty((d, 3 * d))
+            for i, p in enumerate(_PROJ):
+                W[:, i * d:(i + 1) * d] = frozen(d, d)
+                self.frozen[f"W{p}_{l}"] = W[:, i * d:(i + 1) * d]
+            Wo = self.frozen[f"Wo_{l}"] = frozen(d, d)
+            W1 = self.frozen[f"W1_{l}"] = frozen(d, f)
+            W2 = self.frozen[f"W2_{l}"] = frozen(f, d)
+            layers.append(_Layer(W, Wo, W1, W2, Wo.T, W1.T, W2.T, layout[f"Aq_{l}"][0].start))
+        self.layers = tuple(layers)
+        self.trainable = np.zeros(sum(math.prod(shape) for _, shape in layout.values()))
 
         # B = 0 makes the adapted model identical to the base model at init.
-        self._bind(np.zeros(sum(math.prod(shape) for _, shape in _layout(config).values())))
+        adapters = self.adapters
         for l in range(L):
             for p in _PROJ:
-                self.adapters[f"A{p}_{l}"][...] = rng.normal(0.0, 1.0 / np.sqrt(r), size=(r, d))
+                adapters[f"A{p}_{l}"][...] = rng.normal(0.0, 1.0 / np.sqrt(r), size=(r, d))
 
     # -- flat trainable parameter vector ------------------------------------
 
-    def _bind(self, trainable: np.ndarray) -> None:
-        """Own `trainable` and make adapters, head_w and head_b views into it.
+    def _views(self) -> dict[str, np.ndarray]:
+        """Every trainable tensor by name, as a view into `trainable`.
 
-        `trainable` is one (P,) vector, or a (C, P) matrix with one row per
-        client, and then every view leads with the client axis.
+        For a (C, P) cohort matrix every view leads with the client axis.
         """
-        self.trainable = trainable
-        lead = trainable.shape[:-1]
-        views = {name: trainable[..., sl].reshape(*lead, *shape)
-                 for name, (sl, shape) in _layout(self.config).items()}
-        self.head_w = views.pop("head_w")
-        self.head_b = views.pop("head_b")
-        self.adapters: dict[str, np.ndarray] = views
+        lead = self.trainable.shape[:-1]
+        return {name: self.trainable[..., sl].reshape(*lead, *shape)
+                for name, (sl, shape) in _layout(self.config).items()}
+
+    @property
+    def adapters(self) -> dict[str, np.ndarray]:
+        views = self._views()
+        del views["head_w"], views["head_b"]
+        return views
+
+    @property
+    def head_w(self) -> np.ndarray:
+        return self._views()["head_w"]
+
+    @property
+    def head_b(self) -> np.ndarray:
+        return self._views()["head_b"]
+
+    @functools.cached_property
+    def _bound(self) -> _Bound:
+        """Engine views of `trainable`, made on first use by each model object.
+
+        `trainable` is only ever written in place, so the views stay valid:
+        a cohort model bound once per round serves all of its calls.
+        """
+        cfg = self.config
+        flat = self.trainable.reshape(-1, self.trainable.shape[-1])
+        n, d = flat.shape[1], cfg.hidden_dim
+        stacks = tuple(_adapter_stacks(flat, layer.adapters, cfg.lora_rank, d)
+                       for layer in self.layers)
+        # The head is the last d + 1 trainable columns: head_w, then head_b.
+        return _Bound(flat, stacks, flat[:, n - d - 1:n - 1], flat[:, n - 1])
 
     @property
     def n_trainable(self) -> int:
@@ -174,7 +248,8 @@ class ModelState:
         clone = ModelState.__new__(ModelState)
         clone.config = self.config
         clone.frozen = self.frozen  # frozen weights are shared, never mutated
-        clone._bind(trainable)
+        clone.layers = self.layers
+        clone.trainable = trainable
         return clone
 
     def copy(self) -> "ModelState":
@@ -276,12 +351,14 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 
 # -- forward / backward -----------------------------------------------------
 #
-# A batch is packed: the rows of its sequences are concatenated, with no
+# A batch is a `Packed`: the rows of its sequences are concatenated, with no
 # padding, and attention runs over (query, key) pairs inside each sequence.
 # Pairs are grouped by query, so segment softmax and the weighted sum over V
 # are reduceats over the group starts. The head reads only each sequence's
 # last row, so the final layer's queries, attention output and FFN are
-# those rows alone; earlier layers need every row and use all pairs.
+# those rows alone: its pairs are the sequence's rows, in order, and a
+# per-query value reaches them by `repeat` over the lengths. Earlier layers
+# need every row and use all pairs (`_Pairs`).
 #
 # A cohort model (a (C, P) trainable matrix) runs C clients' sequences in
 # one batch. The sequences come grouped by client, so each client's rows are
@@ -298,53 +375,119 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 # to the bypass input alone, so with masks the frozen product stays apart
 # from each projection's masked bypass (H o M)_c S_c, Q is computed on the
 # query rows only, and K and V share one frozen product H [Wk | Wv].
+#
+# Everything that depends only on the frozen weights is built once per
+# model and shared by its `with_trainable` clones (`ModelState.layers`), and
+# lengths are checked when a batch is packed, so a call of `forward` or
+# `backward` does the batch's arithmetic and little else.
+
+
+class Packed:
+    """Sequences packed into one batch of rows, as `forward` takes them.
+
+    The sequences' rows lie back to back, with no padding: `ids` holds
+    each row's token id, already inside the vocabulary, and `pos` its
+    position in its sequence, both int32; `lengths` holds each sequence's
+    row count. len() is the number of sequences.
+    """
+
+    __slots__ = ("ids", "pos", "lengths")
+
+    def __init__(self, ids: np.ndarray, pos: np.ndarray, lengths: np.ndarray) -> None:
+        self.ids, self.pos, self.lengths = ids, pos, lengths
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @classmethod
+    def gather(cls, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> "Packed":
+        """Sequence j is rows starts[j]:starts[j] + lengths[j] of `tokens`, in order.
+
+        Positions are made in int32 before the one int64 row index, which
+        keeps the temporaries of packing a whole epoch small.
+        """
+        pos = np.arange(lengths.sum(), dtype=np.int32)
+        pos -= (lengths.cumsum() - lengths).astype(np.int32).repeat(lengths)
+        rows = starts.repeat(lengths)
+        rows += pos
+        return cls(tokens.take(rows).astype(np.int32, copy=False), pos, lengths)
+
+
+def _check_lengths(lengths: np.ndarray, config: ModelConfig) -> None:
+    if lengths.min(initial=1) < 1:
+        raise ValueError("forward requires non-empty sequences")
+    if lengths.max(initial=0) > config.max_sequence_length:
+        raise ValueError("sequence longer than max_sequence_length")
+
+
+def pack(sequences, config: ModelConfig) -> Packed:
+    """Token-id sequences as one `Packed` batch; ids outside the vocabulary become UNK.
+
+    Raises ValueError for an empty sequence or one longer than
+    max_sequence_length.
+    """
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    _check_lengths(lengths, config)
+    ids = np.asarray(np.concatenate(sequences) if len(sequences) else [], dtype=np.int64)
+    ids[(ids < 0) | (ids >= config.vocab_size)] = UNK_ID
+    return Packed.gather(ids, lengths.cumsum() - lengths, lengths)
+
+
+def pack_keys(key_sequences, config: ModelConfig) -> Packed:
+    """Windows' event-id sequences as one `Packed` batch of token ids."""
+    lengths = np.fromiter(map(len, key_sequences), np.int64, len(key_sequences))
+    _check_lengths(lengths, config)
+    ids = token_ids_from_keys(
+        np.fromiter(itertools.chain.from_iterable(key_sequences), np.int64), config.vocab_size
+    )
+    return Packed.gather(ids, lengths.cumsum() - lengths, lengths)
 
 
 @dataclass(frozen=True)
 class _Pairs:
-    """One layer's attention pairs, grouped by query.
+    """An inner layer's attention pairs, grouped by query.
 
     Pair p joins query q[p] (an index into the layer's query rows) with key
     row k[p]; starts[g] is the first pair of query g. by_key permutes the
-    pairs into key order, with the same group starts. k and by_key are None
-    when pair p is key row p.
+    pairs into key order, with the same group starts.
     """
 
     q: np.ndarray
-    k: np.ndarray | None
+    k: np.ndarray
     starts: np.ndarray
-    by_key: np.ndarray | None
+    by_key: np.ndarray
 
 
-def _all_pairs(lengths, starts, seg, pos) -> _Pairs:
+def _all_pairs(lengths, starts, pos) -> _Pairs:
     """Every (i, j) row pair inside each sequence, ordered by i, then j."""
+    seg = np.arange(len(lengths)).repeat(lengths)
     sizes = lengths * lengths
     first = sizes.cumsum() - sizes
-    pair_seg = np.repeat(np.arange(len(lengths)), sizes)
-    T = lengths[pair_seg]
-    i, j = np.divmod(np.arange(len(pair_seg)) - first[pair_seg], T)
-    base = starts[pair_seg]
-    return _Pairs(base + i, base + j, first[seg] + pos * lengths[seg], first[pair_seg] + j * T + i)
+    pair_seg = np.arange(len(lengths)).repeat(sizes)
+    T = lengths.take(pair_seg)
+    i, j = np.divmod(np.arange(len(pair_seg)) - first.take(pair_seg), T)
+    base = starts.take(pair_seg)
+    return _Pairs(base + i, base + j, first.take(seg) + pos * lengths.take(seg),
+                  first.take(pair_seg) + j * T + i)
 
 
-def _key_sum(X: np.ndarray, pairs: _Pairs) -> np.ndarray:
-    """Sum per-pair rows X into one row per key row."""
-    if pairs.by_key is None:
-        return X
-    return np.add.reduceat(np.take(X, pairs.by_key, axis=0), pairs.starts, axis=0)
+def _spread(X: np.ndarray, pairs: _Pairs | None, lengths: np.ndarray) -> np.ndarray:
+    """Per-query rows X copied to each of the query's pairs."""
+    return X.repeat(lengths, 0) if pairs is None else X.take(pairs.q, 0)
 
 
-def _heads(X: np.ndarray, n_heads: int) -> np.ndarray:
-    return X.reshape(len(X), n_heads, -1)
+def _equal_runs(bounds) -> bool:
+    """Whether the runs bounds[c]:bounds[c + 1] all have one, positive length."""
+    return bounds[1] > 0 and list(bounds) == list(range(0, bounds[-1] + 1, bounds[1]))
 
 
-def _gather(X: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """Rows idx of X, or X itself for None; np.take copies rows faster than X[idx]."""
-    return X if idx is None else np.take(X, idx, axis=0)
-
+# With equal runs, the per-client products below are one stacked matmul:
+# numpy makes the same BLAS call for each client's matrices either way.
 
 def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
     """Rows bounds[c]:bounds[c + 1] of X times M[c], for each client c."""
+    if _equal_runs(bounds):
+        return np.matmul(X.reshape(len(M), bounds[1], -1), M).reshape(len(X), -1)
     out = np.empty((len(X), M.shape[-1]))
     for a, b, m in zip(bounds, bounds[1:], M):
         np.matmul(X[a:b], m, out=out[a:b])
@@ -353,6 +496,10 @@ def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
 
 def _gram_by_client(X: np.ndarray, Y: np.ndarray, bounds, out: np.ndarray) -> None:
     """X^T Y over rows bounds[c]:bounds[c + 1] into out[c], for each client c."""
+    if _equal_runs(bounds):
+        C, n = len(out), bounds[1]
+        np.matmul(X.reshape(C, n, -1).swapaxes(1, 2), Y.reshape(C, n, -1), out=out)
+        return
     for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(X[a:b].T, Y[a:b], out=out[c])
 
@@ -406,12 +553,44 @@ def adapted_projection(H, W, A, B, alpha, r, dropout_mask=None, bounds=None):
                        (0, len(H)) if bounds is None else bounds)
 
 
+class _LayerCache(NamedTuple):
+    """What `backward` needs of one layer's forward pass.
+
+    `pairs` is None in the final layer, whose pairs are its key rows.
+    """
+
+    H: np.ndarray  # the layer's input rows
+    Hq: np.ndarray  # its query rows
+    rows: np.ndarray | None  # the query rows' indices in H, or None for all
+    pairs: _Pairs | None
+    q_bounds: list
+    S: np.ndarray
+    masks: list | None
+    Qp: np.ndarray
+    Kp: np.ndarray
+    Vp: np.ndarray
+    P: np.ndarray
+    Z: np.ndarray
+
+
+class _Cache(NamedTuple):
+    layers: list
+    sizes: np.ndarray  # sequences per trainable row
+    seq_bounds: list
+    row_bounds: list
+    lengths: np.ndarray
+    starts: np.ndarray
+    h_last: np.ndarray
+    y_hat: np.ndarray
+
+
 def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=None):
     """Classify key sequences, packed into one batch; returns (probabilities, cache).
 
-    `sequences` is a list of key-id sequences. A bare 1-D sequence is a
-    batch of one and gets a scalar probability. In train mode with dropout,
-    masks are drawn from `rng` for the rows each projection uses.
+    `sequences` is a `Packed` batch or a list of key-id sequences, which is
+    packed first. A bare 1-D sequence is a batch of one and gets a scalar
+    probability. In train mode with dropout, masks are drawn from `rng` for
+    the rows each projection uses.
 
     For a cohort model, whose `trainable` is a (C, P) matrix, the sequences
     come in C consecutive non-empty groups, `groups[c]` of them for row c,
@@ -420,50 +599,46 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
     call draws them.
     """
     cfg = state.config
-    single = len(sequences) == 0 or np.ndim(sequences[0]) == 0
-    batch = [sequences] if single else sequences
-    lens = [len(s) for s in batch]
-    if min(lens) == 0:
-        raise ValueError("forward requires non-empty sequences")
-    if max(lens) > cfg.max_sequence_length:
-        raise ValueError("sequence longer than max_sequence_length")
+    single = False
+    if not isinstance(sequences, Packed):
+        single = len(sequences) == 0 or np.ndim(sequences[0]) == 0
+        sequences = pack([sequences] if single else sequences, cfg)
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    C = 1 if state.trainable.ndim == 1 else len(state.trainable)
-    groups = [len(batch)] if groups is None else [int(n) for n in groups]
-    if len(groups) != C or sum(groups) != len(batch) or min(groups) < 1:
+    bound = state._bound
+    C = len(bound.flat)
+    sizes = np.asarray([len(sequences)] if groups is None else groups)
+    counts = sizes.tolist()
+    seq_bounds = [0, *itertools.accumulate(counts)]
+    if len(counts) != C or seq_bounds[-1] != len(sequences) or min(counts) < 1:
         raise ValueError("groups must give one positive sequence count per trainable row")
     rngs = rng if isinstance(rng, (list, tuple)) else [rng] * C
     dropout = mode == "train" and cfg.lora_dropout > 0.0
     if dropout and any(g is None for g in rngs):
         raise ValueError("train mode with dropout requires an rng")
     keep = 1.0 - cfg.lora_dropout
-    n_heads, d_k, d, r = cfg.n_heads, cfg.head_dim, cfg.hidden_dim, cfg.lora_rank
+    n_heads, d_k, d = cfg.n_heads, cfg.head_dim, cfg.hidden_dim
 
-    ids = np.asarray(np.concatenate(batch), dtype=np.int64)
-    ids[(ids < 0) | (ids >= cfg.vocab_size)] = UNK_ID
-    lengths = np.array(lens)
-    starts = lengths.cumsum() - lengths
-    seg = np.repeat(np.arange(len(lens)), lengths)
-    pos = np.arange(len(ids)) - starts[seg]
-    H = np.take(state.frozen["embed"], ids, axis=0) + np.take(state.frozen["pos"], pos, axis=0)
-    last = starts + lengths - 1
+    lengths = sequences.lengths
+    ends = lengths.cumsum()
+    starts = ends - lengths
+    last = ends - 1
     # Group c's sequences, and their packed rows, as [start, stop) bounds.
-    seq_bounds = [0, *itertools.accumulate(groups)]
-    row_bounds = [0, *itertools.accumulate(sum(lens[a:b])
-                                           for a, b in zip(seq_bounds, seq_bounds[1:]))]
+    row_ends = ends.tolist()
+    row_bounds = [0, *[row_ends[b - 1] for b in seq_bounds[1:]]]
+    H = (state.frozen["embed"].take(sequences.ids, 0)
+         + state.frozen["pos"].take(sequences.pos, 0))
 
-    cache = {"layers": [], "groups": groups, "seq_bounds": seq_bounds}
-    layout = _layout(cfg)
-    inner = _all_pairs(lengths, starts, seg, pos) if cfg.n_layers > 1 else None
-    for l in range(cfg.n_layers):
+    layers = []
+    inner = _all_pairs(lengths, starts, sequences.pos) if cfg.n_layers > 1 else None
+    for l, layer in enumerate(state.layers):
         if l == cfg.n_layers - 1:  # queries: each sequence's last row, keys: its rows
-            rows, pairs, q_bounds = last, _Pairs(seg, None, starts, None), seq_bounds
+            rows, pairs, q_bounds, q_starts = last, None, seq_bounds, starts
+            Hq = H.take(last, 0)
         else:
-            rows, pairs, q_bounds = None, inner, row_bounds
-        Hq = _gather(H, rows)
-        W = np.concatenate([state.frozen[f"W{p}_{l}"] for p in _PROJ], axis=1)
-        A, B = _adapter_stacks(state.trainable.reshape(C, -1), layout[f"Aq_{l}"][0].start, r, d)
+            rows, pairs, q_bounds, q_starts = None, inner, row_bounds, inner.starts
+            Hq = H
+        A, B = bound.stacks[l]
         S = np.empty((C, d, 3 * d))
         np.matmul(B, A, out=_blocks(S))
         S *= cfg.scale
@@ -475,31 +650,33 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
                                     for g, a, b in zip(rngs, bounds, bounds[1:])])
                 masks.append((u < keep) / keep)
         if masks is None:  # one product per client with [Wq + S_q | Wk + S_k | Wv + S_v]
-            QKV = _projection(H, W, S, None, row_bounds)
-            Q, K, V = _gather(QKV[:, :d], rows), QKV[:, d:2 * d], QKV[:, 2 * d:]
+            QKV = _by_client(H, layer.W + S, row_bounds)
+            Q, K, V = QKV[:, :d], QKV[:, d:2 * d], QKV[:, 2 * d:]
+            if rows is not None:
+                Q = Q.take(rows, 0)
         else:  # Q on its rows; one frozen product for K and V, then each masked bypass
-            Q = _projection(Hq, W[:, :d], S[..., :d], masks[0], q_bounds)
-            KV = H @ W[:, d:]
+            Q = _projection(Hq, layer.W[:, :d], S[..., :d], masks[0], q_bounds)
+            KV = H @ layer.W[:, d:]
             K = KV[:, :d] + _by_client(H * masks[1], S[..., d:2 * d], row_bounds)
             V = KV[:, d:] + _by_client(H * masks[2], S[..., 2 * d:], row_bounds)
         # Per-pair rows of Q, K and V, split into heads.
-        Qp, Kp, Vp = (_gather(_heads(X, n_heads), i)
-                      for X, i in zip((Q, K, V), (pairs.q, pairs.k, pairs.k)))
+        Qp, Kp, Vp = (X.reshape(len(X), n_heads, d_k) for X in (Q, K, V))
+        if pairs is None:
+            Qp = Qp.repeat(lengths, 0)
+        else:
+            Qp, Kp, Vp = Qp.take(pairs.q, 0), Kp.take(pairs.k, 0), Vp.take(pairs.k, 0)
         scores = np.einsum("phd,phd->ph", Qp, Kp) / math.sqrt(d_k)
-        E = np.exp(scores - _gather(np.maximum.reduceat(scores, pairs.starts, axis=0), pairs.q))
-        P = E / _gather(np.add.reduceat(E, pairs.starts, axis=0), pairs.q)
-        O = np.add.reduceat(P[:, :, None] * Vp, pairs.starts, axis=0)
-        H1 = Hq + O.reshape(len(Hq), -1) @ state.frozen[f"Wo_{l}"]
-        Z = H1 @ state.frozen[f"W1_{l}"]
-        cache["layers"].append(dict(
-            H_in=H, Hq=Hq, rows=rows, pairs=pairs, bounds=(q_bounds, row_bounds), W=W, S=S,
-            masks=masks, Qp=Qp, Kp=Kp, Vp=Vp, P=P, Z=Z,
-        ))
-        H = H1 + np.maximum(Z, 0.0) @ state.frozen[f"W2_{l}"]
+        E = np.exp(scores - _spread(np.maximum.reduceat(scores, q_starts, axis=0), pairs, lengths))
+        P = E / _spread(np.add.reduceat(E, q_starts, axis=0), pairs, lengths)
+        O = np.add.reduceat(P[:, :, None] * Vp, q_starts, axis=0)
+        H1 = Hq + O.reshape(len(Hq), -1) @ layer.Wo
+        Z = H1 @ layer.W1
+        layers.append(_LayerCache(H, Hq, rows, pairs, q_bounds, S, masks, Qp, Kp, Vp, P, Z))
+        H = H1 + np.maximum(Z, 0.0) @ layer.W2
 
-    z = _by_client(H, state.head_w.reshape(C, d, 1), seq_bounds)[:, 0]
-    y_hat = 1.0 / (1.0 + np.exp(-(z + np.repeat(state.head_b, groups))))
-    cache["h_last"], cache["y_hat"] = H, y_hat
+    z = _by_client(H, bound.head_w.reshape(C, d, 1), seq_bounds)[:, 0]
+    y_hat = 1.0 / (1.0 + np.exp(-(z + bound.head_b.repeat(sizes))))
+    cache = _Cache(layers, sizes, seq_bounds, row_bounds, lengths, starts, H, y_hat)
     return (y_hat[0] if single else y_hat), cache
 
 
@@ -529,9 +706,18 @@ def row_chunks(row_counts) -> list[tuple[int, int]]:
 
 
 def score(state: ModelState, sequences) -> list[float]:
-    """Eval-mode probability of each sequence, scored in `row_chunks` runs."""
-    return [float(p) for a, b in row_chunks([len(seq) for seq in sequences])
-            for p in forward(state, sequences[a:b])[0]]
+    """Eval-mode probability of each sequence, scored in `row_chunks` runs.
+
+    `sequences` is a `Packed` batch or a list of key-id sequences.
+    """
+    batch = sequences if isinstance(sequences, Packed) else pack(sequences, state.config)
+    lengths = batch.lengths
+    ends = [0, *lengths.cumsum().tolist()]
+    out = []
+    for a, b in row_chunks(lengths.tolist()):
+        rows = slice(ends[a], ends[b])
+        out += forward(state, Packed(batch.ids[rows], batch.pos[rows], lengths[a:b]))[0].tolist()
+    return out
 
 
 EPS_LOG = 1e-12
@@ -558,45 +744,48 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     row, and each row's proximal term pulls that row towards `w_anchor`.
     """
     cfg = state.config
-    n_heads, d, r = cfg.n_heads, cfg.hidden_dim, cfg.lora_rank
-    layout = _layout(cfg)
-    groups, seq_bounds = cache["groups"], cache["seq_bounds"]
-    C = len(groups)
+    n_heads, d_k, d, r = cfg.n_heads, cfg.head_dim, cfg.hidden_dim, cfg.lora_rank
+    sizes, seq_bounds, lengths, h_last, y_hat = (
+        cache.sizes, cache.seq_bounds, cache.lengths, cache.h_last, cache.y_hat)
+    bound = state._bound
+    C, n_params = bound.flat.shape
     weights = np.asarray(class_weights, dtype=float).reshape(-1, 2)
-    w0, w1 = (weights if len(weights) == 1 else np.repeat(weights, groups, axis=0)).T
-    h_last, y_hat = cache["h_last"], cache["y_hat"]
+    w0, w1 = (weights if len(weights) == 1 else weights.repeat(sizes, 0)).T
     y = np.asarray(y, dtype=float)
     dz = -w1 * y * (1.0 - y_hat) + w0 * (1 - y) * y_hat
 
     # Head: z = h_last . head_w[c] + head_b[c] for each sequence of group c.
-    grad = np.zeros((C, state.n_trainable))
+    grad = np.zeros((C, n_params))
     firsts = seq_bounds[:-1]
-    grad[:, layout["head_w"][0]] = np.add.reduceat(dz[:, None] * h_last, firsts, axis=0)
-    grad[:, layout["head_b"][0]] = np.add.reduceat(dz, firsts)[:, None]
-    dH = dz[:, None] * np.repeat(state.head_w.reshape(C, d), groups, axis=0)
+    grad[:, n_params - d - 1:n_params - 1] = np.add.reduceat(dz[:, None] * h_last, firsts, axis=0)
+    grad[:, n_params - 1:] = np.add.reduceat(dz, firsts)[:, None]
+    dH = dz[:, None] * bound.head_w.repeat(sizes, 0)
 
     for l in reversed(range(cfg.n_layers)):
-        lc = cache["layers"][l]
-        pairs, rows = lc["pairs"], lc["rows"]
+        layer, lc = state.layers[l], cache.layers[l]
+        pairs, rows = lc.pairs, lc.rows
+        q_starts = cache.starts if pairs is None else pairs.starts
         # FFN: H_out = H1 + relu(H1 W1) W2
-        dZ = (dH @ state.frozen[f"W2_{l}"].T) * (lc["Z"] > 0.0)
-        dH1 = dH + dZ @ state.frozen[f"W1_{l}"].T
+        dZ = (dH @ layer.W2T) * (lc.Z > 0.0)
+        dH1 = dH + dZ @ layer.W1T
         # Attention: H1 = H_q + O Wo, O = reduceat over pairs of P V
-        dO = _gather(_heads(dH1 @ state.frozen[f"Wo_{l}"].T, n_heads), pairs.q)
-        P = lc["P"]
-        dP = np.einsum("phd,phd->ph", dO, lc["Vp"])
-        dS = P * (dP - _gather(np.add.reduceat(dP * P, pairs.starts, axis=0), pairs.q))
-        dS /= math.sqrt(cfg.head_dim)
-        dQ = np.add.reduceat(dS[:, :, None] * lc["Kp"], pairs.starts, axis=0).reshape(len(dH1), d)
-        dKV = np.empty((len(P), 2, n_heads, cfg.head_dim))  # per pair, [dK | dV]
-        np.multiply(dS[:, :, None], lc["Qp"], out=dKV[:, 0])
+        dO = _spread((dH1 @ layer.WoT).reshape(len(dH1), n_heads, d_k), pairs, lengths)
+        P = lc.P
+        dP = np.einsum("phd,phd->ph", dO, lc.Vp)
+        dS = P * (dP - _spread(np.add.reduceat(dP * P, q_starts, axis=0), pairs, lengths))
+        dS /= math.sqrt(d_k)
+        dQ = np.add.reduceat(dS[:, :, None] * lc.Kp, q_starts, axis=0).reshape(len(dH1), d)
+        dKV = np.empty((len(P), 2, n_heads, d_k))  # per pair, [dK | dV]
+        np.multiply(dS[:, :, None], lc.Qp, out=dKV[:, 0])
         np.multiply(P[:, :, None], dO, out=dKV[:, 1])
-        dKV = _key_sum(dKV, pairs).reshape(-1, 2 * d)
+        if pairs is not None:  # sum the pairs into one row per key row
+            dKV = np.add.reduceat(dKV.take(pairs.by_key, 0), pairs.starts, axis=0)
+        dKV = dKV.reshape(-1, 2 * d)
         dK, dV = dKV[:, :d], dKV[:, d:]
         # Projections: [Q | K | V] = H (W + S_c) on client c's rows, or with
         # masks H W + (H o M)_c S_c per projection, and S_c = s B_c A_c.
-        H, Hq, W, S, masks = lc["H_in"], lc["Hq"], lc["W"], lc["S"], lc["masks"]
-        q_bounds, row_bounds = lc["bounds"]
+        H, Hq, W, S, masks = lc.H, lc.Hq, layer.W, lc.S, lc.masks
+        q_bounds, row_bounds = lc.q_bounds, cache.row_bounds
         if masks is None:  # K and V share their input rows, so one gram serves both
             parts = [(Hq, dQ, q_bounds, slice(0, d), None),
                      (H, dKV, row_bounds, slice(d, 3 * d), None)]
@@ -608,9 +797,8 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
         for X, dX, bounds, cols, M in parts:
             _gram_by_client(X if M is None else X * M, dX, bounds, G[:, :, cols])
         G *= cfg.scale
-        start = layout[f"Aq_{l}"][0].start
-        A, B = _adapter_stacks(state.trainable.reshape(C, -1), start, r, d)
-        dA, dB = _adapter_stacks(grad, start, r, d)
+        A, B = bound.stacks[l]
+        dA, dB = _adapter_stacks(grad, layer.adapters, r, d)
         np.matmul(B.swapaxes(-1, -2), _blocks(G), out=dA)
         np.matmul(_blocks(G), A.swapaxes(-1, -2), out=dB)
         if l > 0:  # the embeddings below layer 0 are frozen
@@ -623,7 +811,7 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
                 dH[rows] += dH1 + dq
 
     if mu > 0.0 and w_anchor is not None:
-        grad += np.array(groups)[:, None] * mu * (state.trainable.reshape(C, -1) - w_anchor)
+        grad += sizes[:, None] * mu * (bound.flat - w_anchor)
     return grad.reshape(state.trainable.shape)
 
 

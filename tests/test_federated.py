@@ -1,5 +1,7 @@
 """Federated mechanics: sampling, local FedProx, clipping, aggregation, noise."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,68 @@ class TestLocalTrain:
         flat = state.get_trainable()
         out = local_train(mk_client(0, 6), state, flat, fed_config(), np.random.default_rng(0))
         assert out.pre_clip_norm == pytest.approx(float(np.linalg.norm(out.delta)))
+
+
+class TestEpochPacking:
+    """Each epoch packed once, against the windows taken in permutation order."""
+
+    def test_micro_batches_equal_windows_in_permutation_order(self):
+        # 11 windows, lengths 1 to max_sequence_length (8): batches of 4, 4
+        # and a partial 3, over two epochs.
+        mcfg = tiny_model_config()
+        keys = [tuple(range(t)) for t in (1, 8, 3, 5, 8, 1, 2, 7, 4, 6, 3)]
+        client = ClientDataset(0, [WindowSequence("n0", i, k, i % 3 == 0)
+                                   for i, k in enumerate(keys)])
+        data = LocalData.from_client(client, mcfg.vocab_size, mcfg.max_sequence_length)
+        assert data.tokens.dtype == np.int32
+        cfg = fed_config(local_epochs=2, batch_size=4)
+        tokens = [token_ids_from_keys(k, mcfg.vocab_size) for k in keys]
+        labels = np.array([s.label for s in client.sequences])
+
+        # A draw after every batch stands in for the engine's dropout draws,
+        # so an epoch's permutation must come after the last batch's draws.
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = []
+        for batch in federated._micro_batches(data, cfg, got_rng):
+            got.append(batch)
+            got_rng.random()
+        want = []
+        for _ in range(2):
+            order = want_rng.permutation(len(keys))
+            for a in range(0, len(keys), 4):
+                idx = order[a:a + 4]
+                want.append((model_ops.pack([tokens[j] for j in idx], mcfg), labels[idx]))
+                want_rng.random()
+        assert [len(b[2]) for b in got] == [4, 4, 3, 4, 4, 3]
+        for (ids, pos, lengths, batch_labels), (packed, want_labels) in zip(got, want, strict=True):
+            assert ids.dtype == pos.dtype == np.int32
+            np.testing.assert_array_equal(ids, packed.ids)
+            np.testing.assert_array_equal(pos, packed.pos)
+            np.testing.assert_array_equal(lengths, packed.lengths)
+            np.testing.assert_array_equal(batch_labels, want_labels)
+        assert got_rng.random() == want_rng.random()
+
+    def test_empty_client_draws_as_before(self):
+        data = LocalData.from_client(ClientDataset(0, []), 10, 8)
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        assert list(federated._micro_batches(data, fed_config(local_epochs=2), got_rng)) == []
+        for _ in range(2):
+            want_rng.permutation(0)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("length", [0, 9])
+    def test_from_client_rejects_empty_or_overlong_window(self, length):
+        client = ClientDataset(5, [WindowSequence("n0", 0, (1, 2), 0),
+                                   WindowSequence("n0", 1, tuple(range(length)), 1)])
+        with pytest.raises(ValueError, match="client 5"):
+            LocalData.from_client(client, 10, 8)
+
+    def test_step_norm_is_numpys_vector_norm(self):
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 7, 57, 785, 4096):
+            for scale in (1e-8, 1.0, 1e6):
+                x = rng.normal(0.0, scale, size=n)
+                assert math.sqrt(x.dot(x)) == np.linalg.norm(x)
 
 
 class TestCohort:

@@ -99,6 +99,31 @@ class TestAdaptedProjection:
                 want = H[a:b] @ (W + S)
             np.testing.assert_allclose(got[a:b], want, rtol=1e-12)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equal_runs_equal_per_client_products_bit_for_bit(self, masked):
+        # Equal runs take one stacked matmul, which must make the same BLAS
+        # call per client as a product per client.
+        rng = np.random.default_rng(9)
+        d, r, alpha, bounds = 8, 2, 16.0, [0, 5, 10, 15, 20]
+        H = rng.normal(size=(20, d))
+        W = rng.normal(size=(d, d))
+        A = rng.normal(size=(4, r, d))
+        B = rng.normal(size=(4, d, r))
+        mask = (rng.random((20, d)) < 0.7) / 0.7 if masked else None
+        got = adapted_projection(H, W, A, B, alpha, r, mask, bounds)
+        S = (alpha / r) * (B @ A)
+        for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if masked:
+                want = (H @ W)[a:b] + (H * mask)[a:b] @ S[c]
+            else:
+                want = H[a:b] @ (W + S[c])
+            np.testing.assert_array_equal(got[a:b], want)
+        Y = rng.normal(size=(20, 2 * d))
+        G = np.empty((4, d, 2 * d))
+        M._gram_by_client(H, Y, bounds, G)
+        for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            np.testing.assert_array_equal(G[c], H[a:b].T @ Y[a:b])
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             adapted_projection(
@@ -228,6 +253,7 @@ class TestPacking:
         np.testing.assert_allclose(score(state, seqs), want, rtol=1e-12, atol=0.0)
         assert score(state, seqs[:1]) == want[:1]
         assert score(state, []) == []
+        assert score(state, M.pack(seqs, state.config)) == score(state, seqs)
 
 
 class TestCohort:
@@ -263,6 +289,52 @@ class TestCohort:
             np.testing.assert_allclose(probs[at:at + len(p)], p, rtol=1e-12, atol=0.0)
             assert np.linalg.norm(grad[c] - g) <= 1e-12 * np.linalg.norm(g)
             at += len(p)
+
+
+class TestPackedInput:
+    """A `Packed` batch against the list of sequences it was packed from."""
+
+    def test_pack_arrays(self):
+        cfg = tiny_config()
+        batch = M.pack([[3, 40, -1], [5], np.array([7, 8])], cfg)
+        assert len(batch) == 3
+        assert batch.ids.dtype == batch.pos.dtype == np.int32
+        assert batch.ids.tolist() == [3, M.UNK_ID, M.UNK_ID, 5, 7, 8]
+        assert batch.pos.tolist() == [0, 1, 2, 0, 0, 1]
+        assert batch.lengths.tolist() == [3, 1, 2]
+        keys = M.pack_keys([(1, 50), (0,)], cfg)
+        assert keys.ids.tolist() == [3, M.UNK_ID, 2] and keys.pos.tolist() == [0, 1, 0]
+        with pytest.raises(ValueError):
+            M.pack([[1], []], cfg)
+        with pytest.raises(ValueError):
+            M.pack_keys([tuple(range(17))], cfg)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_packed_equals_list_bit_for_bit(self, n_layers, n_heads, dropout):
+        cfg = tiny_config(n_layers=n_layers, n_heads=n_heads, head_dim=8 // n_heads,
+                          lora_dropout=dropout)
+        state = init(cfg, 13)
+        rng = np.random.default_rng(30 + 4 * n_layers + n_heads)
+        cohort = state.with_trainable(rng.normal(0.0, 0.3, size=(3, state.n_trainable)))
+        anchor = rng.normal(0.0, 0.3, size=state.n_trainable)
+        weights = np.array([(0.7, 3.1), (1.0, 1.0), (2.0, 0.5)])
+        # C=3; client 1's group is one window. Ids outside the vocabulary too.
+        lengths = [(5, 16, 2), (1,), (3, 1, 9, 4)]
+        seqs = [rng.integers(-2, cfg.vocab_size + 3, size=t) for ts in lengths for t in ts]
+        labels = rng.integers(0, 2, size=len(seqs))
+        groups = [len(ts) for ts in lengths]
+
+        def run(batch):
+            gens = [np.random.default_rng([7, c]) for c in range(3)]
+            probs, cache = forward(cohort, batch, "train", gens, groups=groups)
+            return probs, backward(cohort, cache, labels, weights, 0.05, anchor)
+
+        want_probs, want_grad = run(seqs)
+        got_probs, got_grad = run(M.pack(seqs, cfg))
+        np.testing.assert_array_equal(got_probs, want_probs)
+        np.testing.assert_array_equal(got_grad, want_grad)
 
 
 class TestGradients:
