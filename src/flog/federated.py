@@ -22,8 +22,7 @@ client keeps its own row of adapters and head, its own class weights and
 its own optimizer step. A client's windows are kept as one flat int32
 token array with their lengths; each epoch is packed once, right after its
 permutation, and a micro-batch is slices of that packing, which a call
-joins with one concatenate per array. The cohort model is bound to the
-round's weight matrix once, and that matrix is updated in place.
+joins with one concatenate per array.
 
 All randomness is derived from the run seed through named sub-streams,
 and each client draws from its own stream in the order it would if
@@ -130,25 +129,22 @@ class LocalData:
         """Convert every window's keys to token ids in one pass.
 
         Raises ValueError naming the client for a window without keys, or,
-        given `max_sequence_length`, one with more keys.
+        given `max_sequence_length`, one with more keys. Without it, a window
+        longer than the model's positions fails in training, at its position
+        lookup.
         """
         keys = [s.key_ids for s in client.sequences]
         labels = np.array([s.label for s in client.sequences])
         lengths = np.fromiter(map(len, keys), np.int64, len(keys))
-        _check_windows(client.client_id, lengths, max_sequence_length)
+        try:
+            model_ops.check_lengths(lengths, max_sequence_length)
+        except ValueError as exc:
+            raise ValueError(f"client {client.client_id}: {exc}") from None
         tokens = token_ids_from_keys(
             np.fromiter(itertools.chain.from_iterable(keys), np.int64), vocab_size
         ).astype(np.int32)
         weights = model_ops.class_weights_from_labels(labels) if keys else (1.0, 1.0)
         return cls(client.client_id, tokens, lengths, labels, weights)
-
-
-def _check_windows(client_id: int, lengths: np.ndarray, max_sequence_length: int | None):
-    if lengths.min(initial=1) < 1:
-        raise ValueError(f"client {client_id}: a window has no keys")
-    if max_sequence_length is not None and lengths.max(initial=0) > max_sequence_length:
-        raise ValueError(f"client {client_id}: a window of {lengths.max()} keys, "
-                         f"longer than max_sequence_length {max_sequence_length}")
 
 
 @dataclass(frozen=True)
@@ -227,8 +223,6 @@ def local_train(
                                                 mcfg.max_sequence_length),))
         rng = [rng]
     members = clients.members
-    for m in members:
-        _check_windows(m.client_id, m.lengths, mcfg.max_sequence_length)
     C, accum, bs = len(members), cfg.grad_accum_steps, cfg.batch_size
     weights = np.array([m.class_weights for m in members])
     n_micro = np.array([cfg.local_epochs * -(-m.n_samples // bs) for m in members], dtype=int)
@@ -249,23 +243,18 @@ def local_train(
     batches = [_micro_batches(m, cfg, g) for m, g in zip(members, rng)]
     W = np.tile(global_flat, (C, 1))
     g = np.zeros_like(W)
-    cohort = base_state.with_trainable(W)  # bound once; calls with every client use it
-    # Until micro-batch n_micro.min() every client is active, and a call's
-    # clients are a slice of the cohort.
-    everyone, n_whole = np.arange(C), n_micro.min(initial=0)
 
     for i in range(n_micro.max(initial=0)):
-        whole = i < n_whole
-        active = everyone if whole else np.flatnonzero(n_micro > i)
+        active = np.flatnonzero(n_micro > i)
         micro = [next(batches[c]) for c in active.tolist()]
         for a, b in model_ops.row_chunks([len(ids) for ids, _, _, _ in micro]):
-            call = slice(a, b) if whole else active[a:b]
+            call = active[a:b]
             sizes = size_table[call, i]
             ids, pos, lengths, labels = map(np.concatenate, zip(*micro[a:b]))
-            state = cohort if whole and b - a == C else base_state.with_trainable(W[call])
+            state = base_state.with_trainable(W[call])
             _, cache = model_ops.forward(
                 state, model_ops.Packed(ids, pos, lengths), "train",
-                rng[call] if whole else [rng[c] for c in call], groups=sizes,
+                [rng[c] for c in call.tolist()], groups=sizes,
             )
             grad = model_ops.backward(
                 state, cache, labels, weights[call], cfg.proximal_mu, global_flat,
@@ -274,12 +263,9 @@ def local_train(
         del micro  # its slices would keep a finished epoch's packing alive
 
         # Clients whose step ends here: every accum-th micro-batch, and the last.
-        if (i + 1) % accum == 0:
-            done = slice(None) if whole else active
-        else:
-            done = np.flatnonzero(n_micro == i + 1)
-            if len(done) == 0:
-                continue
+        done = active if (i + 1) % accum == 0 else active[n_micro[active] == i + 1]
+        if len(done) == 0:
+            continue
         step = i // accum
         step_g = g[done] / k_table[done, step][:, None]
         # The l2 norm of each row, as np.linalg.norm computes it for a vector.

@@ -139,13 +139,16 @@ class _Bound(NamedTuple):
 
     `flat` is the trainable vector as a (C, P) matrix, one row per client;
     `stacks` holds each layer's adapter stacks A (C, 3, r, d) and
-    B (C, 3, d, r); head_w is (C, d) and head_b (C,).
+    B (C, 3, d, r); head_w is (C, d) and head_b (C,). w_cols and b_cols are
+    the head's columns of `flat`, from the layout.
     """
 
     flat: np.ndarray
     stacks: tuple
     head_w: np.ndarray
     head_b: np.ndarray
+    w_cols: slice
+    b_cols: slice
 
 
 class ModelState:
@@ -215,16 +218,16 @@ class ModelState:
     def _bound(self) -> _Bound:
         """Engine views of `trainable`, made on first use by each model object.
 
-        `trainable` is only ever written in place, so the views stay valid:
-        a cohort model bound once per round serves all of its calls.
+        `trainable` is only ever written in place, so the views stay valid,
+        and a `forward` and its `backward` share them.
         """
         cfg = self.config
+        layout = _layout(cfg)
         flat = self.trainable.reshape(-1, self.trainable.shape[-1])
-        n, d = flat.shape[1], cfg.hidden_dim
-        stacks = tuple(_adapter_stacks(flat, layer.adapters, cfg.lora_rank, d)
+        stacks = tuple(_adapter_stacks(flat, layer.adapters, cfg.lora_rank, cfg.hidden_dim)
                        for layer in self.layers)
-        # The head is the last d + 1 trainable columns: head_w, then head_b.
-        return _Bound(flat, stacks, flat[:, n - d - 1:n - 1], flat[:, n - 1])
+        w_cols, b_cols = layout["head_w"][0], layout["head_b"][0]
+        return _Bound(flat, stacks, flat[:, w_cols], flat[:, b_cols.start], w_cols, b_cols)
 
     @property
     def n_trainable(self) -> int:
@@ -413,11 +416,13 @@ class Packed:
         return cls(tokens.take(rows).astype(np.int32, copy=False), pos, lengths)
 
 
-def _check_lengths(lengths: np.ndarray, config: ModelConfig) -> None:
+def check_lengths(lengths: np.ndarray, max_sequence_length: int | None) -> None:
+    """Raise ValueError for an empty sequence, or one longer than max_sequence_length."""
     if lengths.min(initial=1) < 1:
-        raise ValueError("forward requires non-empty sequences")
-    if lengths.max(initial=0) > config.max_sequence_length:
-        raise ValueError("sequence longer than max_sequence_length")
+        raise ValueError("a sequence has no tokens")
+    if max_sequence_length is not None and lengths.max(initial=0) > max_sequence_length:
+        raise ValueError(f"a sequence of {lengths.max()} tokens, "
+                         f"longer than max_sequence_length {max_sequence_length}")
 
 
 def pack(sequences, config: ModelConfig) -> Packed:
@@ -427,7 +432,7 @@ def pack(sequences, config: ModelConfig) -> Packed:
     max_sequence_length.
     """
     lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
-    _check_lengths(lengths, config)
+    check_lengths(lengths, config.max_sequence_length)
     ids = np.asarray(np.concatenate(sequences) if len(sequences) else [], dtype=np.int64)
     ids[(ids < 0) | (ids >= config.vocab_size)] = UNK_ID
     return Packed.gather(ids, lengths.cumsum() - lengths, lengths)
@@ -436,7 +441,7 @@ def pack(sequences, config: ModelConfig) -> Packed:
 def pack_keys(key_sequences, config: ModelConfig) -> Packed:
     """Windows' event-id sequences as one `Packed` batch of token ids."""
     lengths = np.fromiter(map(len, key_sequences), np.int64, len(key_sequences))
-    _check_lengths(lengths, config)
+    check_lengths(lengths, config.max_sequence_length)
     ids = token_ids_from_keys(
         np.fromiter(itertools.chain.from_iterable(key_sequences), np.int64), config.vocab_size
     )
@@ -476,18 +481,8 @@ def _spread(X: np.ndarray, pairs: _Pairs | None, lengths: np.ndarray) -> np.ndar
     return X.repeat(lengths, 0) if pairs is None else X.take(pairs.q, 0)
 
 
-def _equal_runs(bounds) -> bool:
-    """Whether the runs bounds[c]:bounds[c + 1] all have one, positive length."""
-    return bounds[1] > 0 and list(bounds) == list(range(0, bounds[-1] + 1, bounds[1]))
-
-
-# With equal runs, the per-client products below are one stacked matmul:
-# numpy makes the same BLAS call for each client's matrices either way.
-
 def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
     """Rows bounds[c]:bounds[c + 1] of X times M[c], for each client c."""
-    if _equal_runs(bounds):
-        return np.matmul(X.reshape(len(M), bounds[1], -1), M).reshape(len(X), -1)
     out = np.empty((len(X), M.shape[-1]))
     for a, b, m in zip(bounds, bounds[1:], M):
         np.matmul(X[a:b], m, out=out[a:b])
@@ -496,10 +491,6 @@ def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
 
 def _gram_by_client(X: np.ndarray, Y: np.ndarray, bounds, out: np.ndarray) -> None:
     """X^T Y over rows bounds[c]:bounds[c + 1] into out[c], for each client c."""
-    if _equal_runs(bounds):
-        C, n = len(out), bounds[1]
-        np.matmul(X.reshape(C, n, -1).swapaxes(1, 2), Y.reshape(C, n, -1), out=out)
-        return
     for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(X[a:b].T, Y[a:b], out=out[c])
 
@@ -757,8 +748,8 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     # Head: z = h_last . head_w[c] + head_b[c] for each sequence of group c.
     grad = np.zeros((C, n_params))
     firsts = seq_bounds[:-1]
-    grad[:, n_params - d - 1:n_params - 1] = np.add.reduceat(dz[:, None] * h_last, firsts, axis=0)
-    grad[:, n_params - 1:] = np.add.reduceat(dz, firsts)[:, None]
+    grad[:, bound.w_cols] = np.add.reduceat(dz[:, None] * h_last, firsts, axis=0)
+    grad[:, bound.b_cols] = np.add.reduceat(dz, firsts)[:, None]
     dH = dz[:, None] * bound.head_w.repeat(sizes, 0)
 
     for l in reversed(range(cfg.n_layers)):

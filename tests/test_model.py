@@ -99,31 +99,6 @@ class TestAdaptedProjection:
                 want = H[a:b] @ (W + S)
             np.testing.assert_allclose(got[a:b], want, rtol=1e-12)
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_equal_runs_equal_per_client_products_bit_for_bit(self, masked):
-        # Equal runs take one stacked matmul, which must make the same BLAS
-        # call per client as a product per client.
-        rng = np.random.default_rng(9)
-        d, r, alpha, bounds = 8, 2, 16.0, [0, 5, 10, 15, 20]
-        H = rng.normal(size=(20, d))
-        W = rng.normal(size=(d, d))
-        A = rng.normal(size=(4, r, d))
-        B = rng.normal(size=(4, d, r))
-        mask = (rng.random((20, d)) < 0.7) / 0.7 if masked else None
-        got = adapted_projection(H, W, A, B, alpha, r, mask, bounds)
-        S = (alpha / r) * (B @ A)
-        for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            if masked:
-                want = (H @ W)[a:b] + (H * mask)[a:b] @ S[c]
-            else:
-                want = H[a:b] @ (W + S[c])
-            np.testing.assert_array_equal(got[a:b], want)
-        Y = rng.normal(size=(20, 2 * d))
-        G = np.empty((4, d, 2 * d))
-        M._gram_by_client(H, Y, bounds, G)
-        for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            np.testing.assert_array_equal(G[c], H[a:b].T @ Y[a:b])
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             adapted_projection(
