@@ -10,6 +10,17 @@ adjacency the realised denominator n changes too and the bound does not
 hold as stated; ROADMAP.md item 3 tracks the fix. Noise touches only the
 communicated (trainable) coordinates.
 
+What the ledger's (epsilon, delta) covers is the sequence of noised global
+models, one per round. Three things leave the clients outside that
+mechanism and are not covered by it:
+- the vocabulary: one central Drain parse of every client's raw messages
+  gives the template ids, the model's vocabulary size and `templates.tsv`
+  (literal template tokens and per-template counts);
+- each round's row of `rounds.csv`: the realised participant count and
+  the un-noised mean pre-clip norm of the participants' updates;
+- the evaluation: accuracy, P/R/F1 and AUC are computed on held-out
+  windows pooled from every client's nodes.
+
 Every configured round is one release. Participation is exact Poisson
 sampling, each client drawn independently with probability q, so a round
 may draw no client, or only clients without windows. The mean of no
@@ -19,10 +30,11 @@ noise, is accounted and is evaluated like any other.
 A round's participants train as one cohort, in lockstep: micro-batch i of
 every client that has one shares packed forward/backward calls, while each
 client keeps its own row of adapters and head, its own class weights and
-its own optimizer step. A client's windows are kept as one flat int32
-token array with their lengths; each epoch is packed once, right after its
-permutation, and a micro-batch is slices of that packing, which a call
-joins with one concatenate per array.
+its own optimizer step. A client's windows stay in one `model.Packed`
+form from conversion to engine call: packed once per run, reordered once
+per epoch right after its permutation (`Packed.take`), cut into
+micro-batches that view that packing (`Packed.runs`), and joined into a
+call with one concatenate per array (`Packed.join`).
 
 All randomness is derived from the run seed through named sub-streams,
 and each client draws from its own stream in the order it would if
@@ -31,7 +43,6 @@ trained alone, so its update equals its solo training up to rounding.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -42,7 +53,7 @@ import numpy as np
 from . import model as model_ops
 from .accountant import PrivacyLedger
 from .metrics import RoundMetrics, evaluate
-from .model import ModelState, token_ids_from_keys
+from .model import ModelConfig, ModelState
 from .partition import ClientDataset
 
 log = logging.getLogger(__name__)
@@ -107,15 +118,10 @@ def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> l
 
 @dataclass(frozen=True)
 class LocalData:
-    """One client's training windows as token ids, labels and class weights.
-
-    `tokens` holds every window's int32 token ids back to back, in window
-    order, and `lengths` each window's length.
-    """
+    """One client's training windows, packed as token ids, with labels and class weights."""
 
     client_id: int
-    tokens: np.ndarray
-    lengths: np.ndarray
+    windows: model_ops.Packed
     labels: np.ndarray
     class_weights: tuple[float, float]
 
@@ -124,27 +130,20 @@ class LocalData:
         return len(self.labels)
 
     @classmethod
-    def from_client(cls, client: ClientDataset, vocab_size: int,
-                    max_sequence_length: int | None = None) -> "LocalData":
-        """Convert every window's keys to token ids in one pass.
+    def from_client(cls, client: ClientDataset, config: ModelConfig) -> "LocalData":
+        """Pack every window's keys once, as `model.pack_keys` does.
 
-        Raises ValueError naming the client for a window without keys, or,
-        given `max_sequence_length`, one with more keys. Without it, a window
-        longer than the model's positions fails in training, at its position
-        lookup.
+        Raises ValueError naming the client for a window without keys, or
+        with more than the model's max_sequence_length.
         """
         keys = [s.key_ids for s in client.sequences]
-        labels = np.array([s.label for s in client.sequences])
-        lengths = np.fromiter(map(len, keys), np.int64, len(keys))
         try:
-            model_ops.check_lengths(lengths, max_sequence_length)
+            windows = model_ops.pack_keys(keys, config)
         except ValueError as exc:
             raise ValueError(f"client {client.client_id}: {exc}") from None
-        tokens = token_ids_from_keys(
-            np.fromiter(itertools.chain.from_iterable(keys), np.int64), vocab_size
-        ).astype(np.int32)
+        labels = np.array([s.label for s in client.sequences])
         weights = model_ops.class_weights_from_labels(labels) if keys else (1.0, 1.0)
-        return cls(client.client_id, tokens, lengths, labels, weights)
+        return cls(client.client_id, windows, labels, weights)
 
 
 @dataclass(frozen=True)
@@ -159,35 +158,20 @@ class Cohort:
         return sum(m.n_samples for m in self.members)
 
 
-def _pack_epoch(data: LocalData, order: np.ndarray):
-    """The windows in `order` as a `model.Packed`, with their labels and row ends.
-
-    The batch is the one `model.pack` makes of the windows in that order,
-    and row_ends[j] is the number of rows of windows order[:j].
-    """
-    lengths = data.lengths.take(order)
-    starts = (data.lengths.cumsum() - data.lengths).take(order)  # in `tokens`
-    batch = model_ops.Packed.gather(data.tokens, starts, lengths)
-    return batch, data.labels.take(order), np.append(0, lengths.cumsum())
-
-
 def _micro_batches(data: LocalData, cfg: FedConfig, rng: np.random.Generator):
-    """(ids, positions, lengths, labels) of one client's micro-batches, epoch after epoch.
+    """(batch, labels) of one client's micro-batches, epoch after epoch.
 
-    Each epoch is packed once, and a micro-batch is slices of it. Lazy: an
-    epoch's permutation is drawn when its first batch is pulled, after the
-    dropout draws of the previous epoch's last batch.
+    Each epoch is packed once, and its micro-batches are views of it. Lazy:
+    an epoch's permutation is drawn when its first batch is pulled, after
+    the dropout draws of the previous epoch's last batch, and by then the
+    generator holds nothing of the previous epoch's packing.
     """
     n = data.n_samples
+    spans = [(a, min(a + cfg.batch_size, n)) for a in range(0, n, cfg.batch_size)]
     for _ in range(cfg.local_epochs):
-        batch, labels, row_ends = _pack_epoch(data, rng.permutation(n))
-        for a in range(0, n, cfg.batch_size):
-            b = min(a + cfg.batch_size, n)
-            rows = slice(row_ends[a], row_ends[b])
-            yield batch.ids[rows], batch.pos[rows], batch.lengths[a:b], labels[a:b]
-        # Free this epoch's packing before the next one is built: two at
-        # once raise the run's peak memory.
-        del batch, labels, row_ends
+        order = rng.permutation(n)
+        labels = data.labels.take(order)
+        yield from zip(data.windows.take(order).runs(spans), (labels[a:b] for a, b in spans))
 
 
 def local_train(
@@ -216,11 +200,9 @@ def local_train(
     own class weights and its own generator, which it draws in the order of
     a solo run, so its update is its solo update up to rounding.
     """
-    mcfg = base_state.config
     solo = isinstance(clients, ClientDataset)
     if solo:
-        clients = Cohort((LocalData.from_client(clients, mcfg.vocab_size,
-                                                mcfg.max_sequence_length),))
+        clients = Cohort((LocalData.from_client(clients, base_state.config),))
         rng = [rng]
     members = clients.members
     C, accum, bs = len(members), cfg.grad_accum_steps, cfg.batch_size
@@ -235,11 +217,6 @@ def local_train(
     warm = warmup_steps[:, None]
     lr_table = np.where(steps < warm, cfg.learning_rate * ((steps + 1) / np.maximum(warm, 1)),
                         cfg.learning_rate)
-    # Per client and micro-batch: its windows (an epoch's last batch may be short).
-    size_table = np.zeros((C, n_micro.max(initial=0)), dtype=int)
-    for c, m in enumerate(members):
-        per_epoch = np.minimum(bs, m.n_samples - np.arange(0, m.n_samples, bs))
-        size_table[c, :n_micro[c]] = np.tile(per_epoch, cfg.local_epochs)
     batches = [_micro_batches(m, cfg, g) for m, g in zip(members, rng)]
     W = np.tile(global_flat, (C, 1))
     g = np.zeros_like(W)
@@ -247,20 +224,23 @@ def local_train(
     for i in range(n_micro.max(initial=0)):
         active = np.flatnonzero(n_micro > i)
         micro = [next(batches[c]) for c in active.tolist()]
-        for a, b in model_ops.row_chunks([len(ids) for ids, _, _, _ in micro]):
+        for a, b in model_ops.row_chunks([len(batch.ids) for batch, _ in micro]):
             call = active[a:b]
-            sizes = size_table[call, i]
-            ids, pos, lengths, labels = map(np.concatenate, zip(*micro[a:b]))
+            parts, labels = zip(*micro[a:b])
+            sizes = np.array([len(part) for part in parts])
             state = base_state.with_trainable(W[call])
             _, cache = model_ops.forward(
-                state, model_ops.Packed(ids, pos, lengths), "train",
+                state, model_ops.Packed.join(parts), "train",
                 [rng[c] for c in call.tolist()], groups=sizes,
             )
             grad = model_ops.backward(
-                state, cache, labels, weights[call], cfg.proximal_mu, global_flat,
+                state, cache, np.concatenate(labels), weights[call], cfg.proximal_mu,
+                global_flat,
             )
             g[call] += grad / sizes[:, None]
-        del micro  # its slices would keep a finished epoch's packing alive
+        # Their views would keep a finished epoch's packing alive while the
+        # next one is built, and two at once raise the run's peak memory.
+        del micro, parts
 
         # Clients whose step ends here: every accum-th micro-batch, and the last.
         done = active if (i + 1) % accum == 0 else active[n_micro[active] == i + 1]
@@ -342,10 +322,7 @@ class FederatedTrainer:
         self.clients = clients
         self.cfg = cfg
         self.ledger = ledger
-        vocab = state.config.vocab_size
-        self.local_data = [
-            LocalData.from_client(c, vocab, state.config.max_sequence_length) for c in clients
-        ]
+        self.local_data = [LocalData.from_client(c, state.config) for c in clients]
         self.test_tokens = model_ops.pack_keys(test_sequences, state.config)
         self.test_labels = list(test_labels)
         self.server_rng = np.random.default_rng(

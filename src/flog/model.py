@@ -14,12 +14,15 @@ LoRA, 2022, sec. 4.1). A dropout mask drops bypass inputs only, so under
 masks the frozen product and the masked bypass stay separate.
 
 `forward` takes a batch as a `Packed`: the sequences' rows back to back,
-as int32 token ids and positions, with each sequence's length. `pack`
-makes one from token-id sequences and `pack_keys` from windows' event ids;
-both check lengths, so `forward` does not. Matrices derived from the frozen
-weights ([Wq | Wk | Wv] per layer, and the transposes `backward` uses) are
-built once per model and shared by its `with_trainable` clones; they are
-not written to the checkpoint.
+as int32 token ids, with each sequence's length, from which `forward`
+derives each row's position. `pack` makes one from token-id sequences and
+`pack_keys` from windows' event ids; both check lengths, so `forward` does
+not. `Packed.take` reorders a batch's sequences, `Packed.runs` cuts it into
+views of consecutive sequences, and `Packed.join` puts batches back into
+one; training and scoring move windows only in that form. Matrices
+derived from the frozen weights ([Wq | Wk | Wv] per layer, and the
+transposes `backward` uses) are built once per model and shared by its
+`with_trainable` clones; they are not written to the checkpoint.
 
 Token convention: id 0 is PAD (reserved), id 1 is UNK, event id e maps to
 token e + 2. Out-of-range tokens fall back to UNK.
@@ -389,40 +392,52 @@ class Packed:
     """Sequences packed into one batch of rows, as `forward` takes them.
 
     The sequences' rows lie back to back, with no padding: `ids` holds
-    each row's token id, already inside the vocabulary, and `pos` its
-    position in its sequence, both int32; `lengths` holds each sequence's
-    row count. len() is the number of sequences.
+    each row's int32 token id, already inside the vocabulary, and
+    `lengths` each sequence's row count. A row's position in its sequence
+    follows from the lengths, so it is not stored. len() is the number of
+    sequences.
     """
 
-    __slots__ = ("ids", "pos", "lengths")
+    __slots__ = ("ids", "lengths")
 
-    def __init__(self, ids: np.ndarray, pos: np.ndarray, lengths: np.ndarray) -> None:
-        self.ids, self.pos, self.lengths = ids, pos, lengths
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray) -> None:
+        self.ids, self.lengths = ids, lengths
 
     def __len__(self) -> int:
         return len(self.lengths)
 
-    @classmethod
-    def gather(cls, tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> "Packed":
-        """Sequence j is rows starts[j]:starts[j] + lengths[j] of `tokens`, in order.
+    def take(self, order: np.ndarray) -> "Packed":
+        """Sequences order[0], order[1], ... of this batch, packed in that order."""
+        lengths = self.lengths.take(order)
+        # A row keeps its offset in its sequence, so new row r of sequence
+        # j is old row r + (old start of j - new start of j).
+        shift = (self.lengths.cumsum() - self.lengths).take(order) - (lengths.cumsum() - lengths)
+        rows = np.arange(lengths.sum())
+        rows += shift.repeat(lengths)
+        return Packed(self.ids.take(rows), lengths)
 
-        Positions are made in int32 before the one int64 row index, which
-        keeps the temporaries of packing a whole epoch small.
-        """
-        pos = np.arange(lengths.sum(), dtype=np.int32)
-        pos -= (lengths.cumsum() - lengths).astype(np.int32).repeat(lengths)
-        rows = starts.repeat(lengths)
-        rows += pos
-        return cls(tokens.take(rows).astype(np.int32, copy=False), pos, lengths)
+    def runs(self, spans):
+        """For each (a, b) in `spans`, sequences a:b as a batch that views this one."""
+        ends = [0, *self.lengths.cumsum().tolist()]
+        for a, b in spans:
+            yield Packed(self.ids[ends[a]:ends[b]], self.lengths[a:b])
+
+    @staticmethod
+    def join(batches) -> "Packed":
+        """The batches' sequences, in order, as one batch."""
+        return Packed(np.concatenate([b.ids for b in batches]),
+                      np.concatenate([b.lengths for b in batches]))
 
 
-def check_lengths(lengths: np.ndarray, max_sequence_length: int | None) -> None:
-    """Raise ValueError for an empty sequence, or one longer than max_sequence_length."""
+def _lengths(sequences, config: ModelConfig) -> np.ndarray:
+    """Each sequence's length; ValueError for an empty one or one over max_sequence_length."""
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
     if lengths.min(initial=1) < 1:
         raise ValueError("a sequence has no tokens")
-    if max_sequence_length is not None and lengths.max(initial=0) > max_sequence_length:
+    if lengths.max(initial=0) > config.max_sequence_length:
         raise ValueError(f"a sequence of {lengths.max()} tokens, "
-                         f"longer than max_sequence_length {max_sequence_length}")
+                         f"longer than max_sequence_length {config.max_sequence_length}")
+    return lengths
 
 
 def pack(sequences, config: ModelConfig) -> Packed:
@@ -431,21 +446,19 @@ def pack(sequences, config: ModelConfig) -> Packed:
     Raises ValueError for an empty sequence or one longer than
     max_sequence_length.
     """
-    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
-    check_lengths(lengths, config.max_sequence_length)
+    lengths = _lengths(sequences, config)
     ids = np.asarray(np.concatenate(sequences) if len(sequences) else [], dtype=np.int64)
     ids[(ids < 0) | (ids >= config.vocab_size)] = UNK_ID
-    return Packed.gather(ids, lengths.cumsum() - lengths, lengths)
+    return Packed(ids.astype(np.int32), lengths)
 
 
 def pack_keys(key_sequences, config: ModelConfig) -> Packed:
-    """Windows' event-id sequences as one `Packed` batch of token ids."""
-    lengths = np.fromiter(map(len, key_sequences), np.int64, len(key_sequences))
-    check_lengths(lengths, config.max_sequence_length)
+    """Windows' event-id sequences as one `Packed` batch of token ids, checked as `pack`."""
+    lengths = _lengths(key_sequences, config)
     ids = token_ids_from_keys(
         np.fromiter(itertools.chain.from_iterable(key_sequences), np.int64), config.vocab_size
     )
-    return Packed.gather(ids, lengths.cumsum() - lengths, lengths)
+    return Packed(ids.astype(np.int32), lengths)
 
 
 @dataclass(frozen=True)
@@ -529,21 +542,6 @@ def _projection_input_grad(dX, W, S, mask, bounds):
     return dX @ W.T + _by_client(dX, S.swapaxes(-1, -2), bounds) * mask
 
 
-def adapted_projection(H, W, A, B, alpha, r, dropout_mask=None, bounds=None):
-    """H W plus the scaled low-rank bypass (alpha/r) (H o mask) B A.
-
-    A (r, d) and B (d, r) may instead be stacks (C, r, d) and (C, d, r) of
-    one adapter per client; rows bounds[c]:bounds[c + 1] of H then take
-    adapter c. Without a mask the bypass is merged into the weight, so each
-    client's rows take one product H_c (W + (alpha/r) B_c A_c).
-    """
-    if H.shape[1] != W.shape[0] or A.shape[-1] != H.shape[1] or B.shape[-2] != W.shape[1]:
-        raise ValueError("inconsistent shapes in adapted projection")
-    S = (alpha / r) * (B @ A)
-    return _projection(H, W, S.reshape(-1, *S.shape[-2:]), dropout_mask,
-                       (0, len(H)) if bounds is None else bounds)
-
-
 class _LayerCache(NamedTuple):
     """What `backward` needs of one layer's forward pass.
 
@@ -614,14 +612,15 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
     ends = lengths.cumsum()
     starts = ends - lengths
     last = ends - 1
+    pos = np.arange(len(sequences.ids))  # each row's position in its sequence
+    pos -= starts.repeat(lengths)
     # Group c's sequences, and their packed rows, as [start, stop) bounds.
     row_ends = ends.tolist()
     row_bounds = [0, *[row_ends[b - 1] for b in seq_bounds[1:]]]
-    H = (state.frozen["embed"].take(sequences.ids, 0)
-         + state.frozen["pos"].take(sequences.pos, 0))
+    H = state.frozen["embed"].take(sequences.ids, 0) + state.frozen["pos"].take(pos, 0)
 
     layers = []
-    inner = _all_pairs(lengths, starts, sequences.pos) if cfg.n_layers > 1 else None
+    inner = _all_pairs(lengths, starts, pos) if cfg.n_layers > 1 else None
     for l, layer in enumerate(state.layers):
         if l == cfg.n_layers - 1:  # queries: each sequence's last row, keys: its rows
             rows, pairs, q_bounds, q_starts = last, None, seq_bounds, starts
@@ -702,12 +701,9 @@ def score(state: ModelState, sequences) -> list[float]:
     `sequences` is a `Packed` batch or a list of key-id sequences.
     """
     batch = sequences if isinstance(sequences, Packed) else pack(sequences, state.config)
-    lengths = batch.lengths
-    ends = [0, *lengths.cumsum().tolist()]
     out = []
-    for a, b in row_chunks(lengths.tolist()):
-        rows = slice(ends[a], ends[b])
-        out += forward(state, Packed(batch.ids[rows], batch.pos[rows], lengths[a:b]))[0].tolist()
+    for run in batch.runs(row_chunks(batch.lengths.tolist())):
+        out += forward(state, run)[0].tolist()
     return out
 
 

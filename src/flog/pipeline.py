@@ -81,15 +81,27 @@ def parse_corpus(entries: list[datasets.RawEntry], cfg: RunConfig) -> ParsedCorp
 
 
 def build_all_windows(corpus: ParsedCorpus, cfg: RunConfig):
-    """Per-node windows split chronologically into train and test sets."""
+    """Per-node windows split chronologically into train and test sets.
+
+    Each node's last int(n * test_fraction) windows are its test windows.
+    Raises ValueError when that leaves no test window at all, since a run
+    could then not be evaluated.
+    """
     train: list[windows.WindowSequence] = []
     test: list[windows.WindowSequence] = []
+    most = 0
     for node, records in corpus.records_by_node.items():
         ws = windows.build_windows(records, cfg.window)
         n_test = int(len(ws) * cfg.evaluation.test_fraction)
         cut = len(ws) - n_test
         train.extend(ws[:cut])
         test.extend(ws[cut:])
+        most = max(most, len(ws))
+    if not test:
+        raise ValueError(
+            f"no test windows: evaluation.test_fraction {cfg.evaluation.test_fraction} of "
+            f"each node's windows rounds down to 0, and no node has more than {most}"
+        )
     return train, test
 
 

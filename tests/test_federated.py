@@ -331,8 +331,8 @@ class TestEpochPacking:
         keys = [tuple(range(t)) for t in (1, 8, 3, 5, 8, 1, 2, 7, 4, 6, 3)]
         client = ClientDataset(0, [WindowSequence("n0", i, k, i % 3 == 0)
                                    for i, k in enumerate(keys)])
-        data = LocalData.from_client(client, mcfg.vocab_size, mcfg.max_sequence_length)
-        assert data.tokens.dtype == np.int32
+        data = LocalData.from_client(client, mcfg)
+        assert data.windows.ids.dtype == np.int32
         cfg = fed_config(local_epochs=2, batch_size=4)
         tokens = [token_ids_from_keys(k, mcfg.vocab_size) for k in keys]
         labels = np.array([s.label for s in client.sequences])
@@ -351,17 +351,16 @@ class TestEpochPacking:
                 idx = order[a:a + 4]
                 want.append((model_ops.pack([tokens[j] for j in idx], mcfg), labels[idx]))
                 want_rng.random()
-        assert [len(b[2]) for b in got] == [4, 4, 3, 4, 4, 3]
-        for (ids, pos, lengths, batch_labels), (packed, want_labels) in zip(got, want, strict=True):
-            assert ids.dtype == pos.dtype == np.int32
-            np.testing.assert_array_equal(ids, packed.ids)
-            np.testing.assert_array_equal(pos, packed.pos)
-            np.testing.assert_array_equal(lengths, packed.lengths)
+        assert [len(batch) for batch, _ in got] == [4, 4, 3, 4, 4, 3]
+        for (batch, batch_labels), (packed, want_labels) in zip(got, want, strict=True):
+            assert batch.ids.dtype == np.int32
+            np.testing.assert_array_equal(batch.ids, packed.ids)
+            np.testing.assert_array_equal(batch.lengths, packed.lengths)
             np.testing.assert_array_equal(batch_labels, want_labels)
         assert got_rng.random() == want_rng.random()
 
     def test_empty_client_draws_as_before(self):
-        data = LocalData.from_client(ClientDataset(0, []), 10, 8)
+        data = LocalData.from_client(ClientDataset(0, []), tiny_model_config())
         got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
         assert list(federated._micro_batches(data, fed_config(local_epochs=2), got_rng)) == []
         for _ in range(2):
@@ -373,7 +372,7 @@ class TestEpochPacking:
         client = ClientDataset(5, [WindowSequence("n0", 0, (1, 2), 0),
                                    WindowSequence("n0", 1, tuple(range(length)), 1)])
         with pytest.raises(ValueError, match="client 5"):
-            LocalData.from_client(client, 10, 8)
+            LocalData.from_client(client, tiny_model_config())
 
     def test_step_norm_is_numpys_vector_norm(self):
         rng = np.random.default_rng(16)
@@ -417,7 +416,7 @@ class TestCohort:
             return engine(state, sequences, *args, **kwargs)
 
         monkeypatch.setattr(model_ops, "forward", counting_forward)
-        cohort = Cohort(tuple(LocalData.from_client(c, state.config.vocab_size) for c in clients))
+        cohort = Cohort(tuple(LocalData.from_client(c, state.config) for c in clients))
         rngs = [np.random.default_rng(50 + k) for k in range(4)]
         out = local_train(cohort, state, flat, cfg, rngs)
 
@@ -504,7 +503,8 @@ class TestTrainer:
     def test_two_runs_identical(self):
         fc = fed_config(noise_multiplier=0.3, rounds=3)
         t1, t2 = build_trainer(fc), build_trainer(fc)
-        m1, m2 = t1.run(), t2.run()
+        with pytest.warns(UserWarning, match="exceeds target"):
+            m1, m2 = t1.run(), t2.run()
         np.testing.assert_array_equal(
             t1.state.get_trainable(), t2.state.get_trainable()
         )
@@ -513,7 +513,8 @@ class TestTrainer:
     def test_metrics_rows_per_round(self):
         fc = fed_config(rounds=3, noise_multiplier=0.2)
         trainer = build_trainer(fc)
-        metrics = trainer.run()
+        with pytest.warns(UserWarning, match="exceeds target"):
+            metrics = trainer.run()
         assert [m.round for m in metrics] == [0, 1, 2]
         assert all(m.participants >= 1 for m in metrics)
 
@@ -523,7 +524,8 @@ class TestTrainer:
         fc = fed_config(rounds=6, participation_rate=0.01, noise_multiplier=0.5)
         trainer = build_trainer(fc)
         before = trainer.state.get_trainable().copy()
-        metrics = trainer.run()
+        with pytest.warns(UserWarning, match="exceeds target"):
+            metrics = trainer.run()
         assert [m.round for m in metrics] == list(range(6))
         assert trainer.ledger.rounds_completed == 6
         empty = [m for m in metrics if m.participants == 0]
@@ -532,22 +534,23 @@ class TestTrainer:
 
     def test_windows_tokenized_once_per_run(self, monkeypatch):
         calls = []
-        convert = federated.token_ids_from_keys
+        convert = model_ops.token_ids_from_keys
 
         def counting_convert(*args):
             calls.append(1)
             return convert(*args)
 
-        monkeypatch.setattr(federated, "token_ids_from_keys", counting_convert)
         monkeypatch.setattr(model_ops, "token_ids_from_keys", counting_convert)
         trainer = build_trainer(fed_config(rounds=3, noise_multiplier=0.2))
         at_construction = len(calls)
         assert at_construction > 0
-        trainer.run()
+        with pytest.warns(UserWarning, match="exceeds target"):
+            trainer.run()
         assert len(calls) == at_construction
 
     def test_ledger_updated_each_round(self):
         fc = fed_config(rounds=4, noise_multiplier=0.5)
         trainer = build_trainer(fc)
-        trainer.run()
+        with pytest.warns(UserWarning, match="exceeds target"):
+            trainer.run()
         assert trainer.ledger.rounds_completed == 4

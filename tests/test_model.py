@@ -9,7 +9,6 @@ import pytest
 import flog.model as M
 from flog.model import (
     ModelConfig,
-    adapted_projection,
     backward,
     class_weights_from_labels,
     forward,
@@ -65,6 +64,8 @@ class TestTokenMapping:
 
 
 class TestAdaptedProjection:
+    """`model._projection`: the Q/K/V product with each client's LoRA bypass."""
+
     def test_dense_matrix_oracle(self):
         # Random small case equals H (W + (alpha/r) B A) computed densely.
         rng = np.random.default_rng(0)
@@ -73,7 +74,8 @@ class TestAdaptedProjection:
         W = rng.normal(size=(d, d))
         A = rng.normal(size=(r, d))
         B = rng.normal(size=(d, r))
-        got = adapted_projection(H, W, A, B, alpha, r, np.ones((T, d)))
+        S = (alpha / r) * (B @ A)
+        got = M._projection(H, W, S[None], np.ones((T, d)), (0, T))
         want = H @ (W + (alpha / r) * B @ A)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -90,7 +92,7 @@ class TestAdaptedProjection:
         A = rng.normal(size=(3, r, d))
         B = rng.normal(size=(3, d, r))
         mask = (rng.random((11, d)) < 0.7) / 0.7 if masked else None
-        got = adapted_projection(H, W, A, B, alpha, r, mask, bounds)
+        got = M._projection(H, W, (alpha / r) * (B @ A), mask, bounds)
         for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
             S = (alpha / r) * B[c] @ A[c]
             if masked:
@@ -98,13 +100,6 @@ class TestAdaptedProjection:
             else:
                 want = H[a:b] @ (W + S)
             np.testing.assert_allclose(got[a:b], want, rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            adapted_projection(
-                np.ones((2, 4)), np.ones((3, 4)), np.ones((2, 4)),
-                np.ones((4, 2)), 1.0, 2, np.ones((2, 4)),
-            )
 
 
 class TestForward:
@@ -273,16 +268,33 @@ class TestPackedInput:
         cfg = tiny_config()
         batch = M.pack([[3, 40, -1], [5], np.array([7, 8])], cfg)
         assert len(batch) == 3
-        assert batch.ids.dtype == batch.pos.dtype == np.int32
+        assert batch.ids.dtype == np.int32
         assert batch.ids.tolist() == [3, M.UNK_ID, M.UNK_ID, 5, 7, 8]
-        assert batch.pos.tolist() == [0, 1, 2, 0, 0, 1]
         assert batch.lengths.tolist() == [3, 1, 2]
         keys = M.pack_keys([(1, 50), (0,)], cfg)
-        assert keys.ids.tolist() == [3, M.UNK_ID, 2] and keys.pos.tolist() == [0, 1, 0]
+        assert keys.ids.dtype == np.int32
+        assert keys.ids.tolist() == [3, M.UNK_ID, 2] and keys.lengths.tolist() == [2, 1]
         with pytest.raises(ValueError):
             M.pack([[1], []], cfg)
         with pytest.raises(ValueError):
             M.pack_keys([tuple(range(17))], cfg)
+
+    def test_take_runs_and_join(self):
+        cfg = tiny_config()
+        seqs = [[3, 4, 5], [6], [7, 8], [9, 10, 11, 2]]
+        batch = M.pack(seqs, cfg)
+        order = np.array([2, 0, 3, 1])
+        taken, want = batch.take(order), M.pack([seqs[j] for j in order], cfg)
+        assert taken.ids.dtype == np.int32
+        np.testing.assert_array_equal(taken.ids, want.ids)
+        np.testing.assert_array_equal(taken.lengths, want.lengths)
+        runs = list(batch.runs([(0, 1), (1, 3), (3, 4)]))
+        assert [run.ids.tolist() for run in runs] == [[3, 4, 5], [6, 7, 8], [9, 10, 11, 2]]
+        assert [len(run) for run in runs] == [1, 2, 1]
+        assert all(np.shares_memory(run.ids, batch.ids) for run in runs)
+        joined = M.Packed.join(runs)
+        np.testing.assert_array_equal(joined.ids, batch.ids)
+        np.testing.assert_array_equal(joined.lengths, batch.lengths)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("n_heads", [1, 2])

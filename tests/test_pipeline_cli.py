@@ -151,6 +151,23 @@ class TestRunPipeline:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "stage 'window' failed" in capsys.readouterr().err
 
+    def test_empty_test_split_fails_in_window_stage(self, tmp_path, capsys):
+        # 40 lines make one or two windows per node, and a fifth of that
+        # rounds down to no test window anywhere. Both commands stop in the
+        # window stage, before anything is trained or loaded, and say why.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(small_doc(tmp_path / "out", n_lines=40)))
+        assert main(["train", "--config", str(path)]) == 1
+        assert "stage 'window' failed: no test windows" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not any((out / name).exists() for name in ARTIFACTS[1:])
+        # evaluate reads the corpus once its checkpoint and last round read.
+        init(ModelConfig(vocab_size=3), 0).save(out / "model.ckpt")
+        (out / "rounds.csv").write_text(
+            "round,participants,eps_spent\n0,1,0.5\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert "stage 'window' failed: no test windows" in capsys.readouterr().err
+
     def test_unreadable_dataset_names_ingest_stage(self, tmp_path, capsys):
         # A directory passes the load-time existence check and fails on read.
         path = log_file_config(tmp_path, "thunderbird", tmp_path)
