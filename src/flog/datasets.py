@@ -10,7 +10,9 @@ rare templates so that desk-scale detection is learnable by construction.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -122,7 +124,12 @@ def transition_cdf(trans: np.ndarray) -> list[list[float]]:
     return cdf.tolist()
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
+# Lines rendered from one slice of the columns: enough to amortise the
+# slicing, few enough that the slice's Python ints take little memory.
+_RENDER_ROWS = 4096
+
+
+class SyntheticCorpus:
     """Deterministic synthetic corpus, time-sorted across nodes.
 
     Normal traffic follows a fixed per-node Markov chain over the normal
@@ -131,52 +138,86 @@ def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
     (failure-cascade style), scheduled deterministically per node with a
     phase stagger so the line-level anomaly fraction approximates
     anomaly_rate at any corpus size.
+
+    Each line is kept as ints in compact columns (epoch, message head,
+    numeric parameter, node), and only iteration renders it into a
+    RawEntry, one at a time, so no message string outlives its consumer.
+    max_samples keeps a prefix of the time-sorted corpus, and len() is the
+    number of lines kept.
     """
-    rng = np.random.default_rng(spec.seed)
-    normal_ids = [t for t in range(spec.n_templates) if t not in spec.anomaly_template_ids]
-    if not normal_ids:
-        raise ValueError("at least one normal template required")
-    anomaly_ids = sorted(spec.anomaly_template_ids)
 
-    # Row-stochastic transition matrix over normal templates, fixed per run.
-    n = len(normal_ids)
-    cdf_rows = transition_cdf(rng.dirichlet(np.ones(n), size=n))
-    # Bursts of exactly mean_burst_length anomaly lines recur every
-    # burst_every lines of a node, staggered across nodes, so the realized
-    # anomaly fraction tracks anomaly_rate tightly at any corpus size.
-    # burst_every > mean_burst_length, so a burst ends before the next starts.
-    burst_every = max(
-        spec.mean_burst_length + 1,
-        int(round(spec.mean_burst_length / spec.anomaly_rate)),
-    )
-    # Message heads and node names are fixed per run; each message adds one
-    # variable field, so Drain sees a parameter position.
-    normal_heads = [f"daemon proc-{_template_tag(t)} reported event code " for t in normal_ids]
-    anomaly_heads = [f"daemon proc-{_template_tag(t)} fatal fault detected unit " for t in anomaly_ids]
-    node_names = [f"node{node:03d}" for node in range(spec.n_nodes)]
+    def __init__(self, spec: SyntheticSpec, max_samples: int | None = None) -> None:
+        rng = np.random.default_rng(spec.seed)
+        normal_ids = [t for t in range(spec.n_templates) if t not in spec.anomaly_template_ids]
+        if not normal_ids:
+            raise ValueError("at least one normal template required")
+        anomaly_ids = sorted(spec.anomaly_template_ids)
 
-    node_clock = [1_131_566_461.0] * spec.n_nodes
-    node_state = [int(rng.integers(n)) for _ in range(spec.n_nodes)]
-    entries: list[RawEntry] = []
-    for line_idx in range(spec.n_lines):
-        k, node = divmod(line_idx, spec.n_nodes)  # the node's k-th line
-        phase = node * burst_every // spec.n_nodes
-        anomalous = k >= phase and (k - phase) % burst_every < spec.mean_burst_length
-        # Failure cascades pour in quickly: bursts are dense in time.
-        gap = spec.mean_gap_seconds / 20.0 if anomalous else spec.mean_gap_seconds
-        node_clock[node] += rng.exponential(gap)
-        if anomalous:
-            head = anomaly_heads[int(rng.integers(len(anomaly_ids)))]
-            label = "FAILURE"
-            message = f"{head}{int(rng.integers(1000, 100000))}"
-        else:
-            state = bisect_right(cdf_rows[node_state[node]], rng.random())
-            node_state[node] = state
-            label = "-"
-            message = f"{normal_heads[state]}{int(rng.integers(1000, 100000))} status ok"
-        entries.append(RawEntry(label, int(node_clock[node]), node_names[node], message))
-    entries.sort(key=lambda e: e.epoch_seconds)
-    return entries
+        # Row-stochastic transition matrix over normal templates, fixed per run.
+        n = len(normal_ids)
+        cdf_rows = transition_cdf(rng.dirichlet(np.ones(n), size=n))
+        # Bursts of exactly mean_burst_length anomaly lines recur every
+        # burst_every lines of a node, staggered across nodes, so the realized
+        # anomaly fraction tracks anomaly_rate tightly at any corpus size.
+        # burst_every > mean_burst_length, so a burst ends before the next starts.
+        burst_every = max(
+            spec.mean_burst_length + 1,
+            int(round(spec.mean_burst_length / spec.anomaly_rate)),
+        )
+        # Message heads and node names are fixed per run; each message adds one
+        # variable field, so Drain sees a parameter position. Head h is
+        # (label, text before the field, text after it); the anomaly heads
+        # come after the normal ones.
+        self._heads = [
+            ("-", f"daemon proc-{_template_tag(t)} reported event code ", " status ok")
+            for t in normal_ids
+        ] + [
+            ("FAILURE", f"daemon proc-{_template_tag(t)} fatal fault detected unit ", "")
+            for t in anomaly_ids
+        ]
+        self._node_names = [f"node{node:03d}" for node in range(spec.n_nodes)]
+
+        node_clock = [1_131_566_461.0] * spec.n_nodes
+        node_state = [int(rng.integers(n)) for _ in range(spec.n_nodes)]
+        # array.append costs a fifth of a numpy item assignment and keeps
+        # each value as a C int, not a Python object.
+        epochs, heads, params = array("q"), array("i"), array("i")
+        for line_idx in range(spec.n_lines):
+            k, node = divmod(line_idx, spec.n_nodes)  # the node's k-th line
+            phase = node * burst_every // spec.n_nodes
+            anomalous = k >= phase and (k - phase) % burst_every < spec.mean_burst_length
+            # Failure cascades pour in quickly: bursts are dense in time.
+            gap = spec.mean_gap_seconds / 20.0 if anomalous else spec.mean_gap_seconds
+            node_clock[node] += rng.exponential(gap)
+            if anomalous:
+                head = n + int(rng.integers(len(anomaly_ids)))
+            else:
+                head = node_state[node] = bisect_right(cdf_rows[node_state[node]], rng.random())
+            epochs.append(int(node_clock[node]))
+            heads.append(head)
+            params.append(int(rng.integers(1000, 100000)))
+        # A stable sort, as list.sort is: equal epochs keep generation order.
+        order = np.argsort(epochs, kind="stable")[:max_samples]
+        self._columns = (
+            *(np.asarray(column)[order] for column in (epochs, heads, params)),
+            (order % spec.n_nodes).astype(np.int32),
+        )
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[RawEntry]:
+        heads, node_names = self._heads, self._node_names
+        for a in range(0, len(self), _RENDER_ROWS):
+            for epoch, h, param, node in zip(*(c[a:a + _RENDER_ROWS].tolist()
+                                              for c in self._columns)):
+                label, before, after = heads[h]
+                yield RawEntry(label, epoch, node_names[node], f"{before}{param}{after}")
+
+
+def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
+    """The whole synthetic corpus as a list of entries (see SyntheticCorpus)."""
+    return list(SyntheticCorpus(spec))
 
 
 def read_log_file(path, fmt: str, max_samples: int | None = None,

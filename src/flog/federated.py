@@ -307,7 +307,11 @@ def add_noise(
 
 
 class FederatedTrainer:
-    """Runs Algorithm phases broadcast / local train / clip / aggregate / noise."""
+    """Runs Algorithm phases broadcast / local train / clip / aggregate / noise.
+
+    It keeps the windows only packed (`local_data`, `test_tokens`), not the
+    client datasets or window lists it was built from.
+    """
 
     def __init__(
         self,
@@ -319,7 +323,6 @@ class FederatedTrainer:
         ledger: PrivacyLedger,
     ) -> None:
         self.state = state
-        self.clients = clients
         self.cfg = cfg
         self.ledger = ledger
         self.local_data = [LocalData.from_client(c, state.config) for c in clients]

@@ -8,6 +8,7 @@ re-run with the same seed reproduces them.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
@@ -40,23 +41,21 @@ class ParsedCorpus:
         return len(self.parser.templates)
 
 
-def load_entries(cfg: RunConfig) -> list[datasets.RawEntry]:
+def load_entries(cfg: RunConfig) -> datasets.SyntheticCorpus | list[datasets.RawEntry]:
     ds = cfg.dataset
     if ds.format == "synthetic":
         # The synthetic corpus is seeded by its own spec so the dataset stays
-        # fixed while --seed varies the training randomness.
-        entries = datasets.generate_synthetic(ds.synthetic)
-        if ds.max_samples is not None:
-            entries = entries[: ds.max_samples]
-    else:
-        counts: dict[str, int] = {}
-        entries = list(datasets.read_log_file(ds.path, ds.format, ds.max_samples, counts))
-        log.info("read %d lines from %s; skipped %d malformed",
-                 counts["lines"], ds.path, counts["malformed"])
+        # fixed while --seed varies the training randomness. Its lines stay
+        # compact columns until Drain reads them.
+        return datasets.SyntheticCorpus(ds.synthetic, ds.max_samples)
+    counts: dict[str, int] = {}
+    entries = list(datasets.read_log_file(ds.path, ds.format, ds.max_samples, counts))
+    log.info("read %d lines from %s; skipped %d malformed",
+             counts["lines"], ds.path, counts["malformed"])
     return entries
 
 
-def parse_corpus(entries: list[datasets.RawEntry], cfg: RunConfig) -> ParsedCorpus:
+def parse_corpus(entries: Iterable[datasets.RawEntry], cfg: RunConfig) -> ParsedCorpus:
     """Drain over the messages in file order, then each node's records by time.
 
     A node whose lines arrived out of order is stable-sorted by timestamp,
@@ -150,41 +149,56 @@ def read_corpus(cfg: RunConfig) -> ParsedCorpus:
     return corpus
 
 
-def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _front_end(cfg: RunConfig, out: Path):
+    """Ingest, parse (writing templates.tsv) and window the corpus.
 
+    Returns the template count, the train and test windows and the node
+    list, and nothing of the parsed corpus: its per-line records are freed
+    when this returns.
+    """
     corpus = read_corpus(cfg)
     with _stage("parse"):
         drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
-
     with _stage("window"):
         train_windows, test_windows = build_all_windows(corpus, cfg)
     log.info("built %d train / %d test windows", len(train_windows), len(test_windows))
+    return corpus.n_templates, train_windows, test_windows, list(corpus.records_by_node)
 
+
+def _trainer(cfg: RunConfig, seed: int, out: Path) -> federated.FederatedTrainer:
+    """The run's trainer, over the partitioned windows (writing assignment.tsv).
+
+    The trainer packs the windows it needs, so the windows and the client
+    datasets are freed when this returns, before training starts.
+    """
+    n_templates, train_windows, test_windows, nodes = _front_end(cfg, out)
     with _stage("partition"):
-        nodes = list(corpus.records_by_node)
         assignment = partition.round_robin_assign(nodes, cfg.federated.k_clients)
         clients = partition.materialize(train_windows, assignment, cfg.federated.k_clients)
         partition.write_assignment_dump(assignment, out / "assignment.tsv")
-
     with _stage("train"):
-        state = init_model(cfg, corpus.n_templates, seed)
-        ledger = privacy_ledger(cfg)
-        trainer = federated.FederatedTrainer(
-            state,
+        return federated.FederatedTrainer(
+            init_model(cfg, n_templates, seed),
             clients,
             [w.key_ids for w in test_windows],
             [w.label for w in test_windows],
             replace(cfg.federated, seed=seed),
-            ledger,
+            privacy_ledger(cfg),
         )
+
+
+def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    trainer = _trainer(cfg, seed, out)
+    with _stage("train"):
         metrics = trainer.run()
 
     with open(out / "rounds.csv", "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for m in metrics:
             fh.write(csv_row(m) + "\n")
-    (out / "ledger.txt").write_text(ledger.dump(), encoding="utf-8")
-    state.save(out / "model.ckpt")
+    (out / "ledger.txt").write_text(trainer.ledger.dump(), encoding="utf-8")
+    trainer.state.save(out / "model.ckpt")
     return metrics

@@ -433,9 +433,10 @@ class TestCohort:
             assert got.pre_clip_norm == pytest.approx(want.pre_clip_norm, rel=1e-9, abs=0.0)
 
 
-def build_trainer(fc, model_seed=0, n_per_client=6, sigma=None):
+def build_trainer(fc, model_seed=0, n_per_client=6, sigma=None, clients=None):
     state = init(tiny_model_config(), model_seed)
-    clients = [mk_client(k, n_per_client, seed=20 + k) for k in range(fc.k_clients)]
+    if clients is None:
+        clients = [mk_client(k, n_per_client, seed=20 + k) for k in range(fc.k_clients)]
     test = mk_client(99, 10, seed=30)
     ledger = PrivacyLedger(
         target_epsilon=10.0,
@@ -466,9 +467,11 @@ class TestTrainer:
         import warnings as _w
         with _w.catch_warnings():
             _w.simplefilter("ignore")
-            trainer = build_trainer(fc)
+            # The trainer keeps only the packed windows, so the reference
+            # reads the client it was given.
+            client = mk_client(0, 6, seed=20)
+            trainer = build_trainer(fc, clients=[client])
             reference = init(tiny_model_config(), 0)
-            client = trainer.clients[0]
             vocab = reference.config.vocab_size
             seqs = [token_ids_from_keys(s.key_ids, vocab) for s in client.sequences]
             labels = [s.label for s in client.sequences]

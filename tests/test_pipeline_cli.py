@@ -1,18 +1,22 @@
 """End-to-end pipeline orchestration and the command-line interface."""
 
+import gc
 import logging
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
 import yaml
 
 import flog
+from flog import federated, partition, pipeline
 from flog.cli import main
 from flog.config import load_config
+from flog.datasets import generate_synthetic
 from flog.model import ModelConfig, init
 from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
 
@@ -201,6 +205,55 @@ class TestRunPipeline:
         ledger = (tmp_path / "out" / "ledger.txt").read_text()
         assert "rounds=10" in ledger
         assert ledger == capsys.readouterr().out
+
+    def test_no_per_line_object_survives_into_training(self, cfg_path, monkeypatch):
+        # The parsed corpus goes once the windows are built, and the client
+        # datasets once the trainer has packed them: training starts with
+        # none of them alive.
+        refs = []
+
+        def watched(fn):
+            def wrapper(*args):
+                result = fn(*args)
+                refs.extend(map(weakref.ref, result if isinstance(result, list) else [result]))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "read_corpus", watched(pipeline.read_corpus))
+        monkeypatch.setattr(partition, "materialize", watched(partition.materialize))
+        train = federated.FederatedTrainer.run
+        alive_at_training = []
+
+        def run(trainer):
+            gc.collect()
+            alive_at_training.extend(type(r()).__name__ for r in refs if r() is not None)
+            return train(trainer)
+
+        monkeypatch.setattr(federated.FederatedTrainer, "run", run)
+        cfg = load_config(cfg_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_pipeline(cfg, seed=0)
+        assert len(refs) == 1 + cfg.federated.k_clients
+        assert alive_at_training == []
+
+
+class TestSyntheticEntries:
+    def test_len_is_the_lines_iterated(self, cfg_path):
+        cfg = load_config(cfg_path)
+        entries = load_entries(cfg)
+        assert len(entries) == sum(1 for _ in entries) == cfg.dataset.synthetic.n_lines
+        assert list(entries) == generate_synthetic(cfg.dataset.synthetic)
+
+    def test_max_samples_keeps_a_time_sorted_prefix(self, tmp_path):
+        doc = small_doc(tmp_path / "out")
+        doc["dataset"]["max_samples"] = 1234
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        cfg = load_config(path)
+        entries = load_entries(cfg)
+        assert len(entries) == 1234
+        assert list(entries) == generate_synthetic(cfg.dataset.synthetic)[:1234]
 
 
 def log_file_config(tmp_path, fmt, log_path):
