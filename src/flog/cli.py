@@ -41,12 +41,12 @@ def cmd_synth(args, cfg) -> int:
     if cfg.dataset.format != "synthetic":
         raise ValueError(f"flog synth needs dataset.format synthetic, got {cfg.dataset.format!r}")
     out = _out_dir(cfg)
-    entries = datasets.generate_synthetic(cfg.dataset.synthetic)
+    corpus = datasets.SyntheticCorpus(cfg.dataset.synthetic)
     path = out / "synthetic.log"
     with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
+        for e in corpus:  # one line rendered at a time
             fh.write(datasets.encode_line(e) + "\n")
-    print(f"wrote {len(entries)} lines to {path}")
+    print(f"wrote {len(corpus)} lines to {path}")
     return 0
 
 

@@ -215,11 +215,6 @@ class SyntheticCorpus:
                 yield RawEntry(label, epoch, node_names[node], f"{before}{param}{after}")
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[RawEntry]:
-    """The whole synthetic corpus as a list of entries (see SyntheticCorpus)."""
-    return list(SyntheticCorpus(spec))
-
-
 def read_log_file(path, fmt: str, max_samples: int | None = None,
                   counts: dict[str, int] | None = None):
     """Yield the RawEntry of each line; blank and malformed lines are skipped.

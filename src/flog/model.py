@@ -19,10 +19,10 @@ derives each row's position. `pack` makes one from token-id sequences and
 `pack_keys` from windows' event ids; both check lengths, so `forward` does
 not. `Packed.take` reorders a batch's sequences, `Packed.runs` cuts it into
 views of consecutive sequences, and `Packed.join` puts batches back into
-one; training and scoring move windows only in that form. Matrices
-derived from the frozen weights ([Wq | Wk | Wv] per layer, and the
-transposes `backward` uses) are built once per model and shared by its
-`with_trainable` clones; they are not written to the checkpoint.
+one; training and scoring move windows only in that form. Each layer's
+Wq, Wk and Wv are column views of one stored [Wq | Wk | Wv], shared by a
+model's `with_trainable` clones, so every weight has one home that the
+engine and checkpoint loads both use.
 
 Token convention: id 0 is PAD (reserved), id 1 is UNK, event id e maps to
 token e + 2. Out-of-range tokens fall back to UNK.
@@ -118,47 +118,13 @@ def token_ids_from_keys(key_ids, vocab_size: int) -> np.ndarray:
     return ids
 
 
-class _Layer(NamedTuple):
-    """One layer's frozen weights in the forms the engine uses.
-
-    W is [Wq | Wk | Wv], (d, 3d); the model's Wq, Wk and Wv tensors are
-    views of its column blocks, so a checkpoint load updates it too. The
-    transposes are views. `adapters` is the first column of the layer's
-    adapters in the trainable vector.
-    """
-
-    W: np.ndarray
-    Wo: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
-    WoT: np.ndarray
-    W1T: np.ndarray
-    W2T: np.ndarray
-    adapters: int
-
-
-class _Bound(NamedTuple):
-    """The views of a model's trainable weights that the engine reads.
-
-    `flat` is the trainable vector as a (C, P) matrix, one row per client;
-    `stacks` holds each layer's adapter stacks A (C, 3, r, d) and
-    B (C, 3, d, r); head_w is (C, d) and head_b (C,). w_cols and b_cols are
-    the head's columns of `flat`, from the layout.
-    """
-
-    flat: np.ndarray
-    stacks: tuple
-    head_w: np.ndarray
-    head_b: np.ndarray
-    w_cols: slice
-    b_cols: slice
-
-
 class ModelState:
     """Frozen base weights plus trainable adapters and classifier head.
 
     The adapters, head_w and head_b are views into one flat float64 vector,
-    `trainable`, which is what training, clipping and noise act on.
+    `trainable`, which is what training, clipping and noise act on. `qkv`
+    holds each layer's [Wq | Wk | Wv], (d, 3d), of whose column blocks the
+    `frozen` entries Wq, Wk and Wv are views.
     """
 
     def __init__(self, config: ModelConfig, seed: int) -> None:
@@ -171,20 +137,16 @@ class ModelState:
         def frozen(*shape):
             return rng.normal(0.0, 0.02, size=shape)
 
-        layout = _layout(config)
         self.frozen: dict[str, np.ndarray] = {"embed": frozen(V, d), "pos": frozen(P, d)}
-        layers = []
-        for l in range(L):
-            W = np.empty((d, 3 * d))
+        self.qkv = tuple(np.empty((d, 3 * d)) for _ in range(L))
+        for l, W in enumerate(self.qkv):
             for i, p in enumerate(_PROJ):
                 W[:, i * d:(i + 1) * d] = frozen(d, d)
                 self.frozen[f"W{p}_{l}"] = W[:, i * d:(i + 1) * d]
-            Wo = self.frozen[f"Wo_{l}"] = frozen(d, d)
-            W1 = self.frozen[f"W1_{l}"] = frozen(d, f)
-            W2 = self.frozen[f"W2_{l}"] = frozen(f, d)
-            layers.append(_Layer(W, Wo, W1, W2, Wo.T, W1.T, W2.T, layout[f"Aq_{l}"][0].start))
-        self.layers = tuple(layers)
-        self.trainable = np.zeros(sum(math.prod(shape) for _, shape in layout.values()))
+            self.frozen[f"Wo_{l}"] = frozen(d, d)
+            self.frozen[f"W1_{l}"] = frozen(d, f)
+            self.frozen[f"W2_{l}"] = frozen(f, d)
+        self.trainable = np.zeros(sum(math.prod(shape) for _, shape in _layout(config).values()))
 
         # B = 0 makes the adapted model identical to the base model at init.
         adapters = self.adapters
@@ -217,21 +179,6 @@ class ModelState:
     def head_b(self) -> np.ndarray:
         return self._views()["head_b"]
 
-    @functools.cached_property
-    def _bound(self) -> _Bound:
-        """Engine views of `trainable`, made on first use by each model object.
-
-        `trainable` is only ever written in place, so the views stay valid,
-        and a `forward` and its `backward` share them.
-        """
-        cfg = self.config
-        layout = _layout(cfg)
-        flat = self.trainable.reshape(-1, self.trainable.shape[-1])
-        stacks = tuple(_adapter_stacks(flat, layer.adapters, cfg.lora_rank, cfg.hidden_dim)
-                       for layer in self.layers)
-        w_cols, b_cols = layout["head_w"][0], layout["head_b"][0]
-        return _Bound(flat, stacks, flat[:, w_cols], flat[:, b_cols.start], w_cols, b_cols)
-
     @property
     def n_trainable(self) -> int:
         return self.trainable.shape[-1]
@@ -253,8 +200,8 @@ class ModelState:
         """
         clone = ModelState.__new__(ModelState)
         clone.config = self.config
-        clone.frozen = self.frozen  # frozen weights are shared, never mutated
-        clone.layers = self.layers
+        clone.frozen = self.frozen  # shared, so a checkpoint load reaches every clone
+        clone.qkv = self.qkv
         clone.trainable = trainable
         return clone
 
@@ -264,11 +211,7 @@ class ModelState:
     # -- checkpoint io ------------------------------------------------------
 
     def all_tensors(self) -> dict[str, np.ndarray]:
-        out = dict(self.frozen)
-        out.update(self.adapters)
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
-        return out
+        return {**self.frozen, **self._views()}
 
     def save(self, path) -> None:
         """Layout manifest (JSON) followed by the flat little-endian f64 vector."""
@@ -382,10 +325,11 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 # from each projection's masked bypass (H o M)_c S_c, Q is computed on the
 # query rows only, and K and V share one frozen product H [Wk | Wv].
 #
-# Everything that depends only on the frozen weights is built once per
-# model and shared by its `with_trainable` clones (`ModelState.layers`), and
-# lengths are checked when a batch is packed, so a call of `forward` or
-# `backward` does the batch's arithmetic and little else.
+# The engine reads the weights where the model holds them: the frozen
+# tensors by name, [Wq | Wk | Wv] from `ModelState.qkv`, and the adapters and
+# head as views of `trainable` through one layout lookup per call. Lengths
+# are checked when a batch is packed, so a call of `forward` or `backward`
+# does the batch's arithmetic and little else.
 
 
 class Packed:
@@ -594,8 +538,9 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
         sequences = pack([sequences] if single else sequences, cfg)
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    bound = state._bound
-    C = len(bound.flat)
+    layout, frozen = _layout(cfg), state.frozen
+    flat = state.trainable.reshape(-1, state.trainable.shape[-1])
+    C = len(flat)
     sizes = np.asarray([len(sequences)] if groups is None else groups)
     counts = sizes.tolist()
     seq_bounds = [0, *itertools.accumulate(counts)]
@@ -606,7 +551,7 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
     if dropout and any(g is None for g in rngs):
         raise ValueError("train mode with dropout requires an rng")
     keep = 1.0 - cfg.lora_dropout
-    n_heads, d_k, d = cfg.n_heads, cfg.head_dim, cfg.hidden_dim
+    n_heads, d_k, d, r = cfg.n_heads, cfg.head_dim, cfg.hidden_dim, cfg.lora_rank
 
     lengths = sequences.lengths
     ends = lengths.cumsum()
@@ -617,18 +562,18 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
     # Group c's sequences, and their packed rows, as [start, stop) bounds.
     row_ends = ends.tolist()
     row_bounds = [0, *[row_ends[b - 1] for b in seq_bounds[1:]]]
-    H = state.frozen["embed"].take(sequences.ids, 0) + state.frozen["pos"].take(pos, 0)
+    H = frozen["embed"].take(sequences.ids, 0) + frozen["pos"].take(pos, 0)
 
     layers = []
     inner = _all_pairs(lengths, starts, pos) if cfg.n_layers > 1 else None
-    for l, layer in enumerate(state.layers):
+    for l, W in enumerate(state.qkv):
         if l == cfg.n_layers - 1:  # queries: each sequence's last row, keys: its rows
             rows, pairs, q_bounds, q_starts = last, None, seq_bounds, starts
             Hq = H.take(last, 0)
         else:
             rows, pairs, q_bounds, q_starts = None, inner, row_bounds, inner.starts
             Hq = H
-        A, B = bound.stacks[l]
+        A, B = _adapter_stacks(flat, layout[f"Aq_{l}"][0].start, r, d)
         S = np.empty((C, d, 3 * d))
         np.matmul(B, A, out=_blocks(S))
         S *= cfg.scale
@@ -640,13 +585,13 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
                                     for g, a, b in zip(rngs, bounds, bounds[1:])])
                 masks.append((u < keep) / keep)
         if masks is None:  # one product per client with [Wq + S_q | Wk + S_k | Wv + S_v]
-            QKV = _by_client(H, layer.W + S, row_bounds)
+            QKV = _projection(H, W, S, None, row_bounds)
             Q, K, V = QKV[:, :d], QKV[:, d:2 * d], QKV[:, 2 * d:]
             if rows is not None:
                 Q = Q.take(rows, 0)
         else:  # Q on its rows; one frozen product for K and V, then each masked bypass
-            Q = _projection(Hq, layer.W[:, :d], S[..., :d], masks[0], q_bounds)
-            KV = H @ layer.W[:, d:]
+            Q = _projection(Hq, W[:, :d], S[..., :d], masks[0], q_bounds)
+            KV = H @ W[:, d:]
             K = KV[:, :d] + _by_client(H * masks[1], S[..., d:2 * d], row_bounds)
             V = KV[:, d:] + _by_client(H * masks[2], S[..., 2 * d:], row_bounds)
         # Per-pair rows of Q, K and V, split into heads.
@@ -659,13 +604,13 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
         E = np.exp(scores - _spread(np.maximum.reduceat(scores, q_starts, axis=0), pairs, lengths))
         P = E / _spread(np.add.reduceat(E, q_starts, axis=0), pairs, lengths)
         O = np.add.reduceat(P[:, :, None] * Vp, q_starts, axis=0)
-        H1 = Hq + O.reshape(len(Hq), -1) @ layer.Wo
-        Z = H1 @ layer.W1
+        H1 = Hq + O.reshape(len(Hq), -1) @ frozen[f"Wo_{l}"]
+        Z = H1 @ frozen[f"W1_{l}"]
         layers.append(_LayerCache(H, Hq, rows, pairs, q_bounds, S, masks, Qp, Kp, Vp, P, Z))
-        H = H1 + np.maximum(Z, 0.0) @ layer.W2
+        H = H1 + np.maximum(Z, 0.0) @ frozen[f"W2_{l}"]
 
-    z = _by_client(H, bound.head_w.reshape(C, d, 1), seq_bounds)[:, 0]
-    y_hat = 1.0 / (1.0 + np.exp(-(z + bound.head_b.repeat(sizes))))
+    z = _by_client(H, flat[:, layout["head_w"][0]].reshape(C, d, 1), seq_bounds)[:, 0]
+    y_hat = 1.0 / (1.0 + np.exp(-(z + flat[:, layout["head_b"][0].start].repeat(sizes))))
     cache = _Cache(layers, sizes, seq_bounds, row_bounds, lengths, starts, H, y_hat)
     return (y_hat[0] if single else y_hat), cache
 
@@ -734,8 +679,9 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     n_heads, d_k, d, r = cfg.n_heads, cfg.head_dim, cfg.hidden_dim, cfg.lora_rank
     sizes, seq_bounds, lengths, h_last, y_hat = (
         cache.sizes, cache.seq_bounds, cache.lengths, cache.h_last, cache.y_hat)
-    bound = state._bound
-    C, n_params = bound.flat.shape
+    layout, frozen = _layout(cfg), state.frozen
+    flat = state.trainable.reshape(-1, state.trainable.shape[-1])
+    C, n_params = flat.shape
     weights = np.asarray(class_weights, dtype=float).reshape(-1, 2)
     w0, w1 = (weights if len(weights) == 1 else weights.repeat(sizes, 0)).T
     y = np.asarray(y, dtype=float)
@@ -744,19 +690,20 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     # Head: z = h_last . head_w[c] + head_b[c] for each sequence of group c.
     grad = np.zeros((C, n_params))
     firsts = seq_bounds[:-1]
-    grad[:, bound.w_cols] = np.add.reduceat(dz[:, None] * h_last, firsts, axis=0)
-    grad[:, bound.b_cols] = np.add.reduceat(dz, firsts)[:, None]
-    dH = dz[:, None] * bound.head_w.repeat(sizes, 0)
+    w_cols, b_cols = layout["head_w"][0], layout["head_b"][0]
+    grad[:, w_cols] = np.add.reduceat(dz[:, None] * h_last, firsts, axis=0)
+    grad[:, b_cols] = np.add.reduceat(dz, firsts)[:, None]
+    dH = dz[:, None] * flat[:, w_cols].repeat(sizes, 0)
 
     for l in reversed(range(cfg.n_layers)):
-        layer, lc = state.layers[l], cache.layers[l]
+        lc = cache.layers[l]
         pairs, rows = lc.pairs, lc.rows
         q_starts = cache.starts if pairs is None else pairs.starts
         # FFN: H_out = H1 + relu(H1 W1) W2
-        dZ = (dH @ layer.W2T) * (lc.Z > 0.0)
-        dH1 = dH + dZ @ layer.W1T
+        dZ = (dH @ frozen[f"W2_{l}"].T) * (lc.Z > 0.0)
+        dH1 = dH + dZ @ frozen[f"W1_{l}"].T
         # Attention: H1 = H_q + O Wo, O = reduceat over pairs of P V
-        dO = _spread((dH1 @ layer.WoT).reshape(len(dH1), n_heads, d_k), pairs, lengths)
+        dO = _spread((dH1 @ frozen[f"Wo_{l}"].T).reshape(len(dH1), n_heads, d_k), pairs, lengths)
         P = lc.P
         dP = np.einsum("phd,phd->ph", dO, lc.Vp)
         dS = P * (dP - _spread(np.add.reduceat(dP * P, q_starts, axis=0), pairs, lengths))
@@ -771,7 +718,7 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
         dK, dV = dKV[:, :d], dKV[:, d:]
         # Projections: [Q | K | V] = H (W + S_c) on client c's rows, or with
         # masks H W + (H o M)_c S_c per projection, and S_c = s B_c A_c.
-        H, Hq, W, S, masks = lc.H, lc.Hq, layer.W, lc.S, lc.masks
+        H, Hq, W, S, masks = lc.H, lc.Hq, state.qkv[l], lc.S, lc.masks
         q_bounds, row_bounds = lc.q_bounds, cache.row_bounds
         if masks is None:  # K and V share their input rows, so one gram serves both
             parts = [(Hq, dQ, q_bounds, slice(0, d), None),
@@ -784,8 +731,9 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
         for X, dX, bounds, cols, M in parts:
             _gram_by_client(X if M is None else X * M, dX, bounds, G[:, :, cols])
         G *= cfg.scale
-        A, B = bound.stacks[l]
-        dA, dB = _adapter_stacks(grad, layer.adapters, r, d)
+        start = layout[f"Aq_{l}"][0].start
+        A, B = _adapter_stacks(flat, start, r, d)
+        dA, dB = _adapter_stacks(grad, start, r, d)
         np.matmul(B.swapaxes(-1, -2), _blocks(G), out=dA)
         np.matmul(_blocks(G), A.swapaxes(-1, -2), out=dB)
         if l > 0:  # the embeddings below layer 0 are frozen
@@ -798,7 +746,7 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
                 dH[rows] += dH1 + dq
 
     if mu > 0.0 and w_anchor is not None:
-        grad += sizes[:, None] * mu * (bound.flat - w_anchor)
+        grad += sizes[:, None] * mu * (flat - w_anchor)
     return grad.reshape(state.trainable.shape)
 
 

@@ -10,10 +10,10 @@ import pytest
 from flog.datasets import (
     LineParseError,
     RawEntry,
+    SyntheticCorpus,
     SyntheticSpec,
     decode_line,
     encode_line,
-    generate_synthetic,
     read_log_file,
     transition_cdf,
 )
@@ -110,7 +110,7 @@ def small_spec(**kw):
 def corpus_digest(spec):
     """sha256 of the generated corpus, one tab-separated entry a line."""
     h = hashlib.sha256()
-    for e in generate_synthetic(spec):
+    for e in SyntheticCorpus(spec):
         h.update(f"{e.label_field}\t{e.epoch_seconds}\t{e.node_id}\t{e.message}\n".encode())
     return h.hexdigest()
 
@@ -155,41 +155,41 @@ class TestSynthetic:
         # i % n_nodes), so its k-th line in time is its k-th generated line.
         spec = small_spec(n_nodes=8, n_lines=2000, anomaly_rate=0.5, mean_burst_length=10)
         by_node = {}
-        for e in generate_synthetic(spec):
+        for e in SyntheticCorpus(spec):
             by_node.setdefault(e.node_id, []).append(e.is_anomalous)
         flags = by_node["node007"]
         assert flags[:17] == [False] * 17
         assert flags[17:37] == [True] * 10 + [False] * 10
 
     def test_deterministic(self):
-        assert generate_synthetic(small_spec()) == generate_synthetic(small_spec())
+        assert list(SyntheticCorpus(small_spec())) == list(SyntheticCorpus(small_spec()))
 
     def test_seed_changes_stream(self):
-        assert generate_synthetic(small_spec()) != generate_synthetic(small_spec(seed=4))
+        assert list(SyntheticCorpus(small_spec())) != list(SyntheticCorpus(small_spec(seed=4)))
 
     def test_realized_rate_within_20_percent(self):
         for seed in (0, 1, 2):
             spec = small_spec(seed=seed)
-            entries = generate_synthetic(spec)
+            entries = list(SyntheticCorpus(spec))
             rate = sum(e.is_anomalous for e in entries) / len(entries)
             assert 0.8 * spec.anomaly_rate <= rate <= 1.2 * spec.anomaly_rate
 
     def test_labels_match_anomaly_flag(self):
-        for e in generate_synthetic(small_spec()):
+        for e in SyntheticCorpus(small_spec()):
             assert e.is_anomalous == (e.label_field != "-")
 
     def test_time_sorted(self):
-        entries = generate_synthetic(small_spec())
+        entries = list(SyntheticCorpus(small_spec()))
         times = [e.epoch_seconds for e in entries]
         assert times == sorted(times)
 
     def test_node_count(self):
         spec = small_spec()
-        nodes = {e.node_id for e in generate_synthetic(spec)}
+        nodes = {e.node_id for e in SyntheticCorpus(spec)}
         assert len(nodes) == spec.n_nodes
 
     def test_lines_round_trip_through_decoder(self):
-        for e in generate_synthetic(small_spec(n_lines=200)):
+        for e in SyntheticCorpus(small_spec(n_lines=200)):
             assert decode_line(encode_line(e), "thunderbird") == e
 
     def test_spec_validation(self):

@@ -474,6 +474,31 @@ class TestStateAndCheckpoint:
             np.testing.assert_array_equal(other.all_tensors()[name], arr)
         np.testing.assert_array_equal(other.get_trainable(), state.get_trainable())
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_loaded_weights_reach_the_engine(self, tmp_path, n_layers):
+        # `load` writes into the model's tensors in place, and the engine
+        # must read those same tensors, also through a clone made before
+        # the load: every call then equals the saved model's bit for bit.
+        cfg = tiny_config(n_layers=n_layers, lora_dropout=0.3)
+        saved = init(cfg, 0)
+        saved.set_trainable(np.random.default_rng(8).normal(size=saved.n_trainable))
+        path = tmp_path / "model.ckpt"
+        saved.save(path)
+        loaded = init(cfg, 99)
+        clone = loaded.with_trainable(loaded.trainable)
+        loaded.load(path)
+        seqs, labels = [[1, 4, 2], [3], [5, 0, 9, 2, 7]], [1, 0, 1]
+
+        def calls(state):
+            p_eval, _ = forward(state, seqs)
+            p_train, cache = forward(state, seqs, mode="train", rng=np.random.default_rng(3))
+            return p_eval, p_train, backward(state, cache, labels, (1.0, 2.0))
+
+        expected = calls(saved)
+        for state in (loaded, clone):
+            for got, want in zip(calls(state), expected):
+                np.testing.assert_array_equal(got, want)
+
     def test_save_deterministic_bytes(self, tmp_path):
         state = init(tiny_config(), 0)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

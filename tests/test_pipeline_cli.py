@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -16,7 +17,7 @@ import flog
 from flog import federated, partition, pipeline
 from flog.cli import main
 from flog.config import load_config
-from flog.datasets import generate_synthetic
+from flog.datasets import SyntheticCorpus, encode_line
 from flog.model import ModelConfig, init
 from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
 
@@ -243,7 +244,7 @@ class TestSyntheticEntries:
         cfg = load_config(cfg_path)
         entries = load_entries(cfg)
         assert len(entries) == sum(1 for _ in entries) == cfg.dataset.synthetic.n_lines
-        assert list(entries) == generate_synthetic(cfg.dataset.synthetic)
+        assert list(entries) == list(SyntheticCorpus(cfg.dataset.synthetic))
 
     def test_max_samples_keeps_a_time_sorted_prefix(self, tmp_path):
         doc = small_doc(tmp_path / "out")
@@ -253,7 +254,7 @@ class TestSyntheticEntries:
         cfg = load_config(path)
         entries = load_entries(cfg)
         assert len(entries) == 1234
-        assert list(entries) == generate_synthetic(cfg.dataset.synthetic)[:1234]
+        assert list(entries) == list(SyntheticCorpus(cfg.dataset.synthetic))[:1234]
 
 
 def log_file_config(tmp_path, fmt, log_path):
@@ -361,9 +362,24 @@ class TestShippedConfigs:
 
 
 class TestCli:
-    def test_synth(self, cfg_path, tmp_path, capsys):
-        assert main(["synth", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "out" / "synthetic.log").exists()
+    def test_synth(self, tmp_path, capsys):
+        # The file is the corpus, line for line, written as each line is
+        # rendered: at 50,000 lines, holding a list of every entry peaks at
+        # ~240 B a line under tracemalloc, and streaming at ~55.
+        doc = small_doc(tmp_path / "out", n_lines=50_000)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        spec = load_config(path).dataset.synthetic
+        tracemalloc.start()
+        try:
+            assert main(["synth", "--config", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = (tmp_path / "out" / "synthetic.log").read_text(encoding="utf-8")
+        assert text == "".join(encode_line(e) + "\n" for e in SyntheticCorpus(spec))
+        assert text.count("\n") == spec.n_lines
+        assert peak < 120 * spec.n_lines
 
     def test_parse(self, cfg_path, tmp_path):
         assert main(["parse", "--config", str(cfg_path)]) == 0
