@@ -1,14 +1,16 @@
 """Federated orchestration: broadcast, local FedProx training, clipping,
 n-weighted aggregation, and central Gaussian noising.
 
-Aggregation uses the delta form w_t + sum_k (n_k / n) Delta_k, and the
-noise is calibrated to the clip bound C as its l2 sensitivity. That holds
-under zero-out adjacency: neighbouring rounds differ in one client's
-clipped delta being replaced by 0 while every weight n_k / n stays fixed,
-which moves the aggregate by (n_k / n) ||Delta_k|| <= C. Under add/remove
-adjacency the realised denominator n changes too and the bound does not
-hold as stated; ROADMAP.md item 3 tracks the fix. Noise touches only the
-communicated (trainable) coordinates.
+A round's release is one pass over the cohort's (C, P) update matrix:
+`aggregate` clips each row Delta_k to the clip bound C before it weighs
+it, giving w_t + sum_k (n_k / n) clip(Delta_k), so no caller can skip the
+clip, and `add_noise` adds noise calibrated to C as its l2 sensitivity.
+That holds under zero-out adjacency: neighbouring rounds differ in one
+client's clipped delta being replaced by 0 while every weight n_k / n
+stays fixed, which moves the aggregate by (n_k / n) ||clip(Delta_k)|| <= C.
+Under add/remove adjacency the realised denominator n changes too and the
+bound does not hold as stated; ROADMAP.md item 3 tracks the fix. Noise
+touches only the communicated (trainable) coordinates.
 
 What the ledger's (epsilon, delta) covers is the sequence of noised global
 models, one per round. Three things leave the clients outside that
@@ -103,14 +105,6 @@ class FedConfig:
             raise ValueError("learning_rate and weight_decay must be non-negative")
 
 
-@dataclass
-class UpdateDelta:
-    client_id: int
-    delta: np.ndarray
-    n_samples: int
-    pre_clip_norm: float
-
-
 def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> list[int]:
     """Poisson sampling: each client independently with probability q; may be empty."""
     return np.flatnonzero(rng.random(k_clients) < q).tolist()
@@ -120,7 +114,6 @@ def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> l
 class LocalData:
     """One client's training windows, packed as token ids, with labels and class weights."""
 
-    client_id: int
     windows: model_ops.Packed
     labels: np.ndarray
     class_weights: tuple[float, float]
@@ -143,7 +136,7 @@ class LocalData:
             raise ValueError(f"client {client.client_id}: {exc}") from None
         labels = np.array([s.label for s in client.sequences])
         weights = model_ops.class_weights_from_labels(labels) if keys else (1.0, 1.0)
-        return cls(client.client_id, windows, labels, weights)
+        return cls(windows, labels, weights)
 
 
 @dataclass(frozen=True)
@@ -180,12 +173,14 @@ def local_train(
     global_flat: np.ndarray,
     cfg: FedConfig,
     rng: np.random.Generator | list[np.random.Generator],
-) -> list[UpdateDelta] | UpdateDelta:
+) -> np.ndarray:
     """E epochs of mini-batch FedProx SGD from the broadcast weights, per client.
 
-    `clients` is a Cohort with one generator per member in `rng`, and one
-    UpdateDelta per member comes back; a bare ClientDataset with one
-    generator is a cohort of one and gets one UpdateDelta.
+    Returns the updates W - w_t, unclipped. `clients` is a Cohort with one
+    generator per member in `rng`, and gets a (C, P) matrix with one row
+    per member, in member order; a member without windows gets a zero row.
+    A bare ClientDataset with one generator is a cohort of one and gets its
+    1-D row.
 
     Each client runs its E * ceil(n / batch_size) micro-batches in order,
     across epoch boundaries, grad_accum_steps per optimizer step; its last
@@ -208,15 +203,8 @@ def local_train(
     C, accum, bs = len(members), cfg.grad_accum_steps, cfg.batch_size
     weights = np.array([m.class_weights for m in members])
     n_micro = np.array([cfg.local_epochs * -(-m.n_samples // bs) for m in members], dtype=int)
-    total_steps = -(-n_micro // accum)
-    warmup_steps = np.round(cfg.warmup_ratio * total_steps).astype(int)
-    # Per client and step: the micro-batches it averages (the last step takes
-    # fewer when n_micro % accum != 0) and its learning rate, warmup included.
-    steps = np.arange(total_steps.max(initial=0))
-    k_table = np.minimum(accum, n_micro[:, None] - steps * accum)
-    warm = warmup_steps[:, None]
-    lr_table = np.where(steps < warm, cfg.learning_rate * ((steps + 1) / np.maximum(warm, 1)),
-                        cfg.learning_rate)
+    # Warmup over 0 steps or over 1 both start at the full learning rate.
+    warmup_steps = np.maximum(np.round(cfg.warmup_ratio * -(-n_micro // accum)), 1)
     batches = [_micro_batches(m, cfg, g) for m, g in zip(members, rng)]
     W = np.tile(global_flat, (C, 1))
     g = np.zeros_like(W)
@@ -246,23 +234,21 @@ def local_train(
         done = active if (i + 1) % accum == 0 else active[n_micro[active] == i + 1]
         if len(done) == 0:
             continue
-        step = i // accum
-        step_g = g[done] / k_table[done, step][:, None]
+        # Every step ending here averages its i % accum + 1 micro-batches:
+        # accum, or fewer at a client's last step when n_micro % accum != 0.
+        step_g = g[done] / (i % accum + 1)
         # The l2 norm of each row, as np.linalg.norm computes it for a vector.
         norms = [math.sqrt(row.dot(row)) for row in step_g]
         step_g *= (cfg.max_grad_norm / np.maximum(norms, cfg.max_grad_norm))[:, None]
-        lr = lr_table[done, step]
+        lr = cfg.learning_rate * np.minimum(1.0, (i // accum + 1) / warmup_steps[done])
         w = W[done] - lr[:, None] * step_g
         if cfg.weight_decay > 0.0:
             w -= (lr * cfg.weight_decay)[:, None] * w
         W[done] = w
         g[done] = 0.0
 
-    updates = [
-        UpdateDelta(m.client_id, delta, m.n_samples, float(np.linalg.norm(delta)))
-        for m, delta in zip(members, W - global_flat)
-    ]
-    return updates[0] if solo else updates
+    deltas = W - global_flat
+    return deltas[0] if solo else deltas
 
 
 def clip_update(delta: np.ndarray, clip_bound: float) -> np.ndarray:
@@ -275,23 +261,20 @@ def clip_update(delta: np.ndarray, clip_bound: float) -> np.ndarray:
     return delta * (clip_bound / norm)
 
 
-def aggregate(deltas: list[UpdateDelta], w_t: np.ndarray, clip_bound: float) -> np.ndarray:
-    """n-weighted mean of clipped deltas applied to the broadcast weights.
+def aggregate(
+    deltas: np.ndarray, n_samples: list[int], w_t: np.ndarray, clip_bound: float
+) -> np.ndarray:
+    """w_t plus the n-weighted mean of the clipped rows of `deltas`.
 
-    With no samples among the deltas the mean moves nothing: a copy of w_t.
+    Row by row, row k is clipped to clip_bound and then weighed
+    n_samples[k] / n, n the total; rows without samples are skipped. With
+    no samples the mean moves nothing: a copy of w_t.
     """
-    usable = [d for d in deltas if d.n_samples > 0]
-    total = sum(d.n_samples for d in usable)
-    for d in usable:
-        norm = float(np.linalg.norm(d.delta))
-        if norm > clip_bound + 1e-9:
-            raise AssertionError(
-                f"unclipped delta from client {d.client_id} reached aggregation "
-                f"({norm} > {clip_bound})"
-            )
+    total = sum(n_samples)
     out = w_t.copy()
-    for d in usable:
-        out += (d.n_samples / total) * d.delta
+    for delta, n in zip(deltas, n_samples, strict=True):
+        if n > 0:
+            out += (n / total) * clip_update(delta, clip_bound)
     return out
 
 
@@ -348,16 +331,15 @@ class FederatedTrainer:
             cfg.k_clients, cfg.participation_rate, self._round_rng(_STREAM_SELECT, round_idx)
         )
         global_flat = self.state.get_trainable()
+        cohort = Cohort(tuple(self.local_data[k] for k in participants))
         deltas = local_train(
-            Cohort(tuple(self.local_data[k] for k in participants)), self.state, global_flat,
-            cfg, [self._round_rng(_STREAM_CLIENT, round_idx, k) for k in participants],
+            cohort, self.state, global_flat, cfg,
+            [self._round_rng(_STREAM_CLIENT, round_idx, k) for k in participants],
         )
+        n_samples = [m.n_samples for m in cohort.members]
+        pre_clip = [float(np.linalg.norm(d)) for d, n in zip(deltas, n_samples) if n > 0]
 
-        pre_clip = [d.pre_clip_norm for d in deltas if d.n_samples > 0]
-        for d in deltas:
-            d.delta = clip_update(d.delta, cfg.clip_bound)
-
-        w_bar = aggregate(deltas, global_flat, cfg.clip_bound)
+        w_bar = aggregate(deltas, n_samples, global_flat, cfg.clip_bound)
         w_next = add_noise(w_bar, cfg.noise_multiplier, cfg.clip_bound, self.server_rng)
         self.state.set_trainable(w_next)
         self.ledger.update()

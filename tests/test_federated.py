@@ -13,7 +13,6 @@ from flog.federated import (
     FedConfig,
     FederatedTrainer,
     LocalData,
-    UpdateDelta,
     add_noise,
     aggregate,
     clip_update,
@@ -142,11 +141,8 @@ class TestClip:
 class TestAggregate:
     def test_equal_weight_mean(self):
         w_t = np.zeros(2)
-        deltas = [
-            UpdateDelta(0, np.array([1.0, 0.0]), 5, 1.0),
-            UpdateDelta(1, np.array([0.0, 1.0]), 5, 1.0),
-        ]
-        np.testing.assert_allclose(aggregate(deltas, w_t, 1.0), [0.5, 0.5])
+        deltas = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(aggregate(deltas, [5, 5], w_t, 1.0), [0.5, 0.5])
 
     def test_n_weighted_three_client_oracle(self):
         rng = np.random.default_rng(4)
@@ -154,30 +150,41 @@ class TestAggregate:
         raw = [rng.normal(size=6) for _ in range(3)]
         raw = [clip_update(d, 1.0) for d in raw]
         ns = [10, 30, 60]
-        deltas = [UpdateDelta(i, d, n, 1.0) for i, (d, n) in enumerate(zip(raw, ns))]
         want = w_t + sum((n / 100) * d for d, n in zip(raw, ns))
-        np.testing.assert_allclose(aggregate(deltas, w_t, 1.0), want, rtol=1e-12)
+        np.testing.assert_allclose(aggregate(np.array(raw), ns, w_t, 1.0), want, rtol=1e-12)
 
     def test_zero_sample_clients_ignored(self):
         w_t = np.zeros(2)
-        deltas = [
-            UpdateDelta(0, np.array([1.0, 0.0]), 4, 1.0),
-            UpdateDelta(1, np.array([5.0, 5.0]), 0, 0.0),
-        ]
-        np.testing.assert_allclose(aggregate(deltas, w_t, 10.0), [1.0, 0.0])
+        deltas = np.array([[1.0, 0.0], [5.0, 5.0]])
+        np.testing.assert_allclose(aggregate(deltas, [4, 0], w_t, 10.0), [1.0, 0.0])
 
     def test_no_samples_returns_copy_of_broadcast(self):
         # The mean of no updates moves nothing, even a zero-sample delta that is not 0.
         w_t = np.array([0.1, -2.5, 3e-17])
-        out = aggregate([UpdateDelta(0, np.array([5.0, 5.0, 5.0]), 0, 0.0)], w_t, 1.0)
+        out = aggregate(np.array([[5.0, 5.0, 5.0]]), [0], w_t, 1.0)
         assert out is not w_t
         np.testing.assert_array_equal(out, w_t)
         assert out.tobytes() == w_t.tobytes()
 
-    def test_unclipped_delta_asserts(self):
-        deltas = [UpdateDelta(0, np.array([5.0, 0.0]), 4, 5.0)]
-        with pytest.raises(AssertionError):
-            aggregate(deltas, np.zeros(2), 1.0)
+    def test_rows_are_clipped_before_weighting(self):
+        # Row 0 (norm 5) is clipped to norm 1 before it takes its weight 1/4;
+        # row 1 lies inside the ball and is weighed as it is.
+        deltas = np.array([[5.0, 0.0], [0.0, 0.5]])
+        np.testing.assert_allclose(aggregate(deltas, [1, 3], np.zeros(2), 1.0), [0.25, 0.375])
+
+    def test_large_clip_bound_does_not_trip(self):
+        # clip_update rescales to C only up to rounding, so at C = 1e9 a
+        # clipped row's norm can read a few ulps above C, past any absolute
+        # tolerance. Rows far outside the ball still come back as w_t plus
+        # the weighted mean of the clipped rows.
+        C = 1e9
+        rng = np.random.default_rng(17)
+        deltas = rng.uniform(1.0, 2.0, size=(200, 800)) * 1e12
+        ns = rng.integers(1, 50, size=200).tolist()
+        w_t = rng.normal(size=800)
+        clipped = deltas * (C / np.linalg.norm(deltas, axis=1))[:, None]
+        want = w_t + (np.array(ns) / sum(ns)) @ clipped
+        np.testing.assert_allclose(aggregate(deltas, ns, w_t, C), want, rtol=1e-12)
 
 
 class TestNoise:
@@ -213,8 +220,8 @@ class TestLocalTrain:
         out = local_train(
             ClientDataset(0, []), state, flat, fed_config(), np.random.default_rng(0)
         )
-        assert out.n_samples == 0
-        assert not out.delta.any()
+        assert out.shape == flat.shape
+        assert not out.any()
 
     def test_single_step_closed_form(self):
         # One sample, one epoch, batch >= n, no warmup: delta = -lr * grad.
@@ -239,7 +246,7 @@ class TestLocalTrain:
             out = local_train(client, state, flat, cfg, np.random.default_rng(9))
         # (w - lr g) - w loses a few low bits against w itself, so allow an
         # absolute tolerance at machine-epsilon-of-w scale.
-        np.testing.assert_allclose(out.delta, -0.05 * grad, rtol=1e-6, atol=1e-14)
+        np.testing.assert_allclose(out, -0.05 * grad, rtol=1e-6, atol=1e-14)
 
     def test_large_mu_shrinks_delta(self):
         state = init(tiny_model_config(), 2)
@@ -252,7 +259,7 @@ class TestLocalTrain:
             client, state, flat, fed_config(proximal_mu=1e6, learning_rate=1e-7),
             np.random.default_rng(11),
         )
-        assert np.linalg.norm(tethered.delta) < np.linalg.norm(free.delta)
+        assert np.linalg.norm(tethered) < np.linalg.norm(free)
 
     def test_base_state_not_mutated(self):
         state = init(tiny_model_config(), 3)
@@ -262,13 +269,17 @@ class TestLocalTrain:
         )
         np.testing.assert_array_equal(state.get_trainable(), before)
 
-    def test_accumulation_schedule_matches_reference(self):
+    @pytest.mark.parametrize("max_grad_norm", [0.05, 1e9])
+    def test_accumulation_schedule_matches_reference(self, max_grad_norm):
         # n=10, batch 4: 3 micro-batches per epoch, 3 epochs = 9 micro-batches.
         # With 2 per step that is 5 steps: step 1 straddles the first epoch
-        # boundary, and step 4 is a partial step of one micro-batch.
+        # boundary, and step 4 is a partial step of one micro-batch. A
+        # binding max_grad_norm would hide a wrong divisor in a step whose
+        # averaged gradient it clips, so the schedule is also checked unclipped.
         cfg = fed_config(
             local_epochs=3, batch_size=4, grad_accum_steps=2, learning_rate=0.5,
-            proximal_mu=0.1, warmup_ratio=0.4, weight_decay=0.05, max_grad_norm=0.05,
+            proximal_mu=0.1, warmup_ratio=0.4, weight_decay=0.05,
+            max_grad_norm=max_grad_norm,
         )
         state = init(tiny_model_config(lora_dropout=0.3), 5)
         state.set_trainable(np.random.default_rng(12).normal(0, 0.2, size=state.n_trainable))
@@ -306,19 +317,14 @@ class TestLocalTrain:
                 ref.trainable[...] -= lr * cfg.weight_decay * ref.trainable
                 g, count, steps = np.zeros_like(flat), 0, steps + 1
 
-        assert steps == 5 and clipped > 0
-        np.testing.assert_array_equal(out.delta, ref.trainable - flat)
+        assert steps == 5 and (clipped > 0) == (max_grad_norm < 1.0)
+        np.testing.assert_array_equal(out, ref.trainable - flat)
 
     def test_empty_cohort_returns_no_updates(self):
         state = init(tiny_model_config(), 4)
         flat = state.get_trainable()
-        assert local_train(Cohort(()), state, flat, fed_config(), []) == []
-
-    def test_pre_clip_norm_reported(self):
-        state = init(tiny_model_config(), 4)
-        flat = state.get_trainable()
-        out = local_train(mk_client(0, 6), state, flat, fed_config(), np.random.default_rng(0))
-        assert out.pre_clip_norm == pytest.approx(float(np.linalg.norm(out.delta)))
+        out = local_train(Cohort(()), state, flat, fed_config(), [])
+        assert out.shape == (0, len(flat))
 
 
 class TestEpochPacking:
@@ -426,11 +432,11 @@ class TestCohort:
                              4, 4, 2]
         else:
             assert len(calls) == 9 + 6 + 6
-        assert [(d.client_id, d.n_samples) for d in out] == [(0, 10), (1, 0), (2, 5), (3, 7)]
-        assert not out[1].delta.any() and out[1].pre_clip_norm == 0.0
-        for got, want in zip(out, solo):
-            assert np.linalg.norm(got.delta - want.delta) <= 1e-9 * np.linalg.norm(want.delta)
-            assert got.pre_clip_norm == pytest.approx(want.pre_clip_norm, rel=1e-9, abs=0.0)
+        assert out.shape == (4, len(flat))
+        assert [m.n_samples for m in cohort.members] == [10, 0, 5, 7]
+        assert not out[1].any()
+        for got, want in zip(out, solo, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def build_trainer(fc, model_seed=0, n_per_client=6, sigma=None, clients=None):
@@ -550,6 +556,36 @@ class TestTrainer:
         with pytest.warns(UserWarning, match="exceeds target"):
             trainer.run()
         assert len(calls) == at_construction
+
+    def test_round_releases_clipped_weighted_mean_plus_noise(self):
+        # Three clients, one without windows, all drawn (q = 1). At C = 0.02
+        # client 2's update (norm ~0.024) is clipped and client 0's (~0.015)
+        # is not. The round's model must be w_t plus the n-weighted mean of
+        # the clipped updates plus the server's first noise draw, and its row
+        # must report the mean pre-clip norm of the clients with windows.
+        fc = fed_config(k_clients=3, rounds=1, noise_multiplier=0.5, clip_bound=0.02)
+        clients = [mk_client(0, 6, seed=20), ClientDataset(1, []), mk_client(2, 5, seed=22)]
+        trainer = build_trainer(fc, clients=clients)
+        w_t = trainer.state.get_trainable().copy()
+        cohort = Cohort(tuple(trainer.local_data))
+        deltas = local_train(cohort, trainer.state, w_t, fc,
+                             [trainer._round_rng(2, 0, k) for k in range(3)])
+        ns = [6, 0, 5]
+        norms = [float(np.linalg.norm(d)) for d in deltas]
+        assert norms[0] < fc.clip_bound < norms[2] and norms[1] == 0.0
+
+        want = w_t.copy()
+        for d, n, norm in zip(deltas, ns, norms):
+            if n > 0:
+                want += (n / sum(ns)) * (d * min(1.0, fc.clip_bound / norm))
+        noise_rng = np.random.default_rng(np.random.SeedSequence([fc.seed, 3]))
+        want += noise_rng.normal(0.0, fc.noise_multiplier * fc.clip_bound, size=len(w_t))
+
+        with pytest.warns(UserWarning, match="exceeds target"):
+            m = trainer.run_round(0)
+        np.testing.assert_allclose(trainer.state.get_trainable(), want, rtol=1e-12)
+        assert m.participants == 3
+        assert m.mean_pre_clip_norm == pytest.approx((norms[0] + norms[2]) / 2, rel=1e-12)
 
     def test_ledger_updated_each_round(self):
         fc = fed_config(rounds=4, noise_multiplier=0.5)

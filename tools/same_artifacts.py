@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Check that the working tree writes the same artifacts as a git revision.
+
+    python tools/same_artifacts.py BASE
+
+Extracts BASE with `git archive` into a temporary directory, writes the
+`tbird-ingest` inputs once (with `perfbench/workloads.prepare`, seed 4),
+and runs `pipeline.run_pipeline` in both trees on seven (config, seed)
+pairs, each run in a fresh interpreter:
+
+- `configs/synthetic.yaml` and the `tbird-ingest` config, at seeds 4 and 9;
+- at seed 4, three configs that reach paths the shipped ones do not: the
+  `tbird-ingest` model at 2 rounds x 2 epochs with q = 0.5; the same with
+  two layers and q = 0.6; and synthetic at 12,000 lines with two layers,
+  two heads of width 4, LoRA dropout 0.2, 3 accumulation steps and q = 0.7.
+
+Both trees read the same inputs and configs, written from this tree.
+It compares `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
+byte for byte, and `rounds.csv` without its `wall_seconds` column. It
+prints one line per run and artifact and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+ARTIFACTS = ("templates.tsv", "assignment.tsv", "ledger.txt", "model.ckpt", "rounds.csv")
+
+# One pipeline run in the interpreter that `python -c` starts: argv is
+# (src dir, config path, seed, output dir).
+RUN = """
+import dataclasses, sys
+sys.path.insert(0, sys.argv[1])
+from flog import pipeline
+from flog.config import load_config
+cfg = load_config(sys.argv[2])
+pipeline.run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[4]), int(sys.argv[3]))
+"""
+
+
+def extract(rev: str, dest: Path) -> None:
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+        fh.extractall(dest, filter="data")
+
+
+def configs(work: Path) -> list[tuple[str, Path, int]]:
+    """(name, config path, seed) of every run."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+    import workloads
+
+    synthetic = yaml.safe_load((ROOT / "configs" / "synthetic.yaml").read_text(encoding="utf-8"))
+    tbird = workloads.prepare("tbird-ingest", 4, ROOT, work / "tbird").config
+
+    def variant(doc: dict, **sections) -> dict:
+        doc = copy.deepcopy(doc)
+        for section, keys in sections.items():
+            doc[section].update(keys)
+        return doc
+
+    docs = {
+        "synthetic": synthetic,
+        "tbird-ingest": tbird,
+        "tbird-2x2-q0.5": variant(
+            tbird, federated=dict(rounds=2, local_epochs=2, participation_rate=0.5)),
+        "tbird-2x2-L2-q0.6": variant(
+            tbird, model=dict(n_layers=2),
+            federated=dict(rounds=2, local_epochs=2, participation_rate=0.6)),
+        "synthetic-12k-L2": variant(
+            synthetic, dataset=dict(max_samples=12000),
+            model=dict(n_layers=2, n_heads=2, head_dim=4, lora_dropout=0.2),
+            federated=dict(grad_accum_steps=3, participation_rate=0.7)),
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = work / f"{name}.yaml"
+        paths[name].write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    runs = [(name, seed) for name in ("synthetic", "tbird-ingest") for seed in (4, 9)]
+    runs += [(name, 4) for name in ("tbird-2x2-q0.5", "tbird-2x2-L2-q0.6", "synthetic-12k-L2")]
+    return [(name, paths[name], seed) for name, seed in runs]
+
+
+def run(tree: Path, config: Path, seed: int, out: Path) -> str | None:
+    """Runs the pipeline from `tree`; returns None, or the error output of a failed run."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", RUN, str(tree / "src"), str(config), str(seed),
+                           str(out)], capture_output=True, text=True, env=env)
+    if proc.returncode == 0:
+        return None
+    return (proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
+
+
+def content(path: Path) -> bytes | None:
+    if not path.exists():
+        return None
+    if path.name != "rounds.csv":
+        return path.read_bytes()
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    drop = rows[0].index("wall_seconds")
+    return "\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows).encode()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", metavar="BASE", help="git revision to compare the working tree with")
+    args = ap.parse_args()
+    same = True
+    with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
+        tmp = Path(tmp)
+        extract(args.base, tmp / "base")
+        for name, config, seed in configs(tmp / "inputs"):
+            outs = {}
+            for side, tree in (("base", tmp / "base"), ("here", ROOT)):
+                outs[side] = tmp / "out" / side / f"{name}.seed{seed}"
+                error = run(tree, config, seed, outs[side])
+                if error is not None:
+                    print(f"{name} seed {seed}: {side} run failed: {error}")
+                    same = False
+            for artifact in ARTIFACTS:
+                a, b = (content(outs[side] / artifact) for side in ("base", "here"))
+                verdict = "identical" if a is not None and a == b else "DIFFERENT"
+                same &= verdict == "identical"
+                print(f"{name} seed {seed}: {artifact} {verdict}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
