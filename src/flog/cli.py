@@ -61,10 +61,11 @@ def cmd_parse(args, cfg) -> int:
 def cmd_partition(args, cfg) -> int:
     out = _out_dir(cfg)
     corpus = read_corpus(cfg)
-    assignment = partition.round_robin_assign(
-        list(corpus.records_by_node), cfg.federated.k_clients
-    )
-    partition.write_assignment_dump(assignment, out / "assignment.tsv")
+    with _stage("partition"):
+        assignment = partition.round_robin_assign(
+            list(corpus.records_by_node), cfg.federated.k_clients
+        )
+        partition.write_assignment_dump(assignment, out / "assignment.tsv")
     print(f"{len(assignment)} nodes over {cfg.federated.k_clients} clients "
           f"-> {out / 'assignment.tsv'}")
     return 0
@@ -170,6 +171,9 @@ def main(argv=None) -> int:
         return args.fn(args, cfg)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except OSError as exc:  # every read is in load_config or a stage: this is a write
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ back to a documented default, logged at load time. Every value must have
 its field's annotated type: an int is no bool, a float may be written as
 an int and is kept as written, `X | None` also takes null, a frozenset is
 a YAML list, and a dataclass is a nested mapping checked the same way.
+Each int and float must also lie in its field's declared range (`flog.bounds`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import yaml
 
+from .bounds import bounded, check
 from .datasets import SyntheticSpec
 from .drain import ParserConfig
 from .federated import FedConfig
@@ -29,45 +31,42 @@ log = logging.getLogger(__name__)
 class DatasetConfig:
     format: str = "synthetic"
     path: str | None = None
-    max_samples: int | None = None
+    max_samples: int | None = bounded(None, ge=1)
     synthetic: SyntheticSpec | None = None
 
     def __post_init__(self) -> None:
+        check(self)
         if self.format not in ("thunderbird", "bgl", "synthetic"):
-            raise ValueError(f"dataset.format must be thunderbird|bgl|synthetic, got {self.format!r}")
+            raise ValueError(f"format must be thunderbird|bgl|synthetic, got {self.format!r}")
         # Each format reads one of path and synthetic; the other must be absent or null.
         if self.format == "synthetic":
             if self.synthetic is None:
-                raise ValueError("dataset.synthetic section required for synthetic format")
+                raise ValueError("synthetic section required for synthetic format")
             if self.path is not None:
-                raise ValueError("dataset.path is read only by the thunderbird and bgl "
+                raise ValueError("path is read only by the thunderbird and bgl "
                                  "formats, not by format synthetic")
         elif self.path is None:
-            raise ValueError("dataset.path required for file-based formats")
+            raise ValueError("path required for file-based formats")
         elif self.synthetic is not None:
-            raise ValueError(f"dataset.synthetic is read only by format synthetic, "
+            raise ValueError(f"synthetic is read only by format synthetic, "
                              f"not by format {self.format}")
-        if self.max_samples is not None and self.max_samples < 1:
-            raise ValueError("dataset.max_samples must be >= 1 or null")
 
 
 @dataclass(frozen=True)
 class PrivacyConfig:
-    target_epsilon: float = 10.0
-    delta: float = 1e-5
+    target_epsilon: float = bounded(10.0, gt=0)
+    delta: float = bounded(1e-5, gt=0, lt=1)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("privacy.delta must be in (0, 1)")
+        check(self)
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    test_fraction: float = 0.2
+    test_fraction: float = bounded(0.2, gt=0, lt=1)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ValueError("evaluation.test_fraction must be in (0, 1)")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,11 @@ def _build(cls, raw: dict, section: str):
         raise ValueError(f"missing required key(s) in {section}: {missing}")
     for f in omitted:
         log.debug("%s%s omitted; using default", prefix, f.name)
-    return cls(**{name: _value(hints[name], v, prefix + name) for name, v in raw.items()})
+    values = {name: _value(hints[name], v, prefix + name) for name, v in raw.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def load_config(path) -> RunConfig:

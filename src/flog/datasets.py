@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import bounded, check
+
 
 class RawEntry(NamedTuple):
     """One decoded line. A tuple, so building one per line costs one allocation."""
@@ -79,26 +81,21 @@ def encode_line(entry: RawEntry) -> str:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_templates: int
-    n_nodes: int
-    n_lines: int
-    anomaly_rate: float
+    n_templates: int = bounded(ge=1)
+    n_nodes: int = bounded(ge=1)
+    n_lines: int = bounded(ge=1)
+    anomaly_rate: float = bounded(gt=0, lt=1)
     anomaly_template_ids: frozenset[int] = field(default_factory=frozenset)
-    seed: int = 0
-    mean_burst_length: int = 12
-    mean_gap_seconds: float = 4.0
+    seed: int = bounded(0, ge=0)
+    mean_burst_length: int = bounded(12, ge=1)
+    mean_gap_seconds: float = bounded(4.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.n_templates < 1 or self.n_nodes < 1 or self.n_lines < 1:
-            raise ValueError("n_templates, n_nodes, n_lines must be positive")
-        if not (0.0 < self.anomaly_rate < 1.0):
-            raise ValueError("anomaly_rate must be in (0, 1)")
+        check(self)
         if not self.anomaly_template_ids:
             raise ValueError("anomaly_template_ids must be non-empty")
         if any(t < 0 or t >= self.n_templates for t in self.anomaly_template_ids):
             raise ValueError("anomaly_template_ids must lie in [0, n_templates)")
-        if self.mean_burst_length < 1:
-            raise ValueError("mean_burst_length must be >= 1")
 
 
 def _template_tag(template_id: int) -> str:

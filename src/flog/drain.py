@@ -23,6 +23,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .bounds import bounded, check
+
 WILDCARD = "<*>"
 # Each memo is emptied when it reaches this many entries, so a log whose
 # lines or words rarely repeat cannot grow it without bound.
@@ -34,18 +36,13 @@ _DECIMAL = re.compile(r"\d").search
 
 @dataclass(frozen=True)
 class ParserConfig:
-    tree_depth: int = 4
-    similarity_threshold: float = 0.4
-    max_children: int = 100
+    tree_depth: int = bounded(4, ge=2)
+    similarity_threshold: float = bounded(0.4, gt=0, le=1)
+    max_children: int = bounded(100, ge=1)
     mask_numeric_tokens: bool = True
 
     def __post_init__(self) -> None:
-        if self.tree_depth < 2:
-            raise ValueError("tree_depth must be >= 2")
-        if not (0.0 < self.similarity_threshold <= 1.0):
-            raise ValueError("similarity_threshold must be in (0, 1]")
-        if self.max_children < 1:
-            raise ValueError("max_children must be >= 1")
+        check(self)
 
 
 @dataclass

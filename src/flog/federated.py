@@ -48,12 +48,13 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_ops
 from .accountant import PrivacyLedger
+from .bounds import bounded, check
 from .metrics import RoundMetrics, evaluate
 from .model import ModelConfig, ModelState
 from .partition import ClientDataset
@@ -67,42 +68,25 @@ _STREAM_SERVER = 3
 
 @dataclass(frozen=True)
 class FedConfig:
-    k_clients: int
-    rounds: int
-    participation_rate: float = 1.0
-    local_epochs: int = 1
-    learning_rate: float = 2e-5
-    proximal_mu: float = 0.01
-    clip_bound: float = 1.0
-    noise_multiplier: float = 0.01
-    batch_size: int = 8
-    weight_decay: float = 0.0
-    warmup_ratio: float = 0.0
-    grad_accum_steps: int = 1
-    max_grad_norm: float = 1.0
+    k_clients: int = bounded(ge=1)
+    rounds: int = bounded(ge=1)
+    participation_rate: float = bounded(1.0, gt=0, le=1)
+    local_epochs: int = bounded(1, ge=0)
+    learning_rate: float = bounded(2e-5, ge=0)
+    proximal_mu: float = bounded(0.01, ge=0)
+    clip_bound: float = bounded(1.0, gt=0)
+    noise_multiplier: float = bounded(0.01, ge=0)
+    batch_size: int = bounded(8, ge=1)
+    weight_decay: float = bounded(0.0, ge=0)
+    warmup_ratio: float = bounded(0.0, ge=0, le=1)
+    grad_accum_steps: int = bounded(1, ge=1)
+    # A negative max_grad_norm would flip every clipped step into ascent.
+    max_grad_norm: float = bounded(1.0, gt=0)
     # The run seed comes from `flog --seed`; a config file cannot set it.
-    seed: int = field(default=0, metadata={"option": "--seed"})
+    seed: int = bounded(0, ge=0, metadata={"option": "--seed"})
 
     def __post_init__(self) -> None:
-        if self.k_clients < 1 or self.rounds < 1:
-            raise ValueError("k_clients and rounds must be >= 1")
-        if not (0.0 < self.participation_rate <= 1.0):
-            raise ValueError("participation_rate must be in (0, 1]")
-        if self.clip_bound <= 0.0:
-            raise ValueError("clip_bound must be positive")
-        if self.noise_multiplier < 0.0 or self.proximal_mu < 0.0:
-            raise ValueError("noise_multiplier and proximal_mu must be non-negative")
-        if self.local_epochs < 0:
-            raise ValueError("local_epochs must be non-negative")
-        if self.batch_size < 1 or self.grad_accum_steps < 1:
-            raise ValueError("batch_size and grad_accum_steps must be >= 1")
-        if not (0.0 <= self.warmup_ratio <= 1.0):
-            raise ValueError("warmup_ratio must be in [0, 1]")
-        # A negative max_grad_norm would flip every clipped step into ascent.
-        if self.max_grad_norm <= 0.0:
-            raise ValueError("max_grad_norm must be positive")
-        if self.learning_rate < 0.0 or self.weight_decay < 0.0:
-            raise ValueError("learning_rate and weight_decay must be non-negative")
+        check(self)
 
 
 def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> list[int]:

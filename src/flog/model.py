@@ -36,11 +36,13 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
+
+from .bounds import bounded, check
 
 UNK_ID = 1
 N_RESERVED = 2
@@ -50,26 +52,21 @@ N_RESERVED = 2
 class ModelShape:
     """The model's size and adapter settings: the run config's `model:` section."""
 
-    hidden_dim: int = 16
-    head_dim: int = 8
-    n_heads: int = 2
-    n_layers: int = 1
-    lora_rank: int = 4
-    lora_alpha: float = 32.0
-    lora_dropout: float = 0.1
-    ffn_dim: int = 32
+    hidden_dim: int = bounded(16, ge=1)
+    head_dim: int = bounded(8, ge=1)
+    n_heads: int = bounded(2, ge=1)
+    n_layers: int = bounded(1, ge=1)
+    lora_rank: int = bounded(4, ge=1)
+    lora_alpha: float = bounded(32.0, gt=0)
+    lora_dropout: float = bounded(0.1, ge=0, lt=1)
+    ffn_dim: int = bounded(32, ge=1)
 
     def __post_init__(self) -> None:
-        if min(self.head_dim, self.n_heads, self.n_layers, self.ffn_dim) < 1:
-            raise ValueError("head_dim, n_heads, n_layers and ffn_dim must be >= 1")
-        if self.lora_rank < 1:
-            raise ValueError("lora_rank must be >= 1")
+        check(self)
         if self.lora_rank > self.hidden_dim // 2:
             raise ValueError("lora_rank must be <= hidden_dim / 2 (low-rank regime)")
         if self.n_heads * self.head_dim != self.hidden_dim:
             raise ValueError("n_heads * head_dim must equal hidden_dim")
-        if not (0.0 <= self.lora_dropout < 1.0):
-            raise ValueError("lora_dropout must be in [0, 1)")
 
     @property
     def scale(self) -> float:
@@ -80,13 +77,9 @@ class ModelShape:
 class ModelConfig(ModelShape):
     """A model shape with the vocabulary and sequence length of its data."""
 
-    vocab_size: int = field(kw_only=True)
-    max_sequence_length: int = field(default=128, kw_only=True)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.vocab_size < 3:
-            raise ValueError("vocab_size must be >= 3 (templates + UNK + PAD)")
+    # At least one template, plus UNK and PAD.
+    vocab_size: int = bounded(kw_only=True, ge=3)
+    max_sequence_length: int = bounded(128, kw_only=True, ge=1)
 
 
 _PROJ = ("q", "k", "v")

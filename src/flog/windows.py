@@ -16,25 +16,21 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
+from .bounds import bounded, check
 from .drain import LogRecord
 
 
 @dataclass(frozen=True)
 class WindowConfig:
-    window_seconds: int
-    step_seconds: int
-    min_logs_per_window: int = 1
-    max_sequence_length: int = 128
+    window_seconds: int = bounded(ge=1)
+    step_seconds: int = bounded(ge=1)
+    min_logs_per_window: int = bounded(1, ge=1)
+    max_sequence_length: int = bounded(128, ge=1)
 
     def __post_init__(self) -> None:
-        if self.window_seconds < 1 or self.step_seconds < 1:
-            raise ValueError("window_seconds and step_seconds must be positive")
+        check(self)
         if self.step_seconds > self.window_seconds:
             raise ValueError("step_seconds must not exceed window_seconds")
-        if self.min_logs_per_window < 1:
-            raise ValueError("min_logs_per_window must be >= 1")
-        if self.max_sequence_length < 1:
-            raise ValueError("max_sequence_length must be >= 1")
 
 
 class WindowSequence(NamedTuple):

@@ -1,6 +1,8 @@
 """YAML run configuration: loading, validation, defaults, round-trip."""
 
 import copy
+import math
+import re
 import typing
 from dataclasses import fields, is_dataclass
 
@@ -200,12 +202,12 @@ def with_value(doc, key, value):
 
 
 def annotated_fields(cls, prefix=""):
-    """(dotted key, annotation) of every config key under the dataclass `cls`."""
+    """(dotted key, annotation, field) of every config key under the dataclass `cls`."""
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
         if "option" in f.metadata:
             continue
-        yield prefix + f.name, hints[f.name]
+        yield prefix + f.name, hints[f.name], f
         inner = [a for a in (hints[f.name], *typing.get_args(hints[f.name])) if is_dataclass(a)]
         for sub in inner:
             yield from annotated_fields(sub, f"{prefix}{f.name}.")
@@ -224,6 +226,20 @@ def accepted(tp):
     if type(None) in args:
         return accepted(args[0])
     return ACCEPTS[tp]
+
+
+def scalar(tp):
+    """`tp` without its `| None`."""
+    args = typing.get_args(tp)
+    return args[0] if type(None) in args else tp
+
+
+def just_past(tp, op, bound):
+    """The `tp` value nearest `bound` that fails the bound's comparison `op`."""
+    if op in ("gt", "lt"):
+        return tp(bound)
+    step = -1 if op == "ge" else 1
+    return bound + step if tp is int else math.nextafter(float(bound), step * math.inf)
 
 
 class TestTyping:
@@ -248,7 +264,7 @@ class TestTyping:
         assert capsys.readouterr().err.startswith(f"configuration error: {match}")
 
     def test_every_annotated_field_rejects_wrong_yaml_types(self, tmp_path):
-        keys = dict(annotated_fields(RunConfig))
+        keys = {key: tp for key, tp, _ in annotated_fields(RunConfig)}
         # The seven sections and 45 values within them; the seed is no key.
         assert len(keys) == 7 + 45 and "federated.seed" not in keys
         for key, tp in keys.items():
@@ -258,6 +274,25 @@ class TestTyping:
                 path = write(tmp_path, with_value(MINIMAL, key, value))
                 with pytest.raises(ValueError, match=rf"\b{key.rpartition('.')[2]} must be"):
                     load_config(path)
+
+    def test_every_numeric_key_rejects_values_outside_its_declared_range(self, tmp_path,
+                                                                        capsys):
+        numeric = {key: (scalar(tp), f.metadata.get("bounds"))
+                   for key, tp, f in annotated_fields(RunConfig) if scalar(tp) in (int, float)}
+        assert len(numeric) == 39
+        for key, (tp, bounds) in numeric.items():
+            assert bounds, f"{key} declares no range"
+            bad = [just_past(tp, op, b) for op, b in bounds.items()]
+            if tp is float:
+                bad += [math.nan, math.inf, -math.inf]
+            for value in bad:
+                path = write(tmp_path, with_value(MINIMAL, key, value))
+                with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
+                    load_config(path)
+        path = write(tmp_path, with_value(MINIMAL, "federated.learning_rate", math.nan))
+        assert main(["account", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: federated.learning_rate must be finite, got nan\n")
 
     def test_values_keep_their_yaml_type(self, tmp_path):
         doc = with_value(MINIMAL, "privacy.target_epsilon", 10)

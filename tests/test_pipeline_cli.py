@@ -399,6 +399,38 @@ class TestCli:
         assert dump[0] == "node_id\tclient_id"
         assert len(dump) == 5  # header + 4 nodes
 
+    def test_partition_without_nodes_names_partition_stage(self, tmp_path, capsys):
+        log_path = tmp_path / "malformed.log"
+        log_path.write_text("not a log line\n- 12 also not\n", encoding="utf-8")
+        path = log_file_config(tmp_path, "thunderbird", log_path)
+        assert main(["partition", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "stage 'partition' failed: nodes must be non-empty\n"
+
+    # An --out naming a file cannot become the output directory, and an
+    # artifact path that is a directory cannot be written.
+    @pytest.mark.parametrize("command,artifact", [
+        ("synth", None), ("parse", None), ("partition", None), ("train", None),
+        ("synth", "synthetic.log"), ("parse", "templates.tsv"),
+        ("partition", "assignment.tsv"), ("train", "templates.tsv"),
+        ("train", "assignment.tsv"), ("train", "rounds.csv"), ("train", "ledger.txt"),
+        ("train", "model.ckpt"),
+    ])
+    def test_unwritable_output_fails_in_one_line(self, cfg_path, tmp_path, capsys,
+                                                 command, artifact):
+        out = tmp_path / "alt"
+        if artifact is None:
+            out.write_text("")
+            blocked = out
+        else:
+            blocked = out / artifact
+            blocked.mkdir(parents=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{blocked}'" in err, err
+        assert "configuration error" not in err
+
     def test_train_then_evaluate(self, cfg_path, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
