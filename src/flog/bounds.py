@@ -18,9 +18,10 @@ def check(obj) -> None:
     """Raise ValueError naming the first field of `obj` out of its range, or a float not finite."""
     for f in fields(obj):
         value, bounds = getattr(obj, f.name), f.metadata.get("bounds", {})
+        name = f.metadata.get("option", f.name)  # a field set on the command line names its option
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
         if value is not None and not all(getattr(operator, op)(value, b)
                                          for op, b in bounds.items()):
             rule = " and ".join(f"{_SIGNS[op]} {b}" for op, b in bounds.items())
-            raise ValueError(f"{f.name} must be {rule}, got {value!r}")
+            raise ValueError(f"{name} must be {rule}, got {value!r}")

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    flog <subcommand> --config <file> [--seed N] [--out DIR]
+    flog <subcommand> --config <file> [--out DIR]    (train also takes --seed N)
 
 Subcommands run individual stages standalone (synth, parse, partition,
 account) or the whole pipeline (train, evaluate).
@@ -15,14 +15,16 @@ import logging
 import sys
 from pathlib import Path
 
-from . import datasets, drain, model as model_ops, partition
+from . import datasets, model as model_ops
 from .config import load_config
 from .metrics import CSV_HEADER, csv_row, evaluate
 from .pipeline import (
     StageError,
     _stage,
+    assign_clients,
     build_all_windows,
     init_model,
+    output_dir,
     privacy_ledger,
     read_corpus,
     run_pipeline,
@@ -31,16 +33,10 @@ from .pipeline import (
 log = logging.getLogger(__name__)
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_synth(args, cfg) -> int:
     if cfg.dataset.format != "synthetic":
         raise ValueError(f"flog synth needs dataset.format synthetic, got {cfg.dataset.format!r}")
-    out = _out_dir(cfg)
+    out = output_dir(cfg)
     corpus = datasets.SyntheticCorpus(cfg.dataset.synthetic)
     path = out / "synthetic.log"
     with open(path, "w", encoding="utf-8") as fh:
@@ -51,21 +47,15 @@ def cmd_synth(args, cfg) -> int:
 
 
 def cmd_parse(args, cfg) -> int:
-    out = _out_dir(cfg)
-    corpus = read_corpus(cfg)
-    drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
+    out = output_dir(cfg)
+    corpus = read_corpus(cfg, out)
     print(f"{corpus.n_templates} templates -> {out / 'templates.tsv'}")
     return 0
 
 
 def cmd_partition(args, cfg) -> int:
-    out = _out_dir(cfg)
-    corpus = read_corpus(cfg)
-    with _stage("partition"):
-        assignment = partition.round_robin_assign(
-            list(corpus.records_by_node), cfg.federated.k_clients
-        )
-        partition.write_assignment_dump(assignment, out / "assignment.tsv")
+    out = output_dir(cfg)
+    assignment = assign_clients(list(read_corpus(cfg).records_by_node), cfg, out)
     print(f"{len(assignment)} nodes over {cfg.federated.k_clients} clients "
           f"-> {out / 'assignment.tsv'}")
     return 0
@@ -113,7 +103,7 @@ def cmd_evaluate(args, cfg) -> int:
     corpus = read_corpus(cfg)
     with _stage("window"):
         _, test_windows = build_all_windows(corpus, cfg)
-    state = init_model(cfg, corpus.n_templates, args.seed)
+    state = init_model(cfg, corpus.n_templates, 0)  # the load overwrites every tensor
     with _stage("load"):
         state.load(ckpt)
     scores = model_ops.score(
@@ -155,10 +145,12 @@ def main(argv=None) -> int:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--seed", type=int, default=0, help="root random seed")
-        p.add_argument("--out", default=None, help="output directory override")
+        if name == "train":
+            p.add_argument("--seed", type=int, default=0, help="root random seed")
+        if name != "account":  # account reads and writes no output directory
+            p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("-v", "--verbose", action="store_true")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, out=None)
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

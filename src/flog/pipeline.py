@@ -137,61 +137,68 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def read_corpus(cfg: RunConfig) -> ParsedCorpus:
-    """The configured dataset ingested and parsed, as stages 'ingest' and 'parse'."""
+def read_corpus(cfg: RunConfig, out: Path | None = None) -> ParsedCorpus:
+    """The configured dataset ingested and parsed, as stages 'ingest' and 'parse'.
+
+    Given an output directory, stage 'parse' writes its templates.tsv there.
+    """
     with _stage("ingest"):
         entries = load_entries(cfg)
     log.info("ingested %d entries", len(entries))
     with _stage("parse"):
         corpus = parse_corpus(entries, cfg)
+        if out is not None:
+            drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
     log.info("parsed %d templates across %d nodes",
              corpus.n_templates, len(corpus.records_by_node))
     return corpus
 
 
-def _front_end(cfg: RunConfig, out: Path):
-    """Ingest, parse (writing templates.tsv) and window the corpus.
+def output_dir(cfg: RunConfig) -> Path:
+    """The run's output directory, created if it does not exist."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
-    Returns the template count, the train and test windows and the node
-    list, and nothing of the parsed corpus: its per-line records are freed
-    when this returns.
+
+def assign_clients(nodes: list[str], cfg: RunConfig, out: Path) -> dict[str, int]:
+    """Stage 'partition': each node's client, also written as assignment.tsv."""
+    with _stage("partition"):
+        assignment = partition.round_robin_assign(nodes, cfg.federated.k_clients)
+        partition.write_assignment_dump(assignment, out / "assignment.tsv")
+    return assignment
+
+
+def _trainer(cfg: RunConfig, fed: federated.FedConfig, out: Path) -> federated.FederatedTrainer:
+    """The run's trainer, over the parsed, windowed and partitioned corpus.
+
+    The parsed corpus is freed once the windows are built, and the windows and
+    client datasets when this returns, before training: the trainer packs them.
     """
-    corpus = read_corpus(cfg)
-    with _stage("parse"):
-        drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
+    corpus = read_corpus(cfg, out)
     with _stage("window"):
         train_windows, test_windows = build_all_windows(corpus, cfg)
     log.info("built %d train / %d test windows", len(train_windows), len(test_windows))
-    return corpus.n_templates, train_windows, test_windows, list(corpus.records_by_node)
-
-
-def _trainer(cfg: RunConfig, seed: int, out: Path) -> federated.FederatedTrainer:
-    """The run's trainer, over the partitioned windows (writing assignment.tsv).
-
-    The trainer packs the windows it needs, so the windows and the client
-    datasets are freed when this returns, before training starts.
-    """
-    n_templates, train_windows, test_windows, nodes = _front_end(cfg, out)
+    n_templates, nodes = corpus.n_templates, list(corpus.records_by_node)
+    del corpus  # its per-line records
+    assignment = assign_clients(nodes, cfg, out)
     with _stage("partition"):
-        assignment = partition.round_robin_assign(nodes, cfg.federated.k_clients)
-        clients = partition.materialize(train_windows, assignment, cfg.federated.k_clients)
-        partition.write_assignment_dump(assignment, out / "assignment.tsv")
+        clients = partition.materialize(train_windows, assignment, fed.k_clients)
     with _stage("train"):
         return federated.FederatedTrainer(
-            init_model(cfg, n_templates, seed),
+            init_model(cfg, n_templates, fed.seed),
             clients,
             [w.key_ids for w in test_windows],
             [w.label for w in test_windows],
-            replace(cfg.federated, seed=seed),
+            fed,
             privacy_ledger(cfg),
         )
 
 
 def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    trainer = _trainer(cfg, seed, out)
+    fed = replace(cfg.federated, seed=seed)  # checks the seed's range before any stage
+    out = output_dir(cfg)
+    trainer = _trainer(cfg, fed, out)
     with _stage("train"):
         metrics = trainer.run()
 

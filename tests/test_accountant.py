@@ -58,6 +58,56 @@ class TestCompose:
             epsilon_for(1.0, -1, 1e-5)
 
 
+def gdp_delta(eps, mu):
+    """Exact delta(eps) of mu-GDP (Balle & Wang, ICML 2018).
+
+    delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2).
+    """
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    return phi(-eps / mu + mu / 2) - math.exp(eps) * phi(-eps / mu - mu / 2)
+
+
+def exact_epsilon(sigma, rounds, delta):
+    """The least eps with gdp_delta(eps) <= delta for T full-batch Gaussian releases.
+
+    At q = 1, T releases at multiplier sigma compose exactly to mu-GDP with
+    mu = sqrt(T) / sigma (Dong, Roth & Su, JRSS-B 2022). delta(eps) falls
+    as eps grows, so bisection finds it; eps stays under 700, where
+    math.exp would overflow.
+    """
+    mu = math.sqrt(rounds) / sigma
+    lo, hi = 0.0, 600.0
+    assert gdp_delta(hi, mu) <= delta
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if gdp_delta(mid, mu) > delta else (lo, mid)
+    return hi
+
+
+# The worst ratio epsilon_for / exact over the grid below, measured when the
+# oracle was added (sigma=2.5, T=1: 1.9994 against 1.5550), and the slack
+# allowed above it before the accountant counts as needlessly loose.
+WORST_RDP_OVER_EXACT = 1.286
+RATIO_MARGIN = 0.03
+
+
+class TestExactGaussianOracle:
+    def test_oracle_matches_a_worked_value(self):
+        # sigma=1, T=5: mu = sqrt(5), exact eps 11.48 at delta=1e-5.
+        assert exact_epsilon(1.0, 5, 1e-5) == pytest.approx(11.48, abs=5e-3)
+        assert gdp_delta(exact_epsilon(1.0, 5, 1e-5), math.sqrt(5)) == pytest.approx(1e-5)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("rounds", [1, 5, 10, 20])
+    def test_rdp_epsilon_bounds_the_exact_one_within_slack(self, sigma, rounds):
+        exact = exact_epsilon(sigma, rounds, 1e-5)
+        eps = epsilon_for(sigma, rounds, 1e-5)[0]
+        assert eps >= exact
+        assert eps <= exact * (WORST_RDP_OVER_EXACT + RATIO_MARGIN)
+
+
 class TestToEpsilon:
     def test_golden_value(self):
         eps, alpha = epsilon_for(1.5, 20, 1e-5)

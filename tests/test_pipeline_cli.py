@@ -133,6 +133,15 @@ class TestRunPipeline:
             run_pipeline(cfg, seed=1)
         assert (out / "model.ckpt").read_bytes() != first
 
+    def test_negative_seed_fails_before_any_stage(self, cfg_path, tmp_path, monkeypatch):
+        def unread(cfg):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(pipeline, "load_entries", unread)
+        with pytest.raises(ValueError, match="^--seed must be >= 0, got -1$"):
+            run_pipeline(load_config(cfg_path), seed=-1)
+        assert not (tmp_path / "out").exists()
+
     def test_rounds_csv_schema(self, cfg_path, tmp_path):
         cfg = load_config(cfg_path)
         with warnings.catch_warnings():
@@ -431,12 +440,41 @@ class TestCli:
         assert err.count("\n") == 1 and f"'{blocked}'" in err, err
         assert "configuration error" not in err
 
+    def test_negative_seed_writes_nothing(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["train", "--config", str(cfg_path), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    # Only train takes a seed, and account reads and writes no output directory.
+    @pytest.mark.parametrize("command,option", [
+        ("synth", "--seed"), ("parse", "--seed"), ("partition", "--seed"),
+        ("evaluate", "--seed"), ("account", "--seed"), ("account", "--out"),
+    ])
+    def test_option_a_subcommand_does_not_use_is_usage_error(self, cfg_path, tmp_path,
+                                                             command, option):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(cfg_path), option, "1"])
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_parse_and_train_fail_alike_on_unwritable_templates(self, cfg_path, tmp_path,
+                                                                 capsys):
+        (tmp_path / "out" / "templates.tsv").mkdir(parents=True)
+        errors = []
+        for command in ("parse", "train"):
+            assert main([command, "--config", str(cfg_path)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("stage 'parse' failed: ")
+        assert not (tmp_path / "out" / "assignment.tsv").exists()
+
     def test_train_then_evaluate(self, cfg_path, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
             capsys.readouterr()
-            assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 0
+            assert main(["evaluate", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("round,participants,")
         # The reloaded checkpoint scores the test split exactly as the last
@@ -453,7 +491,7 @@ class TestCli:
             assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
         (tmp_path / "out" / "rounds.csv").unlink()
         capsys.readouterr()
-        assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert main(["evaluate", "--config", str(cfg_path)]) == 1
         assert "no rounds.csv" in capsys.readouterr().err
 
     def test_evaluate_on_damaged_checkpoint_names_load_stage(self, cfg_path, tmp_path,
@@ -472,7 +510,7 @@ class TestCli:
         for damaged in (b"garbage", good[: len(good) // 2], b""):
             ckpt.write_bytes(damaged)
             capsys.readouterr()
-            assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
+            assert main(["evaluate", "--config", str(cfg_path)]) == 1
             out, err = capsys.readouterr()
             assert f"stage 'load' failed: {ckpt}: " in err, damaged[:8]
             assert "configuration error" not in err
@@ -487,7 +525,7 @@ class TestCli:
         lines = rounds_csv.read_text(encoding="utf-8").splitlines()
         rounds_csv.write_text("\n".join([*lines[:-1], "x,y,z"]) + "\n", encoding="utf-8")
         capsys.readouterr()
-        assert main(["evaluate", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert main(["evaluate", "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
         assert f"stage 'load' failed: {rounds_csv}: " in err
         assert "configuration error" not in err

@@ -14,10 +14,18 @@ pairs, each run in a fresh interpreter:
   two layers and q = 0.6; and synthetic at 12,000 lines with two layers,
   two heads of width 4, LoRA dropout 0.2, 3 accumulation steps and q = 0.7.
 
+It also runs the command line, `flog.cli.main`, in both trees on
+`configs/synthetic.yaml` and the `tbird-ingest` config: `parse`,
+`partition`, `account`, `train --seed 4`, then `evaluate` on train's
+output directory.
+
 Both trees read the same inputs and configs, written from this tree.
 It compares `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
-byte for byte, and `rounds.csv` without its `wall_seconds` column. It
-prints one line per run and artifact and exits 1 on any difference.
+byte for byte, and `rounds.csv` without its `wall_seconds` column; and
+from the command line, the `templates.tsv` that `parse` writes, the
+`assignment.tsv` that `partition` writes, and the standard output of
+`account`, `train` (without `wall_seconds`) and `evaluate`. It prints one
+line per run and artifact and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -46,6 +54,14 @@ from flog import pipeline
 from flog.config import load_config
 cfg = load_config(sys.argv[2])
 pipeline.run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[4]), int(sys.argv[3]))
+"""
+
+# One command line in a fresh interpreter: argv is (src dir, flog arguments...).
+CLI = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from flog.cli import main
+sys.exit(main(sys.argv[2:]))
 """
 
 
@@ -93,14 +109,37 @@ def configs(work: Path) -> list[tuple[str, Path, int]]:
     return [(name, paths[name], seed) for name, seed in runs]
 
 
-def run(tree: Path, config: Path, seed: int, out: Path) -> str | None:
-    """Runs the pipeline from `tree`; returns None, or the error output of a failed run."""
+def run(tree: Path, script: str, *args) -> tuple[str, str | None]:
+    """Runs `script` from `tree`: its stdout, and None or the error output of a failed run."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, "-c", RUN, str(tree / "src"), str(config), str(seed),
-                           str(out)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script, str(tree / "src"), *map(str, args)],
+                          capture_output=True, text=True, env=env)
     if proc.returncode == 0:
-        return None
-    return (proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
+        return proc.stdout, None
+    return proc.stdout, (proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
+
+
+def cli_outputs(tree: Path, config: Path, out: Path) -> tuple[dict[str, bytes | None], list[str]]:
+    """What the command line writes and prints from `tree`, by name; and its failed steps.
+
+    `parse` and `partition` print their output paths, so only the file each
+    writes is compared. A failed step's output is None.
+    """
+    steps = (("parse", "--out", out / "parse"), ("partition", "--out", out / "partition"),
+             ("account",), ("train", "--seed", 4, "--out", out / "train"),
+             ("evaluate", "--out", out / "train"))
+    outputs, failed = {}, []
+    for command, *args in steps:
+        stdout, error = run(tree, CLI, command, "--config", config, *args)
+        if error is not None:
+            failed.append(f"{command}: {error}")
+        if command == "train":  # rounds.csv's rows, whose last column is wall_seconds
+            stdout = "".join(line.rsplit(",", 1)[0] + "\n" for line in stdout.splitlines())
+        if command not in ("parse", "partition"):
+            outputs[f"{command} stdout"] = stdout.encode() if error is None else None
+    outputs["parse templates.tsv"] = content(out / "parse" / "templates.tsv")
+    outputs["partition assignment.tsv"] = content(out / "partition" / "assignment.tsv")
+    return outputs, failed
 
 
 def content(path: Path) -> bytes | None:
@@ -121,11 +160,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
         tmp = Path(tmp)
         extract(args.base, tmp / "base")
-        for name, config, seed in configs(tmp / "inputs"):
+        runs = configs(tmp / "inputs")
+        for name, config, seed in runs:
             outs = {}
             for side, tree in (("base", tmp / "base"), ("here", ROOT)):
                 outs[side] = tmp / "out" / side / f"{name}.seed{seed}"
-                error = run(tree, config, seed, outs[side])
+                _, error = run(tree, RUN, config, seed, outs[side])
                 if error is not None:
                     print(f"{name} seed {seed}: {side} run failed: {error}")
                     same = False
@@ -134,6 +174,19 @@ def main() -> int:
                 verdict = "identical" if a is not None and a == b else "DIFFERENT"
                 same &= verdict == "identical"
                 print(f"{name} seed {seed}: {artifact} {verdict}")
+        for name, config, seed in runs:
+            if seed != 4 or name not in ("synthetic", "tbird-ingest"):
+                continue
+            outputs = {}
+            for side, tree in (("base", tmp / "base"), ("here", ROOT)):
+                outputs[side], failed = cli_outputs(tree, config, tmp / "cli" / side / name)
+                for step in failed:
+                    print(f"{name} cli: {side} {step}")
+            for key in outputs["here"]:
+                a, b = outputs["base"][key], outputs["here"][key]
+                verdict = "identical" if a is not None and a == b else "DIFFERENT"
+                same &= verdict == "identical"
+                print(f"{name} cli: {key} {verdict}")
     return 0 if same else 1
 
 
