@@ -34,6 +34,7 @@ log = logging.getLogger(__name__)
 
 
 def cmd_synth(args, cfg) -> int:
+    """Write the synthetic corpus to synthetic.log."""
     if cfg.dataset.format != "synthetic":
         raise ValueError(f"flog synth needs dataset.format synthetic, got {cfg.dataset.format!r}")
     out = output_dir(cfg)
@@ -47,6 +48,7 @@ def cmd_synth(args, cfg) -> int:
 
 
 def cmd_parse(args, cfg) -> int:
+    """Ingest and parse the dataset; write templates.tsv."""
     out = output_dir(cfg)
     corpus = read_corpus(cfg, out)
     print(f"{corpus.n_templates} templates -> {out / 'templates.tsv'}")
@@ -54,6 +56,7 @@ def cmd_parse(args, cfg) -> int:
 
 
 def cmd_partition(args, cfg) -> int:
+    """Assign nodes to clients; write assignment.tsv."""
     out = output_dir(cfg)
     assignment = assign_clients(list(read_corpus(cfg).records_by_node), cfg, out)
     print(f"{len(assignment)} nodes over {cfg.federated.k_clients} clients "
@@ -62,6 +65,7 @@ def cmd_partition(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
+    """Run the whole pipeline; write every artifact."""
     metrics = run_pipeline(cfg, args.seed)
     for m in metrics:
         print(csv_row(m))
@@ -82,6 +86,7 @@ def _last_round(path: Path) -> tuple[int, int, float] | None:
 
 
 def cmd_evaluate(args, cfg) -> int:
+    """Score the trained checkpoint on the test windows."""
     out = Path(cfg.output_dir)  # read only: evaluate writes nothing there
     ckpt = out / "model.ckpt"
     if not ckpt.exists():
@@ -119,6 +124,7 @@ def cmd_evaluate(args, cfg) -> int:
 
 
 def cmd_account(args, cfg) -> int:
+    """Print the privacy ledger of the configured rounds."""
     ledger = privacy_ledger(cfg)
     for _ in range(cfg.federated.rounds):
         ledger.update()

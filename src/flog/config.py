@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from pathlib import Path
 
 import yaml
 
@@ -85,7 +84,7 @@ _SECTIONS = [name for name, tp in typing.get_type_hints(RunConfig).items() if is
 
 
 def _mapping(raw, section: str) -> dict:
-    """A config section; an absent or null section is empty."""
+    """A config section, or the root; an absent or null one is empty."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
@@ -121,7 +120,7 @@ def _build(cls, raw: dict, section: str):
     hints = typing.get_type_hints(cls)
     unknown = set(raw) - set(hints)
     if unknown:
-        raise ValueError(f"unknown key(s) in {section}: {sorted(unknown)}")
+        raise ValueError(f"unknown key(s) in {section or 'top level'}: {sorted(unknown)}")
     prefix = f"{section}." if section else ""
     for f in fields(cls):
         # A field the command line sets, such as the training seed, is no config key.
@@ -142,21 +141,14 @@ def _build(cls, raw: dict, section: str):
 
 
 def load_config(path) -> RunConfig:
+    """The RunConfig in the YAML file at `path`, every key checked; reads no other file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ValueError(f"cannot load {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError("config root must be a mapping")
-    unknown = set(raw) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ValueError(f"unknown top-level key(s): {sorted(unknown)}")
     # A section left out takes every default, as a null one does.
-    cfg = _build(RunConfig, {**dict.fromkeys(_SECTIONS), **raw}, "")
-    if cfg.dataset.format != "synthetic" and not Path(cfg.dataset.path).exists():
-        raise ValueError(f"dataset.path does not exist: {cfg.dataset.path}")
-    return cfg
+    return _build(RunConfig, {**dict.fromkeys(_SECTIONS), **_mapping(raw, "config root")}, "")
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -1,10 +1,12 @@
-"""Decoders for supercomputer log line formats plus a synthetic generator.
+"""Decoder for supercomputer log lines plus a synthetic generator.
 
-Both Thunderbird and BGL lines start with a label field where a hyphen
-means "not an alert"; anything else marks the line anomalous. The
-synthetic generator emits Thunderbird-layout lines so the same decoder
-round-trips them, with anomalies injected as short bursts of dedicated
-rare templates so that desk-scale detection is learnable by construction.
+Thunderbird and BGL lines share one layout: nine header fields, the
+first a label where a hyphen means "not an alert" (anything else marks
+the line anomalous) and the fourth the node id, then the message. So one
+decoder reads both and takes no format name. The synthetic generator
+emits Thunderbird-layout lines so the same decoder round-trips them,
+with anomalies injected as short bursts of dedicated rare templates so
+that desk-scale detection is learnable by construction.
 """
 
 from __future__ import annotations
@@ -45,15 +47,13 @@ _N_HEADER = 9
 _NODE_INDEX = 3
 
 
-def decode_line(line: str, fmt: str) -> RawEntry:
+def decode_line(line: str) -> RawEntry:
     """Decode one line: 9 header fields, then the message.
 
     The line is split once: the message is the rest of the line after the
     ninth header field, trailing whitespace dropped and internal whitespace
     kept as it is, so Drain's split of the message gives the same tokens.
     """
-    if fmt not in ("thunderbird", "bgl"):
-        raise ValueError(f"unknown format: {fmt!r}")
     parts = line.split(None, _N_HEADER)
     if len(parts) <= _N_HEADER:
         raise LineParseError(f"expected more than {_N_HEADER} tokens, got {len(parts)}")
@@ -96,6 +96,8 @@ class SyntheticSpec:
             raise ValueError("anomaly_template_ids must be non-empty")
         if any(t < 0 or t >= self.n_templates for t in self.anomaly_template_ids):
             raise ValueError("anomaly_template_ids must lie in [0, n_templates)")
+        if len(self.anomaly_template_ids) == self.n_templates:
+            raise ValueError("anomaly_template_ids must leave at least one template normal")
 
 
 def _template_tag(template_id: int) -> str:
@@ -146,8 +148,6 @@ class SyntheticCorpus:
     def __init__(self, spec: SyntheticSpec, max_samples: int | None = None) -> None:
         rng = np.random.default_rng(spec.seed)
         normal_ids = [t for t in range(spec.n_templates) if t not in spec.anomaly_template_ids]
-        if not normal_ids:
-            raise ValueError("at least one normal template required")
         anomaly_ids = sorted(spec.anomaly_template_ids)
 
         # Row-stochastic transition matrix over normal templates, fixed per run.
@@ -212,8 +212,7 @@ class SyntheticCorpus:
                 yield RawEntry(label, epoch, node_names[node], f"{before}{param}{after}")
 
 
-def read_log_file(path, fmt: str, max_samples: int | None = None,
-                  counts: dict[str, int] | None = None):
+def read_log_file(path, max_samples: int | None = None, counts: dict[str, int] | None = None):
     """Yield the RawEntry of each line; blank and malformed lines are skipped.
 
     max_samples is a prefix cut in file order. A `counts` dict, if given,
@@ -231,7 +230,7 @@ def read_log_file(path, fmt: str, max_samples: int | None = None,
             if not line.strip():
                 continue
             try:
-                entry = decode_line(line, fmt)
+                entry = decode_line(line)
             except LineParseError:
                 counts["malformed"] += 1
                 continue

@@ -49,7 +49,7 @@ def load_entries(cfg: RunConfig) -> datasets.SyntheticCorpus | list[datasets.Raw
         # compact columns until Drain reads them.
         return datasets.SyntheticCorpus(ds.synthetic, ds.max_samples)
     counts: dict[str, int] = {}
-    entries = list(datasets.read_log_file(ds.path, ds.format, ds.max_samples, counts))
+    entries = list(datasets.read_log_file(ds.path, ds.max_samples, counts))
     log.info("read %d lines from %s; skipped %d malformed",
              counts["lines"], ds.path, counts["malformed"])
     return entries

@@ -111,7 +111,7 @@ class TestLoad:
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         doc = dict(MINIMAL, typo_section={})
-        with pytest.raises(ValueError, match="unknown top-level"):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) in top level"):
             load_config(write(tmp_path, doc))
 
     def test_unknown_section_key_rejected(self, tmp_path):
@@ -129,19 +129,24 @@ class TestLoad:
             load_config(write(tmp_path, doc))
         assert "missing" not in str(err.value)
 
-    def test_nonexistent_dataset_path_rejected(self, tmp_path):
-        doc = {
-            **MINIMAL,
-            "dataset": {"format": "thunderbird", "path": "/nonexistent/file.log"},
-        }
-        with pytest.raises(ValueError, match="does not exist"):
-            load_config(write(tmp_path, doc))
+    def test_nonexistent_dataset_path_rejected(self, tmp_path, capsys):
+        # Loading reads only the config file; stage 'ingest' reads the dataset.
+        missing = tmp_path / "nonexistent" / "file.log"
+        doc = {**MINIMAL, "dataset": {"format": "thunderbird", "path": str(missing)},
+               "output_dir": str(tmp_path / "out")}
+        path = write(tmp_path, doc)
+        assert load_config(path).dataset.path == str(missing)
+        for command in ("parse", "train"):
+            assert main([command, "--config", str(path)]) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("stage 'ingest' failed: ") and str(missing) in err, command
 
     def test_non_mapping_root_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("- just\n- a\n- list\n")
-        with pytest.raises(ValueError):
-            load_config(path)
+        for root in ("- just\n- a\n- list\n", "[]\n", "0\n", "false\n", "''\n"):
+            path.write_text(root)
+            with pytest.raises(ValueError, match="config root must be a mapping"):
+                load_config(path)
         for value in ([1, 2], 5):
             for section, doc in [
                 ("federated", {**MINIMAL, "federated": value}),
@@ -150,6 +155,19 @@ class TestLoad:
             ]:
                 with pytest.raises(ValueError, match=f"{section} must be a mapping"):
                     load_config(write(tmp_path, doc))
+
+    def test_all_anomaly_templates_rejected_at_load(self, tmp_path, capsys):
+        synth = {**MINIMAL["dataset"]["synthetic"], "anomaly_template_ids": list(range(10))}
+        doc = {**MINIMAL, "dataset": {"format": "synthetic", "synthetic": synth},
+               "output_dir": str(tmp_path / "out")}
+        path = write(tmp_path, doc)
+        match = "dataset.synthetic.anomaly_template_ids must leave at least one template normal"
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
+        assert main(["account", "--config", str(path)]) == 1
+        assert f"configuration error: {match}" in capsys.readouterr().err
+        assert main(["train", "--config", str(path)]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_section_invariants_enforced(self, tmp_path):
         bad_sections = [

@@ -28,7 +28,7 @@ TBIRD_LINE = (
 
 class TestDecode:
     def test_thunderbird_normal_line(self):
-        e = decode_line(TBIRD_LINE, "thunderbird")
+        e = decode_line(TBIRD_LINE)
         assert e.label_field == "-"
         assert not e.is_anomalous
         assert e.epoch_seconds == 1131566461
@@ -37,7 +37,7 @@ class TestDecode:
 
     def test_non_hyphen_label_is_anomalous(self):
         line = TBIRD_LINE.replace("- ", "ALERT ", 1)
-        e = decode_line(line, "thunderbird")
+        e = decode_line(line)
         assert e.label_field == "ALERT"
         assert e.is_anomalous
 
@@ -47,7 +47,7 @@ class TestDecode:
             "2005-06-04-00.24.32.432192 R27-M1-N4-I:J18-U11 RAS APP FATAL "
             "ciod: failed to read message prefix"
         )
-        e = decode_line(line, "bgl")
+        e = decode_line(line)
         assert e.is_anomalous
         assert e.node_id == "R27-M1-N4-I:J18-U11"
         assert e.message == "ciod: failed to read message prefix"
@@ -58,28 +58,24 @@ class TestDecode:
         # the tokens after the header.
         line = TBIRD_LINE.replace(" dn228 Nov", "\tdn228  Nov").replace(
             "session closed", "session \t closed") + " \t\n"
-        e = decode_line(line, "thunderbird")
+        e = decode_line(line)
         assert e.node_id == "dn228"
         assert e.message == "session \t closed for user root"
         assert e.message.split() == line.split()[9:]
         with pytest.raises(LineParseError, match="expected more than 9 tokens, got 9"):
-            decode_line(" ".join(line.split()[:9]) + " \t\n", "thunderbird")
+            decode_line(" ".join(line.split()[:9]) + " \t\n")
 
     def test_malformed_raises(self):
         with pytest.raises(LineParseError, match="expected more than 9 tokens, got 2"):
-            decode_line("too short", "thunderbird")
+            decode_line("too short")
 
     def test_bad_epoch(self):
         bad = TBIRD_LINE.replace("1131566461", "notanumber")
         with pytest.raises(LineParseError):
-            decode_line(bad, "thunderbird")
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            decode_line(TBIRD_LINE, "hdfs")
+            decode_line(bad)
 
     def test_entry_is_an_immutable_record(self):
-        e = decode_line(TBIRD_LINE, "thunderbird")
+        e = decode_line(TBIRD_LINE)
         assert type(e) is RawEntry
         assert e == RawEntry(label_field="-", epoch_seconds=1131566461, node_id="dn228",
                              message="session closed for user root")
@@ -90,7 +86,7 @@ class TestDecode:
 
     def test_encode_decode_round_trip(self):
         entry = RawEntry("-", 1131566461, "node007", "daemon started status ok")
-        again = decode_line(encode_line(entry), "thunderbird")
+        again = decode_line(encode_line(entry))
         assert again == entry
 
 
@@ -190,7 +186,7 @@ class TestSynthetic:
 
     def test_lines_round_trip_through_decoder(self):
         for e in SyntheticCorpus(small_spec(n_lines=200)):
-            assert decode_line(encode_line(e), "thunderbird") == e
+            assert decode_line(encode_line(e)) == e
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -199,6 +195,8 @@ class TestSynthetic:
             small_spec(anomaly_template_ids=frozenset())
         with pytest.raises(ValueError):
             small_spec(anomaly_template_ids=frozenset({10}))
+        with pytest.raises(ValueError, match="must leave at least one template normal"):
+            small_spec(anomaly_template_ids=frozenset(range(10)))
         with pytest.raises(ValueError):
             small_spec(n_nodes=0)
 
@@ -208,17 +206,17 @@ class TestReadLogFile:
         path = tmp_path / "log.txt"
         path.write_text(TBIRD_LINE + "\ngarbage\n" + TBIRD_LINE + "\n\n")
         counts = {}
-        out = list(read_log_file(path, "thunderbird", counts=counts))
-        assert out == [decode_line(TBIRD_LINE, "thunderbird")] * 2
+        out = list(read_log_file(path, counts=counts))
+        assert out == [decode_line(TBIRD_LINE)] * 2
         assert counts == {"lines": 4, "malformed": 1}
 
     def test_counts_lines_and_malformed_lines(self):
         fixture = FIXTURES / "thunderbird_small.log"
         counts = {}
-        out = list(read_log_file(fixture, "thunderbird", counts=counts))
+        out = list(read_log_file(fixture, counts=counts))
         assert counts == {"lines": 30, "malformed": 1}
         assert len(out) == 28  # minus one malformed and one blank line
-        assert len(list(read_log_file(fixture, "thunderbird"))) == 28
+        assert len(list(read_log_file(fixture))) == 28
 
     def test_bgl_fixture_with_crlf_and_invalid_utf8(self):
         fixture = FIXTURES / "bgl_small.log"
@@ -227,7 +225,7 @@ class TestReadLogFile:
         with pytest.raises(UnicodeDecodeError):
             raw.decode("utf-8")
         counts = {}
-        out = list(read_log_file(fixture, "bgl", counts=counts))
+        out = list(read_log_file(fixture, counts=counts))
         assert counts == {"lines": 24, "malformed": 1}  # the malformed line has no message
         assert len(out) == 22  # minus one malformed and one blank line
         assert not any("\r" in e.message for e in out)
@@ -243,5 +241,5 @@ class TestReadLogFile:
     def test_max_samples_prefix_cut(self, tmp_path):
         path = tmp_path / "log.txt"
         path.write_text("\n".join([TBIRD_LINE] * 5) + "\n")
-        out = list(read_log_file(path, "thunderbird", max_samples=3))
+        out = list(read_log_file(path, max_samples=3))
         assert len(out) == 3

@@ -15,6 +15,7 @@ import yaml
 
 import flog
 from flog import federated, partition, pipeline
+from flog.accountant import epsilon_for
 from flog.cli import main
 from flog.config import load_config
 from flog.datasets import SyntheticCorpus, encode_line
@@ -183,7 +184,7 @@ class TestRunPipeline:
         assert "stage 'window' failed: no test windows" in capsys.readouterr().err
 
     def test_unreadable_dataset_names_ingest_stage(self, tmp_path, capsys):
-        # A directory passes the load-time existence check and fails on read.
+        # A directory loads, as any path does, and fails on read.
         path = log_file_config(tmp_path, "thunderbird", tmp_path)
         for command in ("parse", "partition", "train"):
             assert main([command, "--config", str(path)]) == 1, command
@@ -353,21 +354,31 @@ class TestShippedConfigs:
         assert cfg.federated.k_clients == 4
         assert cfg.federated.rounds == 5
 
-    def test_file_profiles_validate_structure(self, tmp_path):
-        # The file-based profiles point at local datasets that are not
-        # shipped; loading with a stand-in path checks every other field.
-        from pathlib import Path
-
+    def test_file_profiles_validate_structure(self):
+        # Loading reads only the config file, so the profiles load as
+        # shipped without their datasets.
         root = Path(__file__).resolve().parent.parent
-        for name in ("thunderbird.yaml", "bgl.yaml"):
-            doc = yaml.safe_load((root / "configs" / name).read_text())
-            stub = tmp_path / "data.log"
-            stub.write_text("")
-            doc["dataset"]["path"] = str(stub)
-            path = tmp_path / name
-            path.write_text(yaml.safe_dump(doc))
-            cfg = load_config(path)
+        for name, path in [("thunderbird.yaml", "data/Thunderbird.log"),
+                           ("bgl.yaml", "data/BGL.log")]:
+            cfg = load_config(root / "configs" / name)
+            assert cfg.dataset.path == path
             assert cfg.federated.clip_bound == 1.0
+
+    @pytest.mark.parametrize("name,eps_rdp", [("thunderbird.yaml", 62546.05),
+                                              ("bgl.yaml", 18.786)])
+    def test_file_profiles_account_without_dataset(self, tmp_path, monkeypatch, capsys,
+                                                   name, eps_rdp):
+        monkeypatch.chdir(tmp_path)  # no data/ here
+        path = Path(__file__).resolve().parent.parent / "configs" / name
+        with pytest.warns(UserWarning, match="exceeds target"):  # both exceed 10
+            assert main(["account", "--config", str(path)]) == 0
+        ledger = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        cfg = load_config(path)
+        expected = epsilon_for(cfg.federated.noise_multiplier, cfg.federated.rounds,
+                               cfg.privacy.delta)[0]
+        assert float(ledger["eps_rdp"]) == expected
+        assert expected == pytest.approx(eps_rdp, abs=0.01)
+        assert not list(tmp_path.iterdir())
 
 
 class TestCli:
@@ -578,6 +589,15 @@ class TestCli:
             assert main(["train", "--config", str(unreadable)]) == 1
             assert capsys.readouterr().err.startswith(
                 f"configuration error: cannot load {unreadable}: ")
+
+    def test_help_describes_each_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("synth", "parse", "partition", "train", "evaluate", "account"):
+            [line] = [line for line in lines if line.split()[:1] == [name]]
+            assert len(line.split()) > 1, name
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
