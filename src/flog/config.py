@@ -28,6 +28,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DatasetConfig:
+    """Where the log comes from.
+
+    `format` is `synthetic`, read from the `synthetic` spec, or `thunderbird`
+    or `bgl`, read from the file at `path`. Those two name one line layout
+    and are read the same way; both are kept so the shipped profiles say
+    which log they are for.
+    """
+
     format: str = "synthetic"
     path: str | None = None
     max_samples: int | None = bounded(None, ge=1)

@@ -6,20 +6,35 @@ message (diverging positions become the wildcard ``<*>``); if nothing is
 similar enough a new template is created. Event ids are dense integers in
 first-seen order and form the model vocabulary.
 
-Token lists seen before skip the tree: the parser remembers which template
-each one went to and replays that while the template's leaf is unchanged
-(see `DrainParser.parse_line`).
+Three memos let repeated input skip work. Each belongs to the parser and
+is emptied when it reaches MEMO_LIMIT entries.
 
-Words seen before skip the digit mask: each parser keeps a `TokenMask`, a
-dict of the tokens the mask left alone, so a repeated word is one dict
-lookup in C. A token with a digit is masked every time it is met and never
-stored, so numbers, which rarely repeat, cannot fill the dict. Both memos
-belong to the parser and are emptied at MEMO_LIMIT entries.
+- Shapes skip the split and the mask (`DrainParser.parse_message`). A
+  message's shape is its UTF-8 bytes with ASCII 1-9 turned to 0, or the
+  message itself when `mask_numeric_tokens` is off, and a shape seen before
+  gives its masked token tuple. This is exact. UTF-8 never uses bytes
+  0x30-0x39 inside another character, so two messages of one shape differ
+  only in ASCII digits at the same places. They therefore split at the same
+  places, and each token either holds a digit in both, so both become
+  ``<*>``, or is the same text. A line whose shape and tokens were both
+  seen costs ~0.7 us in all, against ~3.2 us with the split and mask; a new
+  shape adds ~1 us to them (CPython 3.11, 2.1 GHz Xeon). So the memo's
+  hits are checked when it doubles from SHAPE_CHECK shapes and when it is
+  full: one that served fewer hits than it holds shapes is dropped for the
+  rest of the run, and a full one that passes is emptied.
+- Token lists skip the tree (`DrainParser.parse_line`): the parser
+  remembers which template each one went to and replays that while the
+  template's leaf is unchanged.
+- Words skip the digit mask: each parser keeps a `TokenMask`, a dict of
+  the tokens the mask left alone, so a repeated word is one dict lookup in
+  C. A token with a digit is masked every time it is met and never stored,
+  so numbers, which rarely repeat, cannot fill the dict.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,11 +42,15 @@ from .bounds import bounded, check
 
 WILDCARD = "<*>"
 # Each memo is emptied when it reaches this many entries, so a log whose
-# lines or words rarely repeat cannot grow it without bound.
+# shapes, lines or words rarely repeat cannot grow it without bound.
 MEMO_LIMIT = 1 << 16
+# The shape memo's hits are first checked when it holds this many shapes.
+SHAPE_CHECK = 1 << 10
 # `\d` is Unicode Nd (str.isdecimal), a subset of str.isdigit; the digits it
 # misses (superscripts, circled digits, ...) are all non-ASCII.
 _DECIMAL = re.compile(r"\d").search
+# A message's shape is its UTF-8 bytes with ASCII 1-9 turned to 0.
+_SHAPE = bytes.maketrans(b"123456789", b"000000000")
 
 
 @dataclass(frozen=True)
@@ -125,12 +144,16 @@ class DrainParser:
         # Masked token tuple -> (its leaf, the leaf's version then, its template).
         self._memo: dict[tuple[str, ...], tuple[_Node, int, LogTemplate]] = {}
         self._token_mask = TokenMask()
+        # Message shape -> its masked tokens; None once shapes stopped paying.
+        self._shapes: dict[bytes | str, tuple[str, ...]] | None = {}
+        self._shape_hits = 0  # hits since the shape memo was last emptied
+        self._shape_check = SHAPE_CHECK  # its size at the next hit count check
 
     @property
     def templates(self) -> dict[int, LogTemplate]:
         return self._templates
 
-    def parse_line(self, tokens: list[str]) -> tuple[int, LogTemplate]:
+    def parse_line(self, tokens: Sequence[str]) -> tuple[int, LogTemplate]:
         """Route the tokens to a leaf, merge into the best template or mint a new one.
 
         Tokens seen before, in a leaf whose templates have not changed since,
@@ -171,12 +194,48 @@ class DrainParser:
         return best.event_id, best
 
     def parse_message(self, raw_line: str) -> int | None:
-        """Convenience: preprocess then parse; returns None for empty messages."""
-        tokens = preprocess_line(raw_line, self.config, self._token_mask)
+        """Preprocess then parse; returns None for empty messages.
+
+        A message whose shape was seen before takes that shape's tokens
+        instead of being split and masked (see the module docstring).
+        """
+        shapes = self._shapes
+        if shapes is None:
+            tokens = preprocess_line(raw_line, self.config, self._token_mask)
+        else:
+            shape = (raw_line.encode("utf-8", "surrogatepass").translate(_SHAPE)
+                     if self.config.mask_numeric_tokens else raw_line)
+            tokens = shapes.get(shape)
+            if tokens is None:
+                tokens = self._new_shape(shape, raw_line)
+            else:
+                self._shape_hits += 1
         if not tokens:
             return None
-        event_id, _ = self.parse_line(tokens)
-        return event_id
+        return self.parse_line(tokens)[0]
+
+    def _new_shape(self, shape: bytes | str, raw_line: str) -> tuple[str, ...]:
+        """The message's tokens, remembered under its shape.
+
+        Each time the shape memo doubles from SHAPE_CHECK shapes, and when
+        it is full, it must have served as many hits as it holds shapes;
+        if not, this log's shapes rarely repeat and the memo is dropped for
+        the rest of the run. A full memo that passes is emptied.
+        """
+        tokens = tuple(preprocess_line(raw_line, self.config, self._token_mask))
+        shapes = self._shapes
+        n = len(shapes)
+        if n >= self._shape_check or n >= MEMO_LIMIT:
+            if self._shape_hits < n:
+                self._shapes = None
+                return tokens
+            if n >= MEMO_LIMIT:
+                shapes.clear()
+                self._shape_hits, self._shape_check = 0, SHAPE_CHECK
+            else:
+                self._shape_check = 2 * n
+        shapes[shape] = tokens
+        return tokens
 
     def _descend(self, tokens: list[str]) -> _Node:
         # The length level has no max_children cap: a leaf must hold one length.

@@ -63,19 +63,22 @@ def parse_corpus(entries: Iterable[datasets.RawEntry], cfg: RunConfig) -> Parsed
     """
     parser = drain.DrainParser(cfg.parser)
     records_by_node: dict[str, list[drain.LogRecord]] = {}
+    out_of_order: set[str] = set()  # nodes with a record older than the one before it
     for entry in entries:
         event_id = parser.parse_message(entry.message)
         if event_id is None:
             continue
-        record = drain.LogRecord(entry.epoch_seconds, entry.node_id, entry.is_anomalous, event_id)
-        records_by_node.setdefault(entry.node_id, []).append(record)
-    n_sorted = 0
-    for records in records_by_node.values():
-        if any(a.timestamp > b.timestamp for a, b in zip(records, records[1:])):
-            records.sort(key=attrgetter("timestamp"))
-            n_sorted += 1
+        node, epoch = entry.node_id, entry.epoch_seconds
+        records = records_by_node.get(node)
+        if records is None:
+            records = records_by_node[node] = []
+        elif epoch < records[-1].timestamp:
+            out_of_order.add(node)
+        records.append(drain.LogRecord(epoch, node, entry.is_anomalous, event_id))
+    for node in out_of_order:
+        records_by_node[node].sort(key=attrgetter("timestamp"))
     log.info("sorted the records of %d of %d nodes by timestamp",
-             n_sorted, len(records_by_node))
+             len(out_of_order), len(records_by_node))
     return ParsedCorpus(parser=parser, records_by_node=records_by_node)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from operator import attrgetter
 
@@ -22,7 +23,12 @@ from flog.drain import (
 
 
 class ScanParser(DrainParser):
-    """Oracle: every line scans its leaf's templates, with no memo."""
+    """Oracle: every message is split and masked, every line scans its
+    leaf's templates, and nothing is memoised."""
+
+    def parse_message(self, raw_line):
+        tokens = preprocess_line(raw_line, self.config)
+        return self.parse_line(tokens)[0] if tokens else None
 
     def parse_line(self, tokens):
         leaf = self._descend(tokens)
@@ -238,6 +244,108 @@ class TestMemoAgainstScan:
                 )
             if threshold < 1.0:
                 assert earlier_changed > 0
+
+
+def shape_stream(rng, n):
+    """Messages from a small pool whose ASCII digits vary from one use to the
+    next, inside tokens and as whole tokens, with non-ASCII digits, Unicode
+    whitespace between tokens, and blank messages. Most uses keep a
+    message's shape, so the shape memo serves hits and stays on."""
+    words = ["a", "b", "code", "x1", "0", "4742", "²", "①", "\u0663", "v²", "Ⅻ", "é"]
+    gaps = [" ", "\xa0", "\u3000", "\t", "  "]
+    pool = [
+        "".join(rng.choice(words) + rng.choice(gaps) for _ in range(rng.randint(1, 5)))
+        for _ in range(3)
+    ] + ["", "\xa0\u3000"]
+    for _ in range(n):
+        msg = rng.choice(pool)
+        if rng.random() < 0.5:  # the same shape, other digits where mask is on
+            msg = re.sub(r"[0-9]+", lambda m: m[0][::-1].replace("0", "9"), msg)
+        if rng.random() < 0.03:  # a new shape: x1 -> x23, 4742 -> 7, one more token
+            msg = re.sub(r"[0-9]+", lambda m: rng.choice(("7", "23")), msg)
+            msg += rng.choice(["", " x23", " 0", " ²"])
+        yield msg
+
+
+class TestShapesAgainstScan:
+    @pytest.mark.parametrize("mask", [True, False])
+    @pytest.mark.parametrize("threshold", [0.5, 1.0])
+    def test_same_ids_and_templates_after_every_line(self, mask, threshold, monkeypatch):
+        # MEMO_LIMIT 8 holds fewer shapes, lines and words than the stream
+        # has, so every memo empties while it runs.
+        monkeypatch.setattr("flog.drain.MEMO_LIMIT", 8)
+        rng = random.Random(int(threshold * 10) + mask)
+        for depth in (3, 4):
+            cfg = ParserConfig(tree_depth=depth, similarity_threshold=threshold,
+                               mask_numeric_tokens=mask)
+            memo, scan = DrainParser(cfg), ScanParser(cfg)
+            emptied = 0
+            for msg in shape_stream(rng, 800):
+                before = len(memo._shapes or {})
+                assert memo.parse_message(msg) == scan.parse_message(msg), repr(msg)
+                assert memo.export_templates() == scan.export_templates()
+                assert {e: t.tokens for e, t in memo.templates.items()} == {
+                    e: t.tokens for e, t in scan.templates.items()
+                }
+                # None once the shape memo stopped; each line is then split and masked.
+                shapes = memo._shapes or {}
+                assert max(len(shapes), len(memo._memo), len(memo._token_mask)) <= 8
+                emptied += 0 < len(shapes) < before
+            assert emptied > 0
+
+    def test_digits_split_templates_when_masking_is_off(self):
+        p = DrainParser(ParserConfig(mask_numeric_tokens=False))
+        ids = [p.parse_message(m) for m in ("code 1", "code 2", "code 1", "code 22")]
+        assert ids == [0, 1, 0, 2]
+        assert [t for _, t, _ in p.export_templates()] == ["code 1", "code 2", "code 22"]
+
+    def test_one_shape_one_token_list(self):
+        p = DrainParser()
+        for msg in ("pid 4742 on x1", "pid 1000 on x9", "pid 0 on x0", "pid ① on x²"):
+            p.parse_message(msg)
+        assert p._shapes == {
+            b"pid 0000 on x0": ("pid", WILDCARD, "on", WILDCARD),
+            b"pid 0 on x0": ("pid", WILDCARD, "on", WILDCARD),
+            "pid ① on x²".encode(): ("pid", WILDCARD, "on", WILDCARD),
+        }
+        assert p._shape_hits == 1
+
+    def test_lone_surrogates_have_shapes_of_their_own(self):
+        p = DrainParser()
+        assert [p.parse_message(m) for m in ("tag \ud800", "tag \udfff", "tag \ud800")] == [0, 1, 0]
+
+    @pytest.mark.parametrize("limit, check", [(8, 1 << 10), (64, 8)])
+    def test_shapes_that_never_repeat_stop_the_shape_memo(self, limit, check, monkeypatch):
+        # Every message has a shape of its own: its letters spell its index.
+        # The memo stops at its first check, the first time it is full
+        # (MEMO_LIMIT 8) or the first time it reaches SHAPE_CHECK shapes.
+        monkeypatch.setattr("flog.drain.MEMO_LIMIT", limit)
+        monkeypatch.setattr("flog.drain.SHAPE_CHECK", check)
+        stop = min(limit, check)
+        memo, scan = DrainParser(), ScanParser()
+        for i in range(200):
+            word = "".join("ab"[int(bit)] for bit in f"{i:08b}")
+            msg = f"job {word}{i} ran {i % 7} s"
+            assert memo.parse_message(msg) == scan.parse_message(msg)
+            if i < stop:
+                assert len(memo._shapes) == i + 1
+            else:
+                assert memo._shapes is None
+            assert max(len(memo._memo), len(memo._token_mask)) <= limit
+        assert memo.export_templates() == scan.export_templates()
+
+    def test_shapes_that_repeat_keep_the_shape_memo(self, monkeypatch):
+        # Each new shape is followed by a repeat, so every check passes:
+        # the memo doubles its check from 4 shapes and empties at 16.
+        monkeypatch.setattr("flog.drain.MEMO_LIMIT", 16)
+        monkeypatch.setattr("flog.drain.SHAPE_CHECK", 4)
+        p, sizes = DrainParser(), []
+        for i in range(40):
+            word = "".join("ab"[int(bit)] for bit in f"{i:06b}")
+            p.parse_message(f"job {word} ran {i % 9} s")
+            p.parse_message(f"job {word} ran {i % 9 + 1} s")
+            sizes.append(len(p._shapes))
+        assert sizes == [n % 16 + 1 for n in range(40)]
 
 
 # ASCII words, digit-bearing ASCII tokens, and tokens whose only digits are

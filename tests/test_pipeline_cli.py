@@ -12,13 +12,15 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import flog
 from flog import federated, partition, pipeline
 from flog.accountant import epsilon_for
 from flog.cli import main
 from flog.config import load_config
-from flog.datasets import SyntheticCorpus, encode_line
+from flog.datasets import RawEntry, SyntheticCorpus, encode_line
 from flog.model import ModelConfig, init
 from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
 
@@ -306,6 +308,31 @@ class TestThunderbirdFixture:
         # The two lines at 20:05:12 keep their file order.
         tie = [r.event_id for r in records if r.timestamp == 1131566712]
         assert tie == [1, 0]
+
+
+class TestParseCorpusOrder:
+    @pytest.fixture(scope="class")
+    def cfg(self, tmp_path_factory):
+        path = log_file_config(tmp_path_factory.mktemp("order"), "thunderbird", THUNDERBIRD_FIXTURE)
+        return load_config(path)
+
+    @given(lines=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 5)), max_size=30))
+    def test_sorts_exactly_the_nodes_out_of_time_order(self, cfg, lines):
+        entries = [RawEntry("-", t, node, f"event {i % 3}") for i, (node, t) in enumerate(lines)]
+        with pytest.MonkeyPatch.context() as mp:
+            messages = []
+            mp.setattr(pipeline.log, "info", lambda fmt, *args: messages.append(fmt % args))
+            corpus = parse_corpus(entries, cfg)
+        by_node = {}
+        for e in entries:
+            by_node.setdefault(e.node_id, []).append(e.epoch_seconds)
+        assert list(corpus.records_by_node) == list(by_node)
+        for node, times in by_node.items():
+            # A stable sort: equal timestamps keep their file order.
+            assert [r.timestamp for r in corpus.records_by_node[node]] == sorted(times)
+        n_sorted = sum(times != sorted(times) for times in by_node.values())
+        assert messages == [f"sorted the records of {n_sorted} of {len(by_node)} nodes "
+                            f"by timestamp"]
 
 
 class TestBglFixture:

@@ -19,12 +19,18 @@ It also runs the command line, `flog.cli.main`, in both trees on
 `partition`, `account`, `train --seed 4`, then `evaluate` on train's
 output directory.
 
+Last it runs `parse` in both trees on a log of hex ids that it writes
+itself (seeded, more than 2 x `drain.MEMO_LIMIT` lines): its messages'
+digit shapes rarely repeat, so Drain drops its shape memo part way
+through, and the comparison covers that path too.
+
 Both trees read the same inputs and configs, written from this tree.
 It compares `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
 byte for byte, and `rounds.csv` without its `wall_seconds` column; and
 from the command line, the `templates.tsv` that `parse` writes, the
 `assignment.tsv` that `partition` writes, and the standard output of
-`account`, `train` (without `wall_seconds`) and `evaluate`. It prints one
+`account`, `train` (without `wall_seconds`) and `evaluate`, and the
+`templates.tsv` that `parse` writes from the hex-id log. It prints one
 line per run and artifact and exits 1 on any difference.
 """
 
@@ -34,6 +40,7 @@ import argparse
 import copy
 import io
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -107,6 +114,34 @@ def configs(work: Path) -> list[tuple[str, Path, int]]:
     runs = [(name, seed) for name in ("synthetic", "tbird-ingest") for seed in (4, 9)]
     runs += [(name, 4) for name in ("tbird-2x2-q0.5", "tbird-2x2-L2-q0.6", "synthetic-12k-L2")]
     return [(name, paths[name], seed) for name, seed in runs]
+
+
+def hex_id_config(base: Path) -> Path:
+    """The config at `base` made to read a seeded log of hex-id messages.
+
+    Nearly every message has a digit shape of its own, so Drain drops its
+    shape memo part way through and parses the rest without it.
+    """
+    from flog import datasets, drain
+
+    rng = random.Random(4)
+    forms = ("{c} job {a} {v} on {b} after {n} ms", "{c} session {b} {v} for user {u}",
+             "{c} mapped {a} to {a} size {n}")
+    words = dict(c=("kernel:", "sshd:", "pbs_mom:"), v=("opened", "closed", "moved"),
+                 u=("root", "news", "cyrus", "admin"))
+    log = base.parent / "hex-ids.log"
+    with open(log, "w", encoding="utf-8") as fh:
+        for i in range(2 * drain.MEMO_LIMIT + 4096):
+            message = rng.choice(forms).format(
+                a=f"{rng.getrandbits(64):016x}", b=f"{rng.getrandbits(32):08x}",
+                n=rng.randrange(10 ** 6), **{k: rng.choice(v) for k, v in words.items()})
+            entry = datasets.RawEntry("-", 1_131_600_000 + i // 8, f"hn{i % 37}", message)
+            fh.write(datasets.encode_line(entry) + "\n")
+    doc = yaml.safe_load(base.read_text(encoding="utf-8"))
+    doc["dataset"] = {"format": "thunderbird", "path": str(log)}
+    config = base.parent / "hex-ids.yaml"
+    config.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    return config
 
 
 def run(tree: Path, script: str, *args) -> tuple[str, str | None]:
@@ -187,6 +222,15 @@ def main() -> int:
                 verdict = "identical" if a is not None and a == b else "DIFFERENT"
                 same &= verdict == "identical"
                 print(f"{name} cli: {key} {verdict}")
+        config = hex_id_config(next(path for name, path, _ in runs if name == "tbird-ingest"))
+        for side, tree in (("base", tmp / "base"), ("here", ROOT)):
+            _, error = run(tree, CLI, "parse", "--config", config, "--out", tmp / "hex" / side)
+            if error is not None:
+                print(f"hex-ids cli: {side} parse: {error}")
+        a, b = (content(tmp / "hex" / side / "templates.tsv") for side in ("base", "here"))
+        verdict = "identical" if a is not None and a == b else "DIFFERENT"
+        same &= verdict == "identical"
+        print(f"hex-ids cli: parse templates.tsv {verdict}")
     return 0 if same else 1
 
 
