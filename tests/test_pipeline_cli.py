@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -318,19 +319,23 @@ class TestParseCorpusOrder:
 
     @given(lines=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 5)), max_size=30))
     def test_sorts_exactly_the_nodes_out_of_time_order(self, cfg, lines):
-        entries = [RawEntry("-", t, node, f"event {i % 3}") for i, (node, t) in enumerate(lines)]
+        # Three templates, so records with equal timestamps can be told apart.
+        words = ["xyz"[i % 3] for i in range(len(lines))]
+        event_ids = {word: k for k, word in enumerate(dict.fromkeys(words))}
+        entries = [RawEntry("-", t, node, f"event {word}") for (node, t), word in zip(lines, words)]
         with pytest.MonkeyPatch.context() as mp:
             messages = []
             mp.setattr(pipeline.log, "info", lambda fmt, *args: messages.append(fmt % args))
             corpus = parse_corpus(entries, cfg)
         by_node = {}
-        for e in entries:
-            by_node.setdefault(e.node_id, []).append(e.epoch_seconds)
+        for (node, t), word in zip(lines, words):
+            by_node.setdefault(node, []).append((t, event_ids[word]))
         assert list(corpus.records_by_node) == list(by_node)
-        for node, times in by_node.items():
+        for node, records in by_node.items():
             # A stable sort: equal timestamps keep their file order.
-            assert [r.timestamp for r in corpus.records_by_node[node]] == sorted(times)
-        n_sorted = sum(times != sorted(times) for times in by_node.values())
+            assert [(r.timestamp, r.event_id) for r in corpus.records_by_node[node]] == sorted(
+                records, key=itemgetter(0))
+        n_sorted = sum(records != sorted(records, key=itemgetter(0)) for records in by_node.values())
         assert messages == [f"sorted the records of {n_sorted} of {len(by_node)} nodes "
                             f"by timestamp"]
 
