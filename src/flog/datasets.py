@@ -24,7 +24,11 @@ from .bounds import bounded, check
 
 
 class RawEntry(NamedTuple):
-    """One decoded line. A tuple, so building one per line costs one allocation."""
+    """One decoded line.
+
+    Built per line with `tuple.__new__(RawEntry, fields)`, a C-level call;
+    the NamedTuple's own constructor is a Python-level one.
+    """
 
     label_field: str
     epoch_seconds: int
@@ -61,9 +65,9 @@ def decode_line(line: str) -> RawEntry:
         epoch = int(parts[1])
     except ValueError:
         raise LineParseError(f"bad epoch field {parts[1]!r}") from None
-    if epoch < 0:
-        raise LineParseError(f"negative epoch {epoch}")
-    return RawEntry(parts[0], epoch, parts[_NODE_INDEX], parts[_N_HEADER].rstrip())
+    if not 0 <= epoch < 1 << 63:
+        raise LineParseError(f"epoch {epoch} outside [0, 2**63)")
+    return tuple.__new__(RawEntry, (parts[0], epoch, parts[_NODE_INDEX], parts[_N_HEADER].rstrip()))
 
 
 def encode_line(entry: RawEntry) -> str:
@@ -204,12 +208,12 @@ class SyntheticCorpus:
         return len(self._columns[0])
 
     def __iter__(self) -> Iterator[RawEntry]:
-        heads, node_names = self._heads, self._node_names
+        heads, node_names, new = self._heads, self._node_names, tuple.__new__
         for a in range(0, len(self), _RENDER_ROWS):
             for epoch, h, param, node in zip(*(c[a:a + _RENDER_ROWS].tolist()
                                               for c in self._columns)):
                 label, before, after = heads[h]
-                yield RawEntry(label, epoch, node_names[node], f"{before}{param}{after}")
+                yield new(RawEntry, (label, epoch, node_names[node], f"{before}{param}{after}"))
 
 
 def read_log_file(path, max_samples: int | None = None, counts: dict[str, int] | None = None):

@@ -75,7 +75,7 @@ class LogTemplate:
 
 
 class LogRecord(NamedTuple):
-    """One parsed line. A tuple, so building one per line costs one allocation."""
+    """One parsed line, as `windows.NodeRecords` yields it from its columns."""
 
     timestamp: int
     node_id: str

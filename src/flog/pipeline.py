@@ -11,7 +11,6 @@ import logging
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 
 from . import datasets, drain, federated, model as model_ops, partition, windows
@@ -34,7 +33,7 @@ class StageError(RuntimeError):
 @dataclass
 class ParsedCorpus:
     parser: drain.DrainParser
-    records_by_node: dict[str, list[drain.LogRecord]]  # first-seen node order
+    records_by_node: dict[str, windows.NodeRecords]  # first-seen node order
 
     @property
     def n_templates(self) -> int:
@@ -58,25 +57,29 @@ def load_entries(cfg: RunConfig) -> datasets.SyntheticCorpus | list[datasets.Raw
 def parse_corpus(entries: Iterable[datasets.RawEntry], cfg: RunConfig) -> ParsedCorpus:
     """Drain over the messages in file order, then each node's records by time.
 
-    A node whose lines arrived out of order is stable-sorted by timestamp,
-    so records with equal timestamps keep their file order.
+    Each parsed line is appended to its node's columns (`windows.NodeRecords`),
+    so no object is kept per line. A node whose lines arrived out of order is
+    stable-sorted by timestamp, so records with equal timestamps keep their
+    file order.
     """
     parser = drain.DrainParser(cfg.parser)
-    records_by_node: dict[str, list[drain.LogRecord]] = {}
+    parse_message = parser.parse_message
+    records_by_node: dict[str, windows.NodeRecords] = {}
     out_of_order: set[str] = set()  # nodes with a record older than the one before it
-    for entry in entries:
-        event_id = parser.parse_message(entry.message)
+    for label, epoch, node, message in entries:
+        event_id = parse_message(message)
         if event_id is None:
             continue
-        node, epoch = entry.node_id, entry.epoch_seconds
         records = records_by_node.get(node)
         if records is None:
-            records = records_by_node[node] = []
-        elif epoch < records[-1].timestamp:
+            records = records_by_node[node] = windows.NodeRecords(node)
+        elif epoch < records.epochs[-1]:
             out_of_order.add(node)
-        records.append(drain.LogRecord(epoch, node, entry.is_anomalous, event_id))
+        records.epochs.append(epoch)
+        records.anomalous.append(label != "-")  # RawEntry.is_anomalous
+        records.event_ids.append(event_id)
     for node in out_of_order:
-        records_by_node[node].sort(key=attrgetter("timestamp"))
+        records_by_node[node].sort()
     log.info("sorted the records of %d of %d nodes by timestamp",
              len(out_of_order), len(records_by_node))
     return ParsedCorpus(parser=parser, records_by_node=records_by_node)
@@ -183,7 +186,7 @@ def _trainer(cfg: RunConfig, fed: federated.FedConfig, out: Path) -> federated.F
         train_windows, test_windows = build_all_windows(corpus, cfg)
     log.info("built %d train / %d test windows", len(train_windows), len(test_windows))
     n_templates, nodes = corpus.n_templates, list(corpus.records_by_node)
-    del corpus  # its per-line records
+    del corpus  # its record columns
     assignment = assign_clients(nodes, cfg, out)
     with _stage("partition"):
         clients = partition.materialize(train_windows, assignment, fed.k_clients)

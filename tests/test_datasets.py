@@ -74,6 +74,14 @@ class TestDecode:
         with pytest.raises(LineParseError):
             decode_line(bad)
 
+    def test_epoch_outside_int64_is_malformed(self):
+        # Parsed records keep epochs in an int64 column.
+        top = decode_line(TBIRD_LINE.replace("1131566461", str(2**63 - 1)))
+        assert top.epoch_seconds == 2**63 - 1
+        for epoch in (-1, 2**63):
+            with pytest.raises(LineParseError, match="outside"):
+                decode_line(TBIRD_LINE.replace("1131566461", str(epoch)))
+
     def test_entry_is_an_immutable_record(self):
         e = decode_line(TBIRD_LINE)
         assert type(e) is RawEntry

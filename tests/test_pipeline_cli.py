@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ from flog.accountant import epsilon_for
 from flog.cli import main
 from flog.config import load_config
 from flog.datasets import RawEntry, SyntheticCorpus, encode_line
+from flog.drain import DrainParser, LogRecord
 from flog.model import ModelConfig, init
 from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
 
@@ -338,6 +339,67 @@ class TestParseCorpusOrder:
         n_sorted = sum(records != sorted(records, key=itemgetter(0)) for records in by_node.values())
         assert messages == [f"sorted the records of {n_sorted} of {len(by_node)} nodes "
                             f"by timestamp"]
+
+
+class TestParsedColumns:
+    """parse_corpus keeps each node's lines as columns, with no object per line."""
+
+    N_LINES = 20_000
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        # Four nodes and five message shapes; node n1's lines arrive out of order.
+        shapes = ("job {} started", "job {} done in {} ms", "link {} down",
+                  "disk {} at {} percent", "fan {} ok")
+        entries = []
+        for i in range(self.N_LINES):
+            node = f"n{i % 4}"
+            epoch = 1_131_566_461 + i // 3 - (7 * (i % 11) if node == "n1" else 0)
+            message = shapes[i % 5].format(i, i % 97)
+            entries.append(RawEntry("FAULT" if i % 13 == 0 else "-", epoch, node, message))
+        return entries
+
+    @pytest.fixture(scope="class")
+    def cfg(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("columns") / "cfg.yaml"
+        path.write_text(yaml.safe_dump(small_doc(path.parent / "out")))
+        return load_config(path)
+
+    def test_no_object_per_line(self, entries, cfg):
+        gc.collect()
+        before = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            corpus = parse_corpus(entries, cfg)
+            gc.collect()
+            tracked = len(gc.get_objects()) - before
+            held = tracemalloc.get_traced_memory()[0]
+            corpus.records_by_node.clear()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # A LogRecord per line would add N tracked objects and ~100 B a line.
+        assert tracked < self.N_LINES / 100
+        assert retained <= 32 * self.N_LINES
+
+    def test_records_are_the_per_line_records(self, entries, cfg):
+        corpus = parse_corpus(entries, cfg)
+        parser = DrainParser(cfg.parser)
+        want = {}
+        for e in entries:
+            record = LogRecord(e.epoch_seconds, e.node_id, e.is_anomalous,
+                               parser.parse_message(e.message))
+            want.setdefault(e.node_id, []).append(record)
+        assert list(corpus.records_by_node) == list(want)
+        for node, records in want.items():
+            records.sort(key=attrgetter("timestamp"))  # stable, as parse_corpus sorts
+            got = list(corpus.records_by_node[node])
+            assert len(corpus.records_by_node[node]) == len(got)
+            assert got == records
+            assert {type(r) for r in got} == {LogRecord}
+            assert all(list(map(type, r)) == [int, str, bool, int, int] for r in got)
+        assert [r.timestamp for r in want["n1"]] != [e.epoch_seconds for e in entries
+                                                     if e.node_id == "n1"]
 
 
 class TestBglFixture:

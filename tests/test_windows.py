@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flog.drain import LogRecord
-from flog.windows import WindowConfig, WindowSequence, build_windows
+from flog.windows import NodeRecords, WindowConfig, WindowSequence, build_windows
 
 
 def mk_records(times, anomalous=None, node="n0"):
@@ -85,6 +87,55 @@ class TestBruteForceOracle:
         records = mk_records(times)
         assert build_windows(records, cfg) == brute_force(records, cfg)
 
+    @settings(deadline=None)
+    @given(data=st.data(), step=st.integers(1, 4), ratio=st.integers(1, 64),
+           min_logs=st.integers(1, 4), max_len=st.integers(1, 6))
+    def test_columns_and_records_match_oracle(self, data, step, ratio, min_logs, max_len):
+        # W/S up to 64, with gaps from none to three windows long.
+        window = step * ratio + data.draw(st.integers(0, step - 1))
+        gaps = data.draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 3 * window)),
+                                  min_size=1, max_size=20))
+        times = np.cumsum(gaps).tolist()
+        anomalous = data.draw(st.lists(st.booleans(), min_size=len(times),
+                                       max_size=len(times)))
+        cfg = WindowConfig(window_seconds=window, step_seconds=step,
+                           min_logs_per_window=min_logs, max_sequence_length=max_len)
+        records = mk_records(times, anomalous)
+        columns = NodeRecords("n0", times, anomalous, range(len(times)))
+        assert build_windows(columns, cfg) == build_windows(records, cfg) == brute_force(
+            records, cfg)
+
+    def test_cost_does_not_grow_with_window_over_step(self):
+        # W/S = 10^6: enumerating each record's windows would make 2 x 10^8
+        # candidates. Window k starts at record k and holds every record after it.
+        n, t0 = 20_000, 1_131_566_461
+        anomalous = [False] * n
+        anomalous[12_345] = True
+        cfg = WindowConfig(window_seconds=10**6, step_seconds=1, max_sequence_length=4)
+        ws = build_windows(NodeRecords("n0", range(t0, t0 + n), anomalous, range(n)), cfg)
+        assert [w.start_time for w in ws] == list(range(t0, t0 + n))
+        assert [w.key_ids for w in ws] == [tuple(range(max(k, n - 4), n)) for k in range(n)]
+        assert [w.label for w in ws] == [1] * 12_346 + [0] * (n - 12_346)
+
+
+class TestNodeRecords:
+    def test_iterates_as_the_records_it_was_built_from(self):
+        records = [LogRecord(t, "n0", a, i) for i, (t, a) in enumerate(
+            [(5, False), (7, True), (7, False), (10**12, True)])]
+        columns = NodeRecords.from_records(records)
+        assert len(columns) == 4
+        assert list(columns) == list(columns) == records
+        for got, want in zip(columns, records):
+            assert type(got) is LogRecord
+            assert list(map(type, got)) == [int, str, bool, int, int]
+            assert got.raw_content_hash == 0
+            assert got.event_id is want.event_id
+
+    def test_empty(self):
+        assert len(NodeRecords("n0")) == 0 and list(NodeRecords("n0")) == []
+        cfg = WindowConfig(window_seconds=10, step_seconds=10)
+        assert build_windows(NodeRecords("n0"), cfg) == []
+
 
 class TestLabels:
     def test_one_anomaly_among_many_labels_window(self):
@@ -138,15 +189,21 @@ class TestEdges:
             WindowSequence("n0", start, (1,), 1) for start in range(10**9 - 299, 10**9 + 1)
         ]
 
+    def test_window_and_step_beyond_int64(self):
+        cfg = WindowConfig(window_seconds=10**20, step_seconds=10**19)
+        records = mk_records([0, 5, 10**12], [False, True, False])
+        assert build_windows(records, cfg) == brute_force(records, cfg) == [
+            WindowSequence("n0", 0, (0, 1, 2), 1)]
+
     def test_unsorted_rejected(self):
         cfg = WindowConfig(window_seconds=10, step_seconds=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted by timestamp"):
             build_windows(mk_records([5, 3]), cfg)
 
     def test_mixed_nodes_rejected(self):
         cfg = WindowConfig(window_seconds=10, step_seconds=10)
         records = mk_records([1]) + mk_records([2], node="n1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="single node"):
             build_windows(records, cfg)
 
     def test_min_logs_filters(self):

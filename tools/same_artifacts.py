@@ -19,19 +19,25 @@ It also runs the command line, `flog.cli.main`, in both trees on
 `partition`, `account`, `train --seed 4`, then `evaluate` on train's
 output directory.
 
-Last it runs `parse` in both trees on a log of hex ids that it writes
+It runs `parse` in both trees on a log of hex ids that it writes
 itself (seeded, more than 2 x `drain.MEMO_LIMIT` lines): its messages'
 digit shapes rarely repeat, so Drain drops its shape memo part way
 through, and the comparison covers that path too.
 
+Last it runs `parse` and `train --seed 4` in both trees on a messy copy
+of the `tbird-ingest` log: a seeded third of its nodes have some lines
+moved earlier in the file, so `pipeline.parse_corpus` re-sorts those
+nodes by time.
+
 Both trees read the same inputs and configs, written from this tree.
 It compares `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
-byte for byte, and `rounds.csv` without its `wall_seconds` column; and
-from the command line, the `templates.tsv` that `parse` writes, the
-`assignment.tsv` that `partition` writes, and the standard output of
-`account`, `train` (without `wall_seconds`) and `evaluate`, and the
-`templates.tsv` that `parse` writes from the hex-id log. It prints one
-line per run and artifact and exits 1 on any difference.
+byte for byte, and `rounds.csv` without its `wall_seconds` column. Of
+each command line run it compares the `templates.tsv` that `parse`
+writes, the `assignment.tsv` that `partition` writes, the standard output
+of `account`, `train` (without `wall_seconds`) and `evaluate`, and the
+artifacts that `train` writes. It prints one line per run and artifact
+and exits 1 on any difference, or if the messy log has no node out of
+time order.
 """
 
 from __future__ import annotations
@@ -144,6 +150,47 @@ def hex_id_config(base: Path) -> Path:
     return config
 
 
+def messy_config(base: Path) -> tuple[Path, int, int]:
+    """The config at `base` made to read its log with some lines moved earlier.
+
+    A seeded third of the nodes each have a tenth of their lines (at least
+    one) moved to a random earlier place in the file. Malformed lines stay
+    where they are. Returns the config, and how many nodes are then out of
+    time order out of how many.
+    """
+    from flog import datasets
+
+    rng = random.Random(4)
+    doc = yaml.safe_load(base.read_text(encoding="utf-8"))
+    lines = Path(doc["dataset"]["path"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    entries = {}  # line index -> its entry, for the well-formed lines
+    for i, line in enumerate(lines):
+        try:
+            entries[i] = datasets.decode_line(line)
+        except datasets.LineParseError:
+            pass
+    by_node: dict[str, list[int]] = {}
+    for i, entry in entries.items():
+        by_node.setdefault(entry.node_id, []).append(i)
+    # A line's place is its sort key; a moved line takes a random earlier one.
+    place = [float(i) for i in range(len(lines))]
+    for node in rng.sample(sorted(by_node), len(by_node) // 3):
+        for i in rng.sample(by_node[node], max(1, len(by_node[node]) // 10)):
+            place[i] = rng.uniform(0, i)
+    order = sorted(range(len(lines)), key=place.__getitem__)
+    log = base.parent / "messy.log"
+    log.write_text("".join(map(lines.__getitem__, order)), encoding="utf-8")
+    epochs: dict[str, list[int]] = {}
+    for i in order:
+        if i in entries:
+            epochs.setdefault(entries[i].node_id, []).append(entries[i].epoch_seconds)
+    n_messy = sum(times != sorted(times) for times in epochs.values())
+    doc["dataset"]["path"] = str(log)
+    config = base.parent / "messy.yaml"
+    config.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    return config, n_messy, len(epochs)
+
+
 def run(tree: Path, script: str, *args) -> tuple[str, str | None]:
     """Runs `script` from `tree`: its stdout, and None or the error output of a failed run."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -154,27 +201,50 @@ def run(tree: Path, script: str, *args) -> tuple[str, str | None]:
     return proc.stdout, (proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
 
 
-def cli_outputs(tree: Path, config: Path, out: Path) -> tuple[dict[str, bytes | None], list[str]]:
-    """What the command line writes and prints from `tree`, by name; and its failed steps.
+def cli_outputs(tree: Path, config: Path, out: Path,
+                commands=("parse", "partition", "account", "train", "evaluate"),
+                ) -> tuple[dict[str, bytes | None], list[str]]:
+    """What `commands` write and print from `tree`, by name; and the failed ones.
 
     `parse` and `partition` print their output paths, so only the file each
-    writes is compared. A failed step's output is None.
+    writes is compared; of `train`, its standard output and every artifact.
+    A failed command's output is None.
     """
-    steps = (("parse", "--out", out / "parse"), ("partition", "--out", out / "partition"),
-             ("account",), ("train", "--seed", 4, "--out", out / "train"),
-             ("evaluate", "--out", out / "train"))
+    args = {"parse": ("--out", out / "parse"), "partition": ("--out", out / "partition"),
+            "account": (), "train": ("--seed", 4, "--out", out / "train"),
+            "evaluate": ("--out", out / "train")}
     outputs, failed = {}, []
-    for command, *args in steps:
-        stdout, error = run(tree, CLI, command, "--config", config, *args)
+    for command in commands:
+        stdout, error = run(tree, CLI, command, "--config", config, *args[command])
         if error is not None:
             failed.append(f"{command}: {error}")
         if command == "train":  # rounds.csv's rows, whose last column is wall_seconds
             stdout = "".join(line.rsplit(",", 1)[0] + "\n" for line in stdout.splitlines())
         if command not in ("parse", "partition"):
             outputs[f"{command} stdout"] = stdout.encode() if error is None else None
-    outputs["parse templates.tsv"] = content(out / "parse" / "templates.tsv")
-    outputs["partition assignment.tsv"] = content(out / "partition" / "assignment.tsv")
+    if "parse" in commands:
+        outputs["parse templates.tsv"] = content(out / "parse" / "templates.tsv")
+    if "partition" in commands:
+        outputs["partition assignment.tsv"] = content(out / "partition" / "assignment.tsv")
+    if "train" in commands:
+        outputs.update((f"train {a}", content(out / "train" / a)) for a in ARTIFACTS)
     return outputs, failed
+
+
+def same_cli(label: str, trees: dict[str, Path], config: Path, out: Path, *commands) -> bool:
+    """Runs the command line in both trees; prints and returns whether the outputs match."""
+    outputs = {}
+    for side, tree in trees.items():
+        outputs[side], failed = cli_outputs(tree, config, out / side, *commands)
+        for step in failed:
+            print(f"{label}: {side} {step}")
+    same = True
+    for key, b in outputs["here"].items():
+        a = outputs["base"][key]
+        verdict = "identical" if a is not None and a == b else "DIFFERENT"
+        same &= verdict == "identical"
+        print(f"{label}: {key} {verdict}")
+    return same
 
 
 def content(path: Path) -> bytes | None:
@@ -195,42 +265,30 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
         tmp = Path(tmp)
         extract(args.base, tmp / "base")
+        trees = {"base": tmp / "base", "here": ROOT}
         runs = configs(tmp / "inputs")
         for name, config, seed in runs:
             outs = {}
-            for side, tree in (("base", tmp / "base"), ("here", ROOT)):
+            for side, tree in trees.items():
                 outs[side] = tmp / "out" / side / f"{name}.seed{seed}"
                 _, error = run(tree, RUN, config, seed, outs[side])
                 if error is not None:
                     print(f"{name} seed {seed}: {side} run failed: {error}")
                     same = False
             for artifact in ARTIFACTS:
-                a, b = (content(outs[side] / artifact) for side in ("base", "here"))
+                a, b = (content(outs[side] / artifact) for side in trees)
                 verdict = "identical" if a is not None and a == b else "DIFFERENT"
                 same &= verdict == "identical"
                 print(f"{name} seed {seed}: {artifact} {verdict}")
         for name, config, seed in runs:
-            if seed != 4 or name not in ("synthetic", "tbird-ingest"):
-                continue
-            outputs = {}
-            for side, tree in (("base", tmp / "base"), ("here", ROOT)):
-                outputs[side], failed = cli_outputs(tree, config, tmp / "cli" / side / name)
-                for step in failed:
-                    print(f"{name} cli: {side} {step}")
-            for key in outputs["here"]:
-                a, b = outputs["base"][key], outputs["here"][key]
-                verdict = "identical" if a is not None and a == b else "DIFFERENT"
-                same &= verdict == "identical"
-                print(f"{name} cli: {key} {verdict}")
-        config = hex_id_config(next(path for name, path, _ in runs if name == "tbird-ingest"))
-        for side, tree in (("base", tmp / "base"), ("here", ROOT)):
-            _, error = run(tree, CLI, "parse", "--config", config, "--out", tmp / "hex" / side)
-            if error is not None:
-                print(f"hex-ids cli: {side} parse: {error}")
-        a, b = (content(tmp / "hex" / side / "templates.tsv") for side in ("base", "here"))
-        verdict = "identical" if a is not None and a == b else "DIFFERENT"
-        same &= verdict == "identical"
-        print(f"hex-ids cli: parse templates.tsv {verdict}")
+            if seed == 4 and name in ("synthetic", "tbird-ingest"):
+                same &= same_cli(f"{name} cli", trees, config, tmp / "cli" / name)
+        tbird = next(path for name, path, _ in runs if name == "tbird-ingest")
+        same &= same_cli("hex-ids cli", trees, hex_id_config(tbird), tmp / "hex", ("parse",))
+        config, n_messy, n_nodes = messy_config(tbird)
+        print(f"messy log: {n_messy} of {n_nodes} nodes out of time order")
+        same &= n_messy > 0
+        same &= same_cli("messy cli", trees, config, tmp / "messy", ("parse", "train"))
     return 0 if same else 1
 
 
