@@ -226,7 +226,8 @@ def read_log_file(path, max_samples: int | None = None, counts: dict[str, int] |
     counts = {} if counts is None else counts
     counts.update(lines=0, malformed=0)
     n_ok = 0
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    # A line ends at LF (or CRLF); a lone CR stays inside its line.
+    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
         for line in fh:
             if max_samples is not None and n_ok >= max_samples:
                 break

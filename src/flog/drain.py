@@ -10,9 +10,8 @@ Three memos let repeated input skip work. Each belongs to the parser and
 is emptied when it reaches MEMO_LIMIT entries.
 
 - Shapes skip the split and the mask (`DrainParser.parse_message`). A
-  message's shape is its UTF-8 bytes with ASCII 1-9 turned to 0, or the
-  message itself when `mask_numeric_tokens` is off, and a shape seen before
-  gives its masked token tuple. This is exact. UTF-8 never uses bytes
+  message's shape is its UTF-8 bytes with ASCII 1-9 turned to 0, and a
+  shape seen before gives its masked token tuple. This is exact. UTF-8 never uses bytes
   0x30-0x39 inside another character, so two messages of one shape differ
   only in ASCII digits at the same places. They therefore split at the same
   places, and each token either holds a digit in both, so both become
@@ -58,7 +57,6 @@ class ParserConfig:
     tree_depth: int = bounded(4, ge=2)
     similarity_threshold: float = bounded(0.4, gt=0, le=1)
     max_children: int = bounded(100, ge=1)
-    mask_numeric_tokens: bool = True
 
     def __post_init__(self) -> None:
         check(self)
@@ -113,16 +111,12 @@ class TokenMask(dict):
         return token
 
 
-def preprocess_line(raw_line: str, config: ParserConfig,
-                    mask: TokenMask | None = None) -> list[str]:
-    """Split a message into tokens, masking digit-bearing tokens if configured.
+def preprocess_line(raw_line: str, mask: TokenMask | None = None) -> list[str]:
+    """Split a message into tokens, masking digit-bearing tokens.
 
     A parser passes its own `mask` so repeated words are looked up, not tested.
     """
-    tokens = raw_line.split()
-    if config.mask_numeric_tokens:
-        tokens = list(map((TokenMask() if mask is None else mask).__getitem__, tokens))
-    return tokens
+    return list(map((TokenMask() if mask is None else mask).__getitem__, raw_line.split()))
 
 
 def seq_similarity(a: list[str], b: list[str]) -> float:
@@ -139,18 +133,17 @@ class DrainParser:
     def __init__(self, config: ParserConfig | None = None) -> None:
         self.config = config or ParserConfig()
         self._root = _Node()
-        self._templates: dict[int, LogTemplate] = {}
-        self._next_id = 0
+        self._templates: list[LogTemplate] = []  # by event id
         # Masked token tuple -> (its leaf, the leaf's version then, its template).
         self._memo: dict[tuple[str, ...], tuple[_Node, int, LogTemplate]] = {}
         self._token_mask = TokenMask()
         # Message shape -> its masked tokens; None once shapes stopped paying.
-        self._shapes: dict[bytes | str, tuple[str, ...]] | None = {}
+        self._shapes: dict[bytes, tuple[str, ...]] | None = {}
         self._shape_hits = 0  # hits since the shape memo was last emptied
         self._shape_check = SHAPE_CHECK  # its size at the next hit count check
 
     @property
-    def templates(self) -> dict[int, LogTemplate]:
+    def templates(self) -> list[LogTemplate]:
         return self._templates
 
     def parse_line(self, tokens: Sequence[str]) -> tuple[int, LogTemplate]:
@@ -184,9 +177,8 @@ class DrainParser:
                 leaf.version += 1
             best.occurrence_count += 1
         else:
-            best = LogTemplate(event_id=self._next_id, tokens=list(tokens), occurrence_count=1)
-            self._next_id += 1
-            self._templates[best.event_id] = best
+            best = LogTemplate(len(self._templates), list(tokens), occurrence_count=1)
+            self._templates.append(best)
             leaf.templates.append(best)
         if len(self._memo) >= MEMO_LIMIT:
             self._memo.clear()
@@ -201,10 +193,9 @@ class DrainParser:
         """
         shapes = self._shapes
         if shapes is None:
-            tokens = preprocess_line(raw_line, self.config, self._token_mask)
+            tokens = preprocess_line(raw_line, self._token_mask)
         else:
-            shape = (raw_line.encode("utf-8", "surrogatepass").translate(_SHAPE)
-                     if self.config.mask_numeric_tokens else raw_line)
+            shape = raw_line.encode("utf-8", "surrogatepass").translate(_SHAPE)
             tokens = shapes.get(shape)
             if tokens is None:
                 tokens = self._new_shape(shape, raw_line)
@@ -214,7 +205,7 @@ class DrainParser:
             return None
         return self.parse_line(tokens)[0]
 
-    def _new_shape(self, shape: bytes | str, raw_line: str) -> tuple[str, ...]:
+    def _new_shape(self, shape: bytes, raw_line: str) -> tuple[str, ...]:
         """The message's tokens, remembered under its shape.
 
         Each time the shape memo doubles from SHAPE_CHECK shapes, and when
@@ -222,7 +213,7 @@ class DrainParser:
         if not, this log's shapes rarely repeat and the memo is dropped for
         the rest of the run. A full memo that passes is emptied.
         """
-        tokens = tuple(preprocess_line(raw_line, self.config, self._token_mask))
+        tokens = tuple(preprocess_line(raw_line, self._token_mask))
         shapes = self._shapes
         n = len(shapes)
         if n >= self._shape_check or n >= MEMO_LIMIT:
@@ -262,10 +253,7 @@ class DrainParser:
 
     def export_templates(self) -> list[tuple[int, str, int]]:
         """Immutable snapshot: (event_id, template string, occurrence count), by id."""
-        return [
-            (eid, tpl.render(), tpl.occurrence_count)
-            for eid, tpl in sorted(self._templates.items())
-        ]
+        return [(tpl.event_id, tpl.render(), tpl.occurrence_count) for tpl in self._templates]
 
 
 def write_template_table(rows: list[tuple[int, str, int]], path) -> None:

@@ -24,6 +24,11 @@ Wq, Wk and Wv are column views of one stored [Wq | Wk | Wv], shared by a
 model's `with_trainable` clones, so every weight has one home that the
 engine and checkpoint loads both use.
 
+Every layer runs one attention code over (query, key) row pairs inside
+each sequence. The final layer's queries are the sequences' last rows,
+which the head reads; an inner layer's are all rows. The comment above
+`Packed` describes the pairs.
+
 Token convention: id 0 is PAD (reserved), id 1 is UNK, event id e maps to
 token e + 2. Out-of-range tokens fall back to UNK.
 """
@@ -294,13 +299,17 @@ def init(config: ModelConfig, seed: int) -> ModelState:
 # -- forward / backward -----------------------------------------------------
 #
 # A batch is a `Packed`: the rows of its sequences are concatenated, with no
-# padding, and attention runs over (query, key) pairs inside each sequence.
-# Pairs are grouped by query, so segment softmax and the weighted sum over V
-# are reduceats over the group starts. The head reads only each sequence's
-# last row, so the final layer's queries, attention output and FFN are
-# those rows alone: its pairs are the sequence's rows, in order, and a
-# per-query value reaches them by `repeat` over the lengths. Earlier layers
-# need every row and use all pairs (`_Pairs`).
+# padding. Each layer attends from its query rows over (query, key) pairs
+# inside each sequence, as one `_Pairs` built per call describes them. The
+# head reads only each sequence's last row, so the final layer's query rows
+# are the last rows, and its attention output and FFN cover them alone; its
+# pairs are the sequences' rows in order: pair p is key row p, so K and V
+# serve as they are, and q[p] is row p's sequence. An inner layer (n_layers > 1) needs every row: its
+# query rows are all rows, and its pairs every (i, j) row pair of each
+# sequence. Pairs are grouped by query, so one code serves every layer: a
+# per-query value reaches its pairs by a take over q, segment softmax and
+# the weighted sum over V are reduceats over the group starts, and backward
+# sums an inner layer's per-pair K and V gradients per key row (`by_key`).
 #
 # A cohort model (a (C, P) trainable matrix) runs C clients' sequences in
 # one batch. The sequences come grouped by client, so each client's rows are
@@ -400,35 +409,36 @@ def pack_keys(key_sequences, config: ModelConfig) -> Packed:
 
 @dataclass(frozen=True)
 class _Pairs:
-    """An inner layer's attention pairs, grouped by query.
+    """A layer's attention: its query rows and their (query, key) pairs.
 
-    Pair p joins query q[p] (an index into the layer's query rows) with key
-    row k[p]; starts[g] is the first pair of query g. by_key permutes the
-    pairs into key order, with the same group starts.
+    `rows` picks the layer's query rows out of its input rows, and
+    `q_bounds` bounds each client's query rows. Pair p joins query q[p] (an
+    index into the query rows) with key row k[p]; starts[g] is the first
+    pair of query g. by_key permutes the pairs into key order, with the
+    same group starts. Where pair p is key row p, k and by_key are None.
     """
 
+    rows: np.ndarray | slice
+    q_bounds: list
     q: np.ndarray
-    k: np.ndarray
+    k: np.ndarray | None
     starts: np.ndarray
-    by_key: np.ndarray
+    by_key: np.ndarray | None
 
 
-def _all_pairs(lengths, starts, pos) -> _Pairs:
-    """Every (i, j) row pair inside each sequence, ordered by i, then j."""
-    seg = np.arange(len(lengths)).repeat(lengths)
+def _all_pairs(lengths, starts, seg, pos, row_bounds) -> _Pairs:
+    """Every (i, j) row pair inside each sequence, ordered by i, then j.
+
+    `seg` and `pos` give each row's sequence and its position there.
+    """
     sizes = lengths * lengths
     first = sizes.cumsum() - sizes
     pair_seg = np.arange(len(lengths)).repeat(sizes)
     T = lengths.take(pair_seg)
     i, j = np.divmod(np.arange(len(pair_seg)) - first.take(pair_seg), T)
     base = starts.take(pair_seg)
-    return _Pairs(base + i, base + j, first.take(seg) + pos * lengths.take(seg),
-                  first.take(pair_seg) + j * T + i)
-
-
-def _spread(X: np.ndarray, pairs: _Pairs | None, lengths: np.ndarray) -> np.ndarray:
-    """Per-query rows X copied to each of the query's pairs."""
-    return X.repeat(lengths, 0) if pairs is None else X.take(pairs.q, 0)
+    return _Pairs(slice(None), row_bounds, base + i, base + j,
+                  first.take(seg) + pos * lengths.take(seg), first.take(pair_seg) + j * T + i)
 
 
 def _by_client(X: np.ndarray, M: np.ndarray, bounds) -> np.ndarray:
@@ -480,16 +490,11 @@ def _projection_input_grad(dX, W, S, mask, bounds):
 
 
 class _LayerCache(NamedTuple):
-    """What `backward` needs of one layer's forward pass.
-
-    `pairs` is None in the final layer, whose pairs are its key rows.
-    """
+    """What `backward` needs of one layer's forward pass."""
 
     H: np.ndarray  # the layer's input rows
     Hq: np.ndarray  # its query rows
-    rows: np.ndarray | None  # the query rows' indices in H, or None for all
-    pairs: _Pairs | None
-    q_bounds: list
+    pairs: _Pairs
     S: np.ndarray
     masks: list | None
     Qp: np.ndarray
@@ -504,8 +509,6 @@ class _Cache(NamedTuple):
     sizes: np.ndarray  # sequences per trainable row
     seq_bounds: list
     row_bounds: list
-    lengths: np.ndarray
-    starts: np.ndarray
     h_last: np.ndarray
     y_hat: np.ndarray
 
@@ -549,23 +552,22 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
     lengths = sequences.lengths
     ends = lengths.cumsum()
     starts = ends - lengths
-    last = ends - 1
+    seg = np.arange(len(lengths)).repeat(lengths)  # each row's sequence
     pos = np.arange(len(sequences.ids))  # each row's position in its sequence
-    pos -= starts.repeat(lengths)
+    pos -= starts.take(seg)
     # Group c's sequences, and their packed rows, as [start, stop) bounds.
     row_ends = ends.tolist()
     row_bounds = [0, *[row_ends[b - 1] for b in seq_bounds[1:]]]
     H = frozen["embed"].take(sequences.ids, 0) + frozen["pos"].take(pos, 0)
 
     layers = []
-    inner = _all_pairs(lengths, starts, pos) if cfg.n_layers > 1 else None
+    # The final layer's queries are the sequences' last rows, whose pairs
+    # are their sequences' rows; an inner layer's are all rows.
+    final = _Pairs(ends - 1, seq_bounds, seg, None, starts, None)
+    inner = _all_pairs(lengths, starts, seg, pos, row_bounds) if cfg.n_layers > 1 else None
     for l, W in enumerate(state.qkv):
-        if l == cfg.n_layers - 1:  # queries: each sequence's last row, keys: its rows
-            rows, pairs, q_bounds, q_starts = last, None, seq_bounds, starts
-            Hq = H.take(last, 0)
-        else:
-            rows, pairs, q_bounds, q_starts = None, inner, row_bounds, inner.starts
-            Hq = H
+        pairs = final if l == cfg.n_layers - 1 else inner
+        Hq = H[pairs.rows]
         A, B = _adapter_stacks(flat, layout[f"Aq_{l}"][0].start, r, d)
         S = np.empty((C, d, 3 * d))
         np.matmul(B, A, out=_blocks(S))
@@ -573,38 +575,35 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
         masks = None
         if dropout:  # q, k, v in turn, each from every client's generator for its rows
             masks = []
-            for bounds in (q_bounds, row_bounds, row_bounds):
+            for bounds in (pairs.q_bounds, row_bounds, row_bounds):
                 u = np.concatenate([g.random((b - a, d))
                                     for g, a, b in zip(rngs, bounds, bounds[1:])])
                 masks.append((u < keep) / keep)
         if masks is None:  # one product per client with [Wq + S_q | Wk + S_k | Wv + S_v]
             QKV = _projection(H, W, S, None, row_bounds)
-            Q, K, V = QKV[:, :d], QKV[:, d:2 * d], QKV[:, 2 * d:]
-            if rows is not None:
-                Q = Q.take(rows, 0)
+            Q, K, V = QKV[:, :d][pairs.rows], QKV[:, d:2 * d], QKV[:, 2 * d:]
         else:  # Q on its rows; one frozen product for K and V, then each masked bypass
-            Q = _projection(Hq, W[:, :d], S[..., :d], masks[0], q_bounds)
+            Q = _projection(Hq, W[:, :d], S[..., :d], masks[0], pairs.q_bounds)
             KV = H @ W[:, d:]
             K = KV[:, :d] + _by_client(H * masks[1], S[..., d:2 * d], row_bounds)
             V = KV[:, d:] + _by_client(H * masks[2], S[..., 2 * d:], row_bounds)
         # Per-pair rows of Q, K and V, split into heads.
         Qp, Kp, Vp = (X.reshape(len(X), n_heads, d_k) for X in (Q, K, V))
-        if pairs is None:
-            Qp = Qp.repeat(lengths, 0)
-        else:
-            Qp, Kp, Vp = Qp.take(pairs.q, 0), Kp.take(pairs.k, 0), Vp.take(pairs.k, 0)
+        Qp = Qp.take(pairs.q, 0)
+        if pairs.k is not None:
+            Kp, Vp = Kp.take(pairs.k, 0), Vp.take(pairs.k, 0)
         scores = np.einsum("phd,phd->ph", Qp, Kp) / math.sqrt(d_k)
-        E = np.exp(scores - _spread(np.maximum.reduceat(scores, q_starts, axis=0), pairs, lengths))
-        P = E / _spread(np.add.reduceat(E, q_starts, axis=0), pairs, lengths)
-        O = np.add.reduceat(P[:, :, None] * Vp, q_starts, axis=0)
+        E = np.exp(scores - np.maximum.reduceat(scores, pairs.starts, axis=0).take(pairs.q, 0))
+        P = E / np.add.reduceat(E, pairs.starts, axis=0).take(pairs.q, 0)
+        O = np.add.reduceat(P[:, :, None] * Vp, pairs.starts, axis=0)
         H1 = Hq + O.reshape(len(Hq), -1) @ frozen[f"Wo_{l}"]
         Z = H1 @ frozen[f"W1_{l}"]
-        layers.append(_LayerCache(H, Hq, rows, pairs, q_bounds, S, masks, Qp, Kp, Vp, P, Z))
+        layers.append(_LayerCache(H, Hq, pairs, S, masks, Qp, Kp, Vp, P, Z))
         H = H1 + np.maximum(Z, 0.0) @ frozen[f"W2_{l}"]
 
     z = _by_client(H, flat[:, layout["head_w"][0]].reshape(C, d, 1), seq_bounds)[:, 0]
     y_hat = 1.0 / (1.0 + np.exp(-(z + flat[:, layout["head_b"][0].start].repeat(sizes))))
-    cache = _Cache(layers, sizes, seq_bounds, row_bounds, lengths, starts, H, y_hat)
+    cache = _Cache(layers, sizes, seq_bounds, row_bounds, H, y_hat)
     return (y_hat[0] if single else y_hat), cache
 
 
@@ -670,8 +669,7 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
     """
     cfg = state.config
     n_heads, d_k, d, r = cfg.n_heads, cfg.head_dim, cfg.hidden_dim, cfg.lora_rank
-    sizes, seq_bounds, lengths, h_last, y_hat = (
-        cache.sizes, cache.seq_bounds, cache.lengths, cache.h_last, cache.y_hat)
+    sizes, seq_bounds, h_last, y_hat = cache.sizes, cache.seq_bounds, cache.h_last, cache.y_hat
     layout, frozen = _layout(cfg), state.frozen
     flat = state.trainable.reshape(-1, state.trainable.shape[-1])
     C, n_params = flat.shape
@@ -690,34 +688,33 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
 
     for l in reversed(range(cfg.n_layers)):
         lc = cache.layers[l]
-        pairs, rows = lc.pairs, lc.rows
-        q_starts = cache.starts if pairs is None else pairs.starts
+        pairs = lc.pairs
         # FFN: H_out = H1 + relu(H1 W1) W2
         dZ = (dH @ frozen[f"W2_{l}"].T) * (lc.Z > 0.0)
         dH1 = dH + dZ @ frozen[f"W1_{l}"].T
         # Attention: H1 = H_q + O Wo, O = reduceat over pairs of P V
-        dO = _spread((dH1 @ frozen[f"Wo_{l}"].T).reshape(len(dH1), n_heads, d_k), pairs, lengths)
+        dO = (dH1 @ frozen[f"Wo_{l}"].T).reshape(len(dH1), n_heads, d_k).take(pairs.q, 0)
         P = lc.P
         dP = np.einsum("phd,phd->ph", dO, lc.Vp)
-        dS = P * (dP - _spread(np.add.reduceat(dP * P, q_starts, axis=0), pairs, lengths))
+        dS = P * (dP - np.add.reduceat(dP * P, pairs.starts, axis=0).take(pairs.q, 0))
         dS /= math.sqrt(d_k)
-        dQ = np.add.reduceat(dS[:, :, None] * lc.Kp, q_starts, axis=0).reshape(len(dH1), d)
+        dQ = np.add.reduceat(dS[:, :, None] * lc.Kp, pairs.starts, axis=0).reshape(len(dH1), d)
         dKV = np.empty((len(P), 2, n_heads, d_k))  # per pair, [dK | dV]
         np.multiply(dS[:, :, None], lc.Qp, out=dKV[:, 0])
         np.multiply(P[:, :, None], dO, out=dKV[:, 1])
-        if pairs is not None:  # sum the pairs into one row per key row
+        if pairs.by_key is not None:  # sum the pairs into one row per key row
             dKV = np.add.reduceat(dKV.take(pairs.by_key, 0), pairs.starts, axis=0)
         dKV = dKV.reshape(-1, 2 * d)
         dK, dV = dKV[:, :d], dKV[:, d:]
         # Projections: [Q | K | V] = H (W + S_c) on client c's rows, or with
         # masks H W + (H o M)_c S_c per projection, and S_c = s B_c A_c.
         H, Hq, W, S, masks = lc.H, lc.Hq, state.qkv[l], lc.S, lc.masks
-        q_bounds, row_bounds = lc.q_bounds, cache.row_bounds
+        row_bounds = cache.row_bounds
         if masks is None:  # K and V share their input rows, so one gram serves both
-            parts = [(Hq, dQ, q_bounds, slice(0, d), None),
+            parts = [(Hq, dQ, pairs.q_bounds, slice(0, d), None),
                      (H, dKV, row_bounds, slice(d, 3 * d), None)]
         else:
-            parts = [(Hq, dQ, q_bounds, slice(0, d), masks[0]),
+            parts = [(Hq, dQ, pairs.q_bounds, slice(0, d), masks[0]),
                      (H, dK, row_bounds, slice(d, 2 * d), masks[1]),
                      (H, dV, row_bounds, slice(2 * d, 3 * d), masks[2])]
         G = np.empty((C, d, 3 * d))  # the gradient of each B_c A_c, in S's column blocks
@@ -733,10 +730,7 @@ def backward(state: ModelState, cache, y, class_weights, mu=0.0, w_anchor=None):
             dq, *dkv = (_projection_input_grad(dX, W[:, cols], S[..., cols], M, bounds)
                         for _, dX, bounds, cols, M in parts)
             dH = sum(dkv)
-            if rows is None:
-                dH += dH1 + dq
-            else:
-                dH[rows] += dH1 + dq
+            dH[pairs.rows] += dH1 + dq
 
     if mu > 0.0 and w_anchor is not None:
         grad += sizes[:, None] * mu * (flat - w_anchor)

@@ -186,6 +186,9 @@ class TestLoad:
             # The per-node anomaly-rate filter is gone, and so is its key.
             ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": 0.5}},
              r"unknown key\(s\) in dataset: \['min_anomaly_rate_per_node'\]"),
+            # Drain always masks digit-bearing tokens; the switch is gone.
+            ({"parser": {"mask_numeric_tokens": False}},
+             r"unknown key\(s\) in parser: \['mask_numeric_tokens'\]"),
         ]
         for bad, match in bad_sections:
             with pytest.raises(ValueError, match=match):
@@ -232,8 +235,7 @@ def annotated_fields(cls, prefix=""):
 
 
 # The YAML types each annotation accepts; every other YAML type is an error.
-ACCEPTS = {int: {int}, float: {int, float}, str: {str}, bool: {bool},
-           frozenset[int]: {"list of int"}}
+ACCEPTS = {int: {int}, float: {int, float}, str: {str}, frozenset[int]: {"list of int"}}
 WRONG_VALUES = {bool: True, int: 7, float: 2.5, str: "7", "list of int": [7], dict: {}}
 
 
@@ -283,8 +285,8 @@ class TestTyping:
 
     def test_every_annotated_field_rejects_wrong_yaml_types(self, tmp_path):
         keys = {key: tp for key, tp, _ in annotated_fields(RunConfig)}
-        # The seven sections and 45 values within them; the seed is no key.
-        assert len(keys) == 7 + 45 and "federated.seed" not in keys
+        # The seven sections and 44 values within them; the seed is no key.
+        assert len(keys) == 7 + 44 and "federated.seed" not in keys
         for key, tp in keys.items():
             for kind, value in WRONG_VALUES.items():
                 if kind in accepted(tp):

@@ -246,6 +246,20 @@ class TestReadLogFile:
         assert {e.node_id for e in out} == {
             "R02-M1-N0-C:J12-U11", "R23-M0-NE-C:J05-U01", "R71-M1-N4-I:J18-U11"}
 
+    def test_bare_carriage_return_stays_inside_its_line(self, tmp_path):
+        # Lines end at LF (CRLF too); a lone CR is part of the message, and
+        # Drain's split treats it as whitespace.
+        header = "- 1131566461 2005.11.09 dn228 Nov 9 12:01:01 dn228/dn228 kernel:"
+        path = tmp_path / "log.txt"
+        path.write_bytes((f"{TBIRD_LINE}\r\n{header} disk sda\rerror code 5 retry\r\n"
+                          f"{TBIRD_LINE}\r\n").encode())
+        counts = {}
+        out = list(read_log_file(path, counts=counts))
+        assert counts == {"lines": 3, "malformed": 0}
+        assert [e.message for e in out] == [
+            decode_line(TBIRD_LINE).message, "disk sda\rerror code 5 retry",
+            decode_line(TBIRD_LINE).message]
+
     def test_max_samples_prefix_cut(self, tmp_path):
         path = tmp_path / "log.txt"
         path.write_text("\n".join([TBIRD_LINE] * 5) + "\n")

@@ -27,7 +27,7 @@ class ScanParser(DrainParser):
     leaf's templates, and nothing is memoised."""
 
     def parse_message(self, raw_line):
-        tokens = preprocess_line(raw_line, self.config)
+        tokens = preprocess_line(raw_line)
         return self.parse_line(tokens)[0] if tokens else None
 
     def parse_line(self, tokens):
@@ -43,9 +43,8 @@ class ScanParser(DrainParser):
             ]
             best.occurrence_count += 1
             return best.event_id, best
-        tpl = LogTemplate(event_id=self._next_id, tokens=list(tokens), occurrence_count=1)
-        self._next_id += 1
-        self._templates[tpl.event_id] = tpl
+        tpl = LogTemplate(event_id=len(self._templates), tokens=list(tokens), occurrence_count=1)
+        self._templates.append(tpl)
         leaf.templates.append(tpl)
         return tpl.event_id, tpl
 
@@ -87,15 +86,14 @@ def digit_rule(token):
 
 class TestPreprocess:
     def test_digit_tokens_masked(self):
-        cfg = ParserConfig()
-        toks = preprocess_line("pid 4742 exited status0 ok", cfg)
+        toks = preprocess_line("pid 4742 exited status0 ok")
         assert toks == ["pid", WILDCARD, "exited", WILDCARD, "ok"]
 
     def test_mask_is_str_isdigit_on_every_code_point(self):
         # The oracle is one str.isdigit per character, so the check follows
         # the interpreter's Unicode tables.
         tokens = ["a" + chr(cp) for cp in range(sys.maxunicode + 1) if not chr(cp).isspace()]
-        masked = preprocess_line(" ".join(tokens), ParserConfig())
+        masked = preprocess_line(" ".join(tokens))
         assert len(masked) == len(tokens)
         wrong = [t for t, m in zip(tokens, masked) if (m == WILDCARD) != digit_rule(t)]
         assert wrong == []
@@ -104,11 +102,7 @@ class TestPreprocess:
         ("²", True), ("①", True), ("\u0663", True), ("x-y", False), ("v9", True), ("Ⅻ", False),
     ])
     def test_mask_named_cases(self, token, masked):
-        assert (preprocess_line(token, ParserConfig()) == [WILDCARD]) is masked
-
-    def test_masking_disabled(self):
-        cfg = ParserConfig(mask_numeric_tokens=False)
-        assert preprocess_line("pid 4742", cfg) == ["pid", "4742"]
+        assert (preprocess_line(token) == [WILDCARD]) is masked
 
 
 class TestParser:
@@ -155,7 +149,7 @@ class TestParser:
     def test_dense_first_seen_ids(self):
         p = DrainParser()
         ids = [p.parse_message(m) for m in ("one fish", "two fish blue", "one fish")]
-        assert sorted(p.templates) == list(range(len(p.templates)))
+        assert [t.event_id for t in p.templates] == list(range(len(p.templates)))
         assert ids[0] == 0 and ids[1] == 1 and ids[2] == 0
 
     def test_wildcard_monotonicity(self):
@@ -182,7 +176,7 @@ class TestParser:
         # later messages must still route (through the overflow child).
         for first in ("qa", "qb", "qc", "qd", "qe", "qf", "qg", "qh"):
             eid = p.parse_message(f"{first} one two")
-            assert eid in p.templates
+            assert p.templates[eid].event_id == eid
 
     def test_lengths_beyond_max_children_get_own_leaves(self):
         p = DrainParser(ParserConfig(tree_depth=2, max_children=1))
@@ -230,16 +224,14 @@ class TestMemoAgainstScan:
             memo, scan = DrainParser(cfg), ScanParser(cfg)
             earlier_changed = 0
             for msg in message_stream(rng, 400):
-                before = {eid: list(t.tokens) for eid, t in scan.templates.items()}
+                before = [list(t.tokens) for t in scan.templates]
                 assert memo.parse_message(msg) == scan.parse_message(msg), msg
                 assert memo.export_templates() == scan.export_templates()
-                assert {e: t.tokens for e, t in memo.templates.items()} == {
-                    e: t.tokens for e, t in scan.templates.items()
-                }
+                assert [t.tokens for t in memo.templates] == [t.tokens for t in scan.templates]
                 if memo_limit is not None:
                     assert len(memo._memo) <= memo_limit
                 earlier_changed += sum(
-                    1 for eid, toks in before.items()
+                    1 for eid, toks in enumerate(before)
                     if eid < len(before) - 1 and scan.templates[eid].tokens != toks
                 )
             if threshold < 1.0:
@@ -259,7 +251,7 @@ def shape_stream(rng, n):
     ] + ["", "\xa0\u3000"]
     for _ in range(n):
         msg = rng.choice(pool)
-        if rng.random() < 0.5:  # the same shape, other digits where mask is on
+        if rng.random() < 0.5:  # the same shape, other digits
             msg = re.sub(r"[0-9]+", lambda m: m[0][::-1].replace("0", "9"), msg)
         if rng.random() < 0.03:  # a new shape: x1 -> x23, 4742 -> 7, one more token
             msg = re.sub(r"[0-9]+", lambda m: rng.choice(("7", "23")), msg)
@@ -268,36 +260,26 @@ def shape_stream(rng, n):
 
 
 class TestShapesAgainstScan:
-    @pytest.mark.parametrize("mask", [True, False])
     @pytest.mark.parametrize("threshold", [0.5, 1.0])
-    def test_same_ids_and_templates_after_every_line(self, mask, threshold, monkeypatch):
+    def test_same_ids_and_templates_after_every_line(self, threshold, monkeypatch):
         # MEMO_LIMIT 8 holds fewer shapes, lines and words than the stream
         # has, so every memo empties while it runs.
         monkeypatch.setattr("flog.drain.MEMO_LIMIT", 8)
-        rng = random.Random(int(threshold * 10) + mask)
+        rng = random.Random(int(threshold * 10) + 1)
         for depth in (3, 4):
-            cfg = ParserConfig(tree_depth=depth, similarity_threshold=threshold,
-                               mask_numeric_tokens=mask)
+            cfg = ParserConfig(tree_depth=depth, similarity_threshold=threshold)
             memo, scan = DrainParser(cfg), ScanParser(cfg)
             emptied = 0
             for msg in shape_stream(rng, 800):
                 before = len(memo._shapes or {})
                 assert memo.parse_message(msg) == scan.parse_message(msg), repr(msg)
                 assert memo.export_templates() == scan.export_templates()
-                assert {e: t.tokens for e, t in memo.templates.items()} == {
-                    e: t.tokens for e, t in scan.templates.items()
-                }
+                assert [t.tokens for t in memo.templates] == [t.tokens for t in scan.templates]
                 # None once the shape memo stopped; each line is then split and masked.
                 shapes = memo._shapes or {}
                 assert max(len(shapes), len(memo._memo), len(memo._token_mask)) <= 8
                 emptied += 0 < len(shapes) < before
             assert emptied > 0
-
-    def test_digits_split_templates_when_masking_is_off(self):
-        p = DrainParser(ParserConfig(mask_numeric_tokens=False))
-        ids = [p.parse_message(m) for m in ("code 1", "code 2", "code 1", "code 22")]
-        assert ids == [0, 1, 0, 2]
-        assert [t for _, t, _ in p.export_templates()] == ["code 1", "code 2", "code 22"]
 
     def test_one_shape_one_token_list(self):
         p = DrainParser()
@@ -363,12 +345,12 @@ class TestTokenMask:
         # memo empties and refills while the stream runs.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("flog.drain.MEMO_LIMIT", 8)
-            parser, cfg = DrainParser(), ParserConfig()
+            parser = DrainParser()
             for tokens in lines:
                 line = " ".join(tokens)
-                masked = preprocess_line(line, cfg, parser._token_mask)
+                masked = preprocess_line(line, parser._token_mask)
                 assert masked == [WILDCARD if digit_rule(t) else t for t in tokens]
-                assert masked == preprocess_line(line, cfg)
+                assert masked == preprocess_line(line)
                 assert len(parser._token_mask) <= 8
                 parser.parse_message(line)
                 assert len(parser._token_mask) <= 8
@@ -427,4 +409,3 @@ class TestParserConfig:
         assert cfg.tree_depth == 4
         assert cfg.similarity_threshold == 0.4
         assert cfg.max_children == 100
-        assert cfg.mask_numeric_tokens

@@ -362,10 +362,12 @@ class TestGradients:
             worst = max(worst, float(np.max(np.abs(g - num) / denom)))
         assert worst < 1e-4
 
-    def test_finite_difference_batched_train_dropout(self):
-        # L=2, 2 heads, dropout 0.3 in train mode, one packed batch of three
-        # sequences; re-seeding the rng fixes the masks for every loss.
-        cfg = tiny_config(n_layers=2, n_heads=2, head_dim=4, lora_dropout=0.3,
+    @pytest.mark.parametrize("lora_dropout", [0.0, 0.3])
+    def test_finite_difference_batched_train_dropout(self, lora_dropout):
+        # L=2, 2 heads, train mode, one packed batch of three sequences. At
+        # dropout 0 each bypass is merged into its weight; at 0.3 re-seeding
+        # the rng fixes the masks for every loss.
+        cfg = tiny_config(n_layers=2, n_heads=2, head_dim=4, lora_dropout=lora_dropout,
                           max_sequence_length=8)
         h, weights, mu = 1e-5, (0.7, 3.1), 0.05
         worst = 0.0

@@ -300,7 +300,7 @@ class TestThunderbirdFixture:
 
     def test_drain_in_file_order_windows_in_time_order(self, cfg):
         corpus = parse_corpus(load_entries(cfg), cfg)
-        templates = {tpl.render(): eid for eid, tpl in corpus.parser.templates.items()}
+        templates = {tpl.render(): tpl.event_id for tpl in corpus.parser.templates}
         # Event ids are first-seen ids in file order, not in time order.
         assert templates["session opened for user <*> by <*>"] == 0
         assert templates["Accepted publickey for <*> from <*> port <*> <*>"] == 1
