@@ -5,8 +5,8 @@
 
 Extracts BASE with `git archive` into a temporary directory, writes the
 `tbird-ingest` inputs once (with `perfbench/workloads.prepare`, seed 4),
-and runs `pipeline.run_pipeline` in both trees on seven (config, seed)
-pairs, each run in a fresh interpreter:
+and runs the command line, `flog.cli.main`, in both trees, each command in
+a fresh interpreter. `train --seed N` runs on seven (config, seed) pairs:
 
 - `configs/synthetic.yaml` and the `tbird-ingest` config, at seeds 4 and 9;
 - at seed 4, three configs that reach paths the shipped ones do not: the
@@ -14,10 +14,8 @@ pairs, each run in a fresh interpreter:
   two layers and q = 0.6; and synthetic at 12,000 lines with two layers,
   two heads of width 4, LoRA dropout 0.2, 3 accumulation steps and q = 0.7.
 
-It also runs the command line, `flog.cli.main`, in both trees on
-`configs/synthetic.yaml` and the `tbird-ingest` config: `parse`,
-`partition`, `account`, `train --seed 4`, then `evaluate` on train's
-output directory.
+On the two base configs at seed 4 it also runs `parse`, `partition` and
+`account`, and `evaluate` on train's output directory.
 
 It runs `parse` in both trees on a log of hex ids that it writes
 itself (seeded, more than 2 x `drain.MEMO_LIMIT` lines): its messages'
@@ -30,14 +28,13 @@ moved earlier in the file, so `pipeline.parse_corpus` re-sorts those
 nodes by time.
 
 Both trees read the same inputs and configs, written from this tree.
-It compares `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
-byte for byte, and `rounds.csv` without its `wall_seconds` column. Of
-each command line run it compares the `templates.tsv` that `parse`
-writes, the `assignment.tsv` that `partition` writes, the standard output
-of `account`, `train` (without `wall_seconds`) and `evaluate`, and the
-artifacts that `train` writes. It prints one line per run and artifact
-and exits 1 on any difference, or if the messy log has no node out of
-time order.
+It compares the `templates.tsv` that `parse` writes, the `assignment.tsv`
+that `partition` writes, the standard output of `account`, `train`
+(without `wall_seconds`) and `evaluate`, and the artifacts that `train`
+writes: `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
+byte for byte, and `rounds.csv` without its `wall_seconds` column. It
+prints one line per run and output and exits 1 on any difference, or if
+the messy log has no node out of time order.
 """
 
 from __future__ import annotations
@@ -57,17 +54,6 @@ import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACTS = ("templates.tsv", "assignment.tsv", "ledger.txt", "model.ckpt", "rounds.csv")
-
-# One pipeline run in the interpreter that `python -c` starts: argv is
-# (src dir, config path, seed, output dir).
-RUN = """
-import dataclasses, sys
-sys.path.insert(0, sys.argv[1])
-from flog import pipeline
-from flog.config import load_config
-cfg = load_config(sys.argv[2])
-pipeline.run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[4]), int(sys.argv[3]))
-"""
 
 # One command line in a fresh interpreter: argv is (src dir, flog arguments...).
 CLI = """
@@ -191,18 +177,17 @@ def messy_config(base: Path) -> tuple[Path, int, int]:
     return config, n_messy, len(epochs)
 
 
-def run(tree: Path, script: str, *args) -> tuple[str, str | None]:
-    """Runs `script` from `tree`: its stdout, and None or the error output of a failed run."""
+def run(tree: Path, *args) -> tuple[str, str | None]:
+    """Runs flog's command line from `tree`: its stdout, and None or a failure's error line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, "-c", script, str(tree / "src"), *map(str, args)],
+    proc = subprocess.run([sys.executable, "-c", CLI, str(tree / "src"), *map(str, args)],
                           capture_output=True, text=True, env=env)
     if proc.returncode == 0:
         return proc.stdout, None
     return proc.stdout, (proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
 
 
-def cli_outputs(tree: Path, config: Path, out: Path,
-                commands=("parse", "partition", "account", "train", "evaluate"),
+def cli_outputs(tree: Path, config: Path, out: Path, commands, seed: int
                 ) -> tuple[dict[str, bytes | None], list[str]]:
     """What `commands` write and print from `tree`, by name; and the failed ones.
 
@@ -211,11 +196,11 @@ def cli_outputs(tree: Path, config: Path, out: Path,
     A failed command's output is None.
     """
     args = {"parse": ("--out", out / "parse"), "partition": ("--out", out / "partition"),
-            "account": (), "train": ("--seed", 4, "--out", out / "train"),
+            "account": (), "train": ("--seed", seed, "--out", out / "train"),
             "evaluate": ("--out", out / "train")}
     outputs, failed = {}, []
     for command in commands:
-        stdout, error = run(tree, CLI, command, "--config", config, *args[command])
+        stdout, error = run(tree, command, "--config", config, *args[command])
         if error is not None:
             failed.append(f"{command}: {error}")
         if command == "train":  # rounds.csv's rows, whose last column is wall_seconds
@@ -231,11 +216,12 @@ def cli_outputs(tree: Path, config: Path, out: Path,
     return outputs, failed
 
 
-def same_cli(label: str, trees: dict[str, Path], config: Path, out: Path, *commands) -> bool:
+def same_cli(label: str, trees: dict[str, Path], config: Path, out: Path, commands,
+             seed: int = 4) -> bool:
     """Runs the command line in both trees; prints and returns whether the outputs match."""
     outputs = {}
     for side, tree in trees.items():
-        outputs[side], failed = cli_outputs(tree, config, out / side, *commands)
+        outputs[side], failed = cli_outputs(tree, config, out / side, commands, seed)
         for step in failed:
             print(f"{label}: {side} {step}")
     same = True
@@ -268,21 +254,11 @@ def main() -> int:
         trees = {"base": tmp / "base", "here": ROOT}
         runs = configs(tmp / "inputs")
         for name, config, seed in runs:
-            outs = {}
-            for side, tree in trees.items():
-                outs[side] = tmp / "out" / side / f"{name}.seed{seed}"
-                _, error = run(tree, RUN, config, seed, outs[side])
-                if error is not None:
-                    print(f"{name} seed {seed}: {side} run failed: {error}")
-                    same = False
-            for artifact in ARTIFACTS:
-                a, b = (content(outs[side] / artifact) for side in trees)
-                verdict = "identical" if a is not None and a == b else "DIFFERENT"
-                same &= verdict == "identical"
-                print(f"{name} seed {seed}: {artifact} {verdict}")
-        for name, config, seed in runs:
+            commands = ("train",)
             if seed == 4 and name in ("synthetic", "tbird-ingest"):
-                same &= same_cli(f"{name} cli", trees, config, tmp / "cli" / name)
+                commands = ("parse", "partition", "account", "train", "evaluate")
+            same &= same_cli(f"{name} seed {seed}", trees, config,
+                             tmp / "runs" / f"{name}.seed{seed}", commands, seed)
         tbird = next(path for name, path, _ in runs if name == "tbird-ingest")
         same &= same_cli("hex-ids cli", trees, hex_id_config(tbird), tmp / "hex", ("parse",))
         config, n_messy, n_nodes = messy_config(tbird)
