@@ -561,8 +561,7 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
     H = frozen["embed"].take(sequences.ids, 0) + frozen["pos"].take(pos, 0)
 
     layers = []
-    # The final layer's queries are the sequences' last rows, whose pairs
-    # are their sequences' rows; an inner layer's are all rows.
+    # The final layer's queries are the last rows, and its pair p is key row p.
     final = _Pairs(ends - 1, seq_bounds, seg, None, starts, None)
     inner = _all_pairs(lengths, starts, seg, pos, row_bounds) if cfg.n_layers > 1 else None
     for l, W in enumerate(state.qkv):
