@@ -11,11 +11,11 @@ is emptied when it reaches MEMO_LIMIT entries.
 
 - Shapes skip the split and the mask (`DrainParser.parse_message`). A
   message's shape is its UTF-8 bytes with ASCII 1-9 turned to 0, and a
-  shape seen before gives its masked token tuple. This is exact. UTF-8 never uses bytes
-  0x30-0x39 inside another character, so two messages of one shape differ
-  only in ASCII digits at the same places. They therefore split at the same
-  places, and each token either holds a digit in both, so both become
-  ``<*>``, or is the same text. A line whose shape and tokens were both
+  shape seen before gives its masked token tuple. This is exact. UTF-8
+  never uses bytes 0x30-0x39 inside another character, so two messages of
+  one shape differ only in ASCII digits at the same places. They therefore
+  split at the same places, and each token either holds a digit in both,
+  so both become ``<*>``, or is the same text. A line whose shape and tokens were both
   seen costs ~0.7 us in all, against ~3.2 us with the split and mask; a new
   shape adds ~1 us to them (CPython 3.11, 2.1 GHz Xeon). So the memo's
   hits are checked when it doubles from SHAPE_CHECK shapes and when it is
