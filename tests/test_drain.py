@@ -104,6 +104,14 @@ class TestPreprocess:
     def test_mask_named_cases(self, token, masked):
         assert (preprocess_line(token) == [WILDCARD]) is masked
 
+    def test_carriage_return_splits_like_a_space(self):
+        # A lone CR stays inside its log line; the split treats it as whitespace.
+        assert preprocess_line("disk sda\rerror code 5 retry") == [
+            "disk", "sda", "error", "code", WILDCARD, "retry"]
+        p = DrainParser()
+        assert p.parse_message("disk sda\rerror code 5 retry") == p.parse_message(
+            "disk sda error code 7 retry") == 0
+
 
 class TestParser:
     def test_session_closed_merge(self):
@@ -280,6 +288,14 @@ class TestShapesAgainstScan:
                 assert max(len(shapes), len(memo._memo), len(memo._token_mask)) <= 8
                 emptied += 0 < len(shapes) < before
             assert emptied > 0
+
+    def test_digits_never_split_templates(self):
+        # Digit-bearing tokens are always masked, so other numbers or other
+        # digit counts in one position give one template.
+        p = DrainParser()
+        ids = [p.parse_message(m) for m in ("code 1", "code 2", "code 1", "code 22")]
+        assert ids == [0, 0, 0, 0]
+        assert p.export_templates() == [(0, "code <*>", 4)]
 
     def test_one_shape_one_token_list(self):
         p = DrainParser()
