@@ -108,7 +108,7 @@ def cmd_evaluate(args, cfg) -> int:
     corpus = read_corpus(cfg)
     with _stage("window"):
         _, test_windows = build_all_windows(corpus, cfg)
-    state = init_model(cfg, corpus.n_templates, 0)  # the load overwrites every tensor
+    state = init_model(cfg, corpus.n_templates)  # the load overwrites every tensor
     with _stage("load"):
         state.load(ckpt)
     scores = model_ops.score(

@@ -18,7 +18,6 @@ import yaml
 
 from .bounds import bounded, check
 from .datasets import SyntheticSpec
-from .drain import ParserConfig
 from .federated import FedConfig
 from .model import ModelShape
 from .windows import WindowConfig
@@ -79,7 +78,6 @@ class EvalConfig:
 @dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetConfig
-    parser: ParserConfig
     window: WindowConfig
     model: ModelShape
     federated: FedConfig

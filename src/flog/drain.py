@@ -37,9 +37,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bounds import bounded, check
-
 WILDCARD = "<*>"
+# A message is routed by its token count, then by its first TREE_DEPTH - 2 tokens.
+TREE_DEPTH = 4
+# The least similarity at which a leaf's best template absorbs a message.
+SIMILARITY_THRESHOLD = 0.4
+# A node below the length level holds at most this many concrete children;
+# tokens met after that share one more child, the overflow child WILDCARD.
+MAX_CHILDREN = 100
 # Each memo is emptied when it reaches this many entries, so a log whose
 # shapes, lines or words rarely repeat cannot grow it without bound.
 MEMO_LIMIT = 1 << 16
@@ -50,16 +55,6 @@ SHAPE_CHECK = 1 << 10
 _DECIMAL = re.compile(r"\d").search
 # A message's shape is its UTF-8 bytes with ASCII 1-9 turned to 0.
 _SHAPE = bytes.maketrans(b"123456789", b"000000000")
-
-
-@dataclass(frozen=True)
-class ParserConfig:
-    tree_depth: int = bounded(4, ge=2)
-    similarity_threshold: float = bounded(0.4, gt=0, le=1)
-    max_children: int = bounded(100, ge=1)
-
-    def __post_init__(self) -> None:
-        check(self)
 
 
 @dataclass
@@ -130,8 +125,7 @@ def seq_similarity(a: list[str], b: list[str]) -> float:
 class DrainParser:
     """Mutable parser state. Single-writer: one thread ingests at a time."""
 
-    def __init__(self, config: ParserConfig | None = None) -> None:
-        self.config = config or ParserConfig()
+    def __init__(self) -> None:
         self._root = _Node()
         self._templates: list[LogTemplate] = []  # by event id
         # Masked token tuple -> (its leaf, the leaf's version then, its template).
@@ -170,7 +164,7 @@ class DrainParser:
             sim = seq_similarity(tokens, tpl.tokens)
             if sim > best_sim:
                 best, best_sim = tpl, sim
-        if best is not None and best_sim >= self.config.similarity_threshold:
+        if best is not None and best_sim >= SIMILARITY_THRESHOLD:
             merged = [t if t == u else WILDCARD for t, u in zip(best.tokens, tokens)]
             if merged != best.tokens:
                 best.tokens = merged
@@ -229,10 +223,10 @@ class DrainParser:
         return tokens
 
     def _descend(self, tokens: list[str]) -> _Node:
-        # The length level has no max_children cap: a leaf must hold one length.
+        # The length level has no MAX_CHILDREN cap: a leaf must hold one length.
         node = self._root.children.setdefault(str(len(tokens)), _Node())
-        # Route by the leading tokens, at most tree_depth - 2 levels.
-        n_levels = min(self.config.tree_depth - 2, len(tokens))
+        # Route by the leading tokens, at most TREE_DEPTH - 2 levels.
+        n_levels = min(TREE_DEPTH - 2, len(tokens))
         for i in range(n_levels):
             node = self._child(node, tokens[i])
         return node
@@ -240,12 +234,12 @@ class DrainParser:
     def _child(self, node: _Node, key: str) -> _Node:
         child = node.children.get(key)
         if child is None:
-            if len(node.children) >= self.config.max_children:
+            if len(node.children) >= MAX_CHILDREN:
                 # Full internal node: route through the shared overflow child.
                 key = WILDCARD
                 child = node.children.get(key)
                 if child is None:
-                    # max_children counts concrete keys; the overflow slot is extra.
+                    # MAX_CHILDREN counts concrete keys; the overflow slot is extra.
                     child = node.children[key] = _Node()
             else:
                 child = node.children[key] = _Node()

@@ -54,7 +54,7 @@ def load_entries(cfg: RunConfig) -> datasets.SyntheticCorpus | list[datasets.Raw
     return entries
 
 
-def parse_corpus(entries: Iterable[datasets.RawEntry], cfg: RunConfig) -> ParsedCorpus:
+def parse_corpus(entries: Iterable[datasets.RawEntry]) -> ParsedCorpus:
     """Drain over the messages in file order, then each node's records by time.
 
     Each parsed line is appended to its node's columns (`windows.NodeRecords`),
@@ -62,7 +62,7 @@ def parse_corpus(entries: Iterable[datasets.RawEntry], cfg: RunConfig) -> Parsed
     stable-sorted by timestamp, so records with equal timestamps keep their
     file order.
     """
-    parser = drain.DrainParser(cfg.parser)
+    parser = drain.DrainParser()
     parse_message = parser.parse_message
     records_by_node: dict[str, windows.NodeRecords] = {}
     out_of_order: set[str] = set()  # nodes with a record older than the one before it
@@ -119,9 +119,9 @@ def model_config(cfg: RunConfig, n_templates: int) -> ModelConfig:
     )
 
 
-def init_model(cfg: RunConfig, n_templates: int, seed: int) -> model_ops.ModelState:
-    """The run's initial model, seeded from the run seed."""
-    return model_ops.init(model_config(cfg, n_templates), [seed, 10])
+def init_model(cfg: RunConfig, n_templates: int) -> model_ops.ModelState:
+    """The run's initial model, seeded from the run seed, `cfg.federated.seed`."""
+    return model_ops.init(model_config(cfg, n_templates), [cfg.federated.seed, 10])
 
 
 def privacy_ledger(cfg: RunConfig) -> PrivacyLedger:
@@ -152,7 +152,7 @@ def read_corpus(cfg: RunConfig, out: Path | None = None) -> ParsedCorpus:
         entries = load_entries(cfg)
     log.info("ingested %d entries", len(entries))
     with _stage("parse"):
-        corpus = parse_corpus(entries, cfg)
+        corpus = parse_corpus(entries)
         if out is not None:
             drain.write_template_table(corpus.parser.export_templates(), out / "templates.tsv")
     log.info("parsed %d templates across %d nodes",
@@ -175,7 +175,7 @@ def assign_clients(nodes: list[str], cfg: RunConfig, out: Path) -> dict[str, int
     return assignment
 
 
-def _trainer(cfg: RunConfig, fed: federated.FedConfig, out: Path) -> federated.FederatedTrainer:
+def _trainer(cfg: RunConfig, out: Path) -> federated.FederatedTrainer:
     """The run's trainer, over the parsed, windowed and partitioned corpus.
 
     The parsed corpus is freed once the windows are built, and the windows and
@@ -189,22 +189,22 @@ def _trainer(cfg: RunConfig, fed: federated.FedConfig, out: Path) -> federated.F
     del corpus  # its record columns
     assignment = assign_clients(nodes, cfg, out)
     with _stage("partition"):
-        clients = partition.materialize(train_windows, assignment, fed.k_clients)
+        clients = partition.materialize(train_windows, assignment, cfg.federated.k_clients)
     with _stage("train"):
         return federated.FederatedTrainer(
-            init_model(cfg, n_templates, fed.seed),
+            init_model(cfg, n_templates),
             clients,
             [w.key_ids for w in test_windows],
             [w.label for w in test_windows],
-            fed,
+            cfg.federated,
             privacy_ledger(cfg),
         )
 
 
 def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
-    fed = replace(cfg.federated, seed=seed)  # checks the seed's range before any stage
+    cfg = replace(cfg, federated=replace(cfg.federated, seed=seed))  # checks the seed first
     out = output_dir(cfg)
-    trainer = _trainer(cfg, fed, out)
+    trainer = _trainer(cfg, out)
     with _stage("train"):
         metrics = trainer.run()
 

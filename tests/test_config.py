@@ -5,6 +5,7 @@ import math
 import re
 import typing
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 import yaml
@@ -89,7 +90,6 @@ class TestLoad:
     def test_minimal_uses_defaults(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
         assert isinstance(cfg, RunConfig)
-        assert cfg.parser.tree_depth == 4
         assert cfg.federated.proximal_mu == 0.01
         assert cfg.privacy.target_epsilon == 10.0
         assert cfg.evaluation.test_fraction == 0.2
@@ -186,9 +186,8 @@ class TestLoad:
             # The per-node anomaly-rate filter is gone, and so is its key.
             ({"dataset": {**MINIMAL["dataset"], "min_anomaly_rate_per_node": 0.5}},
              r"unknown key\(s\) in dataset: \['min_anomaly_rate_per_node'\]"),
-            # Drain always masks digit-bearing tokens; the switch is gone.
-            ({"parser": {"mask_numeric_tokens": False}},
-             r"unknown key\(s\) in parser: \['mask_numeric_tokens'\]"),
+            # Drain runs at fixed settings; their section is gone.
+            ({"parser": {"tree_depth": 4}}, r"unknown key\(s\) in top level: \['parser'\]"),
         ]
         for bad, match in bad_sections:
             with pytest.raises(ValueError, match=match):
@@ -285,8 +284,8 @@ class TestTyping:
 
     def test_every_annotated_field_rejects_wrong_yaml_types(self, tmp_path):
         keys = {key: tp for key, tp, _ in annotated_fields(RunConfig)}
-        # The seven sections and 44 values within them; the seed is no key.
-        assert len(keys) == 7 + 44 and "federated.seed" not in keys
+        # The six sections and 41 values within them; the seed is no key.
+        assert len(keys) == 6 + 41 and "federated.seed" not in keys
         for key, tp in keys.items():
             for kind, value in WRONG_VALUES.items():
                 if kind in accepted(tp):
@@ -299,7 +298,7 @@ class TestTyping:
                                                                         capsys):
         numeric = {key: (scalar(tp), f.metadata.get("bounds"))
                    for key, tp, f in annotated_fields(RunConfig) if scalar(tp) in (int, float)}
-        assert len(numeric) == 39
+        assert len(numeric) == 36
         for key, (tp, bounds) in numeric.items():
             assert bounds, f"{key} declares no range"
             bad = [just_past(tp, op, b) for op, b in bounds.items()]
@@ -322,6 +321,25 @@ class TestTyping:
         assert type(cfg.federated.learning_rate) is float
         cfg = load_config(write(tmp_path, with_value(MINIMAL, "dataset.path", None)))
         assert cfg.dataset.path is None
+
+
+def stated_keys(doc, prefix=""):
+    """The dotted key of every mapping entry in a loaded YAML document."""
+    for name, value in doc.items():
+        yield prefix + name
+        if isinstance(value, dict):
+            yield from stated_keys(value, f"{prefix}{name}.")
+
+
+def test_every_config_key_is_stated_by_a_shipped_profile():
+    # A key that no profile sets has one value in use and should be a constant.
+    profiles = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert profiles
+    stated = set()
+    for path in profiles:
+        stated.update(stated_keys(yaml.safe_load(path.read_text(encoding="utf-8"))))
+    keys = [key for key, _, _ in annotated_fields(RunConfig)]
+    assert [key for key in keys if key not in stated] == []
 
 
 class TestRoundTrip:

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flog import drain
 from flog.drain import (
     WILDCARD,
     DrainParser,
     LogRecord,
     LogTemplate,
-    ParserConfig,
     preprocess_line,
     seq_similarity,
     write_template_table,
@@ -37,7 +37,7 @@ class ScanParser(DrainParser):
             sim = seq_similarity(tokens, tpl.tokens)
             if sim > best_sim:
                 best, best_sim = tpl, sim
-        if best is not None and best_sim >= self.config.similarity_threshold:
+        if best is not None and best_sim >= drain.SIMILARITY_THRESHOLD:
             best.tokens = [
                 t if t == u else WILDCARD for t, u in zip(best.tokens, tokens)
             ]
@@ -177,17 +177,20 @@ class TestParser:
                     assert after in (before, WILDCARD)
             history[eid] = now
 
-    def test_overflow_child_never_fails(self):
-        cfg = ParserConfig(max_children=2, similarity_threshold=0.9)
-        p = DrainParser(cfg)
+    def test_overflow_child_never_fails(self, monkeypatch):
+        monkeypatch.setattr("flog.drain.MAX_CHILDREN", 2)
+        monkeypatch.setattr("flog.drain.SIMILARITY_THRESHOLD", 0.9)
+        p = DrainParser()
         # Many distinct leading tokens exhaust the child budget at level 2;
         # later messages must still route (through the overflow child).
         for first in ("qa", "qb", "qc", "qd", "qe", "qf", "qg", "qh"):
             eid = p.parse_message(f"{first} one two")
             assert p.templates[eid].event_id == eid
 
-    def test_lengths_beyond_max_children_get_own_leaves(self):
-        p = DrainParser(ParserConfig(tree_depth=2, max_children=1))
+    def test_lengths_beyond_max_children_get_own_leaves(self, monkeypatch):
+        monkeypatch.setattr("flog.drain.TREE_DEPTH", 2)
+        monkeypatch.setattr("flog.drain.MAX_CHILDREN", 1)
+        p = DrainParser()
         ids = [p.parse_message(m) for m in ("a b", "a b c", "a b", "a")]
         assert ids == [0, 1, 0, 2]
 
@@ -224,12 +227,12 @@ class TestMemoAgainstScan:
     def test_same_ids_and_templates_after_every_line(self, threshold, memo_limit, monkeypatch):
         if memo_limit is not None:
             monkeypatch.setattr("flog.drain.MEMO_LIMIT", memo_limit)
+        monkeypatch.setattr("flog.drain.SIMILARITY_THRESHOLD", threshold)
         rng = random.Random(int(threshold * 10))
         for max_children, depth in itertools.product((1, 2, 3), (2, 3, 4, 5)):
-            cfg = ParserConfig(
-                tree_depth=depth, similarity_threshold=threshold, max_children=max_children
-            )
-            memo, scan = DrainParser(cfg), ScanParser(cfg)
+            monkeypatch.setattr("flog.drain.MAX_CHILDREN", max_children)
+            monkeypatch.setattr("flog.drain.TREE_DEPTH", depth)
+            memo, scan = DrainParser(), ScanParser()
             earlier_changed = 0
             for msg in message_stream(rng, 400):
                 before = [list(t.tokens) for t in scan.templates]
@@ -244,6 +247,24 @@ class TestMemoAgainstScan:
                 )
             if threshold < 1.0:
                 assert earlier_changed > 0
+
+    def test_overflow_child_at_the_shipped_settings(self):
+        # More distinct second tokens than MAX_CHILDREN under one first
+        # token: the later ones share the overflow child, whose template
+        # then merges lines that concrete children keep apart.
+        names = ["".join("abcdefghij"[int(d)] for d in f"{i:03d}")
+                 for i in range(drain.MAX_CHILDREN + 30)]
+        rng = random.Random(7)
+        memo, scan = DrainParser(), ScanParser()
+        for _ in range(3):
+            rng.shuffle(names)
+            for name in names:
+                msg = f"svc {name} {rng.choice(('started', 'stopped'))} ok"
+                assert memo.parse_message(msg) == scan.parse_message(msg), msg
+                assert memo.export_templates() == scan.export_templates()
+        routing = memo._root.children["4"].children["svc"]
+        assert len(routing.children) == drain.MAX_CHILDREN + 1
+        assert WILDCARD in routing.children
 
 
 def shape_stream(rng, n):
@@ -273,10 +294,11 @@ class TestShapesAgainstScan:
         # MEMO_LIMIT 8 holds fewer shapes, lines and words than the stream
         # has, so every memo empties while it runs.
         monkeypatch.setattr("flog.drain.MEMO_LIMIT", 8)
+        monkeypatch.setattr("flog.drain.SIMILARITY_THRESHOLD", threshold)
         rng = random.Random(int(threshold * 10) + 1)
         for depth in (3, 4):
-            cfg = ParserConfig(tree_depth=depth, similarity_threshold=threshold)
-            memo, scan = DrainParser(cfg), ScanParser(cfg)
+            monkeypatch.setattr("flog.drain.TREE_DEPTH", depth)
+            memo, scan = DrainParser(), ScanParser()
             emptied = 0
             for msg in shape_stream(rng, 800):
                 before = len(memo._shapes or {})
@@ -410,18 +432,3 @@ class TestLogRecord:
         assert [(r.timestamp, r.event_id) for r in records] == [
             (1, 3), (3, 1), (3, 4), (5, 0), (5, 2), (5, 5)]
 
-
-class TestParserConfig:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            ParserConfig(tree_depth=1)
-        with pytest.raises(ValueError):
-            ParserConfig(similarity_threshold=0.0)
-        with pytest.raises(ValueError):
-            ParserConfig(max_children=0)
-
-    def test_defaults(self):
-        cfg = ParserConfig()
-        assert cfg.tree_depth == 4
-        assert cfg.similarity_threshold == 0.4
-        assert cfg.max_children == 100

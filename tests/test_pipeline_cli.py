@@ -299,7 +299,7 @@ class TestThunderbirdFixture:
         assert sum(int(row.split("\t")[2]) for row in rows) == 28
 
     def test_drain_in_file_order_windows_in_time_order(self, cfg):
-        corpus = parse_corpus(load_entries(cfg), cfg)
+        corpus = parse_corpus(load_entries(cfg))
         templates = {tpl.render(): tpl.event_id for tpl in corpus.parser.templates}
         # Event ids are first-seen ids in file order, not in time order.
         assert templates["session opened for user <*> by <*>"] == 0
@@ -313,13 +313,8 @@ class TestThunderbirdFixture:
 
 
 class TestParseCorpusOrder:
-    @pytest.fixture(scope="class")
-    def cfg(self, tmp_path_factory):
-        path = log_file_config(tmp_path_factory.mktemp("order"), "thunderbird", THUNDERBIRD_FIXTURE)
-        return load_config(path)
-
     @given(lines=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 5)), max_size=30))
-    def test_sorts_exactly_the_nodes_out_of_time_order(self, cfg, lines):
+    def test_sorts_exactly_the_nodes_out_of_time_order(self, lines):
         # Three templates, so records with equal timestamps can be told apart.
         words = ["xyz"[i % 3] for i in range(len(lines))]
         event_ids = {word: k for k, word in enumerate(dict.fromkeys(words))}
@@ -327,7 +322,7 @@ class TestParseCorpusOrder:
         with pytest.MonkeyPatch.context() as mp:
             messages = []
             mp.setattr(pipeline.log, "info", lambda fmt, *args: messages.append(fmt % args))
-            corpus = parse_corpus(entries, cfg)
+            corpus = parse_corpus(entries)
         by_node = {}
         for (node, t), word in zip(lines, words):
             by_node.setdefault(node, []).append((t, event_ids[word]))
@@ -359,18 +354,12 @@ class TestParsedColumns:
             entries.append(RawEntry("FAULT" if i % 13 == 0 else "-", epoch, node, message))
         return entries
 
-    @pytest.fixture(scope="class")
-    def cfg(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("columns") / "cfg.yaml"
-        path.write_text(yaml.safe_dump(small_doc(path.parent / "out")))
-        return load_config(path)
-
-    def test_no_object_per_line(self, entries, cfg):
+    def test_no_object_per_line(self, entries):
         gc.collect()
         before = len(gc.get_objects())
         tracemalloc.start()
         try:
-            corpus = parse_corpus(entries, cfg)
+            corpus = parse_corpus(entries)
             gc.collect()
             tracked = len(gc.get_objects()) - before
             held = tracemalloc.get_traced_memory()[0]
@@ -382,9 +371,9 @@ class TestParsedColumns:
         assert tracked < self.N_LINES / 100
         assert retained <= 32 * self.N_LINES
 
-    def test_records_are_the_per_line_records(self, entries, cfg):
-        corpus = parse_corpus(entries, cfg)
-        parser = DrainParser(cfg.parser)
+    def test_records_are_the_per_line_records(self, entries):
+        corpus = parse_corpus(entries)
+        parser = DrainParser()
         want = {}
         for e in entries:
             record = LogRecord(e.epoch_seconds, e.node_id, e.is_anomalous,
