@@ -20,7 +20,9 @@ On the two base configs at seed 4 it also runs `parse`, `partition` and
 It runs `parse` in both trees on a log of hex ids that it writes
 itself (seeded, more than 2 x `drain.MEMO_LIMIT` lines): its messages'
 digit shapes rarely repeat, so Drain drops its shape memo part way
-through, and the comparison covers that path too.
+through, and the comparison covers that path too. Their first tokens
+are drawn from more than `drain.MAX_CHILDREN` names, so Drain routes
+the later ones through a node's shared overflow child.
 
 Last it runs `parse` and `train --seed 4` in both trees on a messy copy
 of the `tbird-ingest` log: a seeded third of its nodes have some lines
@@ -33,8 +35,9 @@ that `partition` writes, the standard output of `account`, `train`
 (without `wall_seconds`) and `evaluate`, and the artifacts that `train`
 writes: `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
 byte for byte, and `rounds.csv` without its `wall_seconds` column. It
-prints one line per run and output and exits 1 on any difference, or if
-the messy log has no node out of time order.
+prints one line per run and output and exits 1 on any difference, if
+the hex-id log routes no more than `drain.MAX_CHILDREN` tokens below one
+tree node, or if the messy log has no node out of time order.
 """
 
 from __future__ import annotations
@@ -108,19 +111,25 @@ def configs(work: Path) -> list[tuple[str, Path, int]]:
     return [(name, paths[name], seed) for name, seed in runs]
 
 
-def hex_id_config(base: Path) -> Path:
+def hex_id_config(base: Path) -> tuple[Path, int]:
     """The config at `base` made to read a seeded log of hex-id messages.
 
     Nearly every message has a digit shape of its own, so Drain drops its
-    shape memo part way through and parses the rest without it.
+    shape memo part way through and parses the rest without it. The first
+    token is one of `drain.MAX_CHILDREN` + 50 digit-free daemon names, so
+    the routing node of each token count overflows. Returns the config, and
+    the most distinct tokens the log routes below one tree node.
     """
     from flog import datasets, drain
 
     rng = random.Random(4)
     forms = ("{c} job {a} {v} on {b} after {n} ms", "{c} session {b} {v} for user {u}",
              "{c} mapped {a} to {a} size {n}")
-    words = dict(c=("kernel:", "sshd:", "pbs_mom:"), v=("opened", "closed", "moved"),
-                 u=("root", "news", "cyrus", "admin"))
+    # Daemon k's name spells k's decimal digits as the letters a-j.
+    daemons = ["".join(chr(ord("a") + int(d)) for d in str(k)) + "d:"
+               for k in range(drain.MAX_CHILDREN + 50)]
+    words = dict(c=daemons, v=("opened", "closed", "moved"), u=("root", "news", "cyrus", "admin"))
+    below: dict[tuple[str, ...], set[str]] = {}  # a tree node's route -> the tokens below it
     log = base.parent / "hex-ids.log"
     with open(log, "w", encoding="utf-8") as fh:
         for i in range(2 * drain.MEMO_LIMIT + 4096):
@@ -129,11 +138,14 @@ def hex_id_config(base: Path) -> Path:
                 n=rng.randrange(10 ** 6), **{k: rng.choice(v) for k, v in words.items()})
             entry = datasets.RawEntry("-", 1_131_600_000 + i // 8, f"hn{i % 37}", message)
             fh.write(datasets.encode_line(entry) + "\n")
+            tokens = drain.preprocess_line(message)
+            for level in range(min(drain.TREE_DEPTH - 2, len(tokens))):
+                below.setdefault((str(len(tokens)), *tokens[:level]), set()).add(tokens[level])
     doc = yaml.safe_load(base.read_text(encoding="utf-8"))
     doc["dataset"] = {"format": "thunderbird", "path": str(log)}
     config = base.parent / "hex-ids.yaml"
     config.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
-    return config
+    return config, max(map(len, below.values()))
 
 
 def messy_config(base: Path) -> tuple[Path, int, int]:
@@ -260,7 +272,13 @@ def main() -> int:
             same &= same_cli(f"{name} seed {seed}", trees, config,
                              tmp / "runs" / f"{name}.seed{seed}", commands, seed)
         tbird = next(path for name, path, _ in runs if name == "tbird-ingest")
-        same &= same_cli("hex-ids cli", trees, hex_id_config(tbird), tmp / "hex", ("parse",))
+        from flog import drain
+
+        config, widest = hex_id_config(tbird)
+        print(f"hex-id log: {widest} distinct tokens below one tree node, "
+              f"{drain.MAX_CHILDREN} before the overflow child")
+        same &= widest > drain.MAX_CHILDREN
+        same &= same_cli("hex-ids cli", trees, config, tmp / "hex", ("parse",))
         config, n_messy, n_nodes = messy_config(tbird)
         print(f"messy log: {n_messy} of {n_nodes} nodes out of time order")
         same &= n_messy > 0
