@@ -225,7 +225,6 @@ class DrainParser:
     def _descend(self, tokens: list[str]) -> _Node:
         # The length level has no MAX_CHILDREN cap: a leaf must hold one length.
         node = self._root.children.setdefault(str(len(tokens)), _Node())
-        # Route by the leading tokens, at most TREE_DEPTH - 2 levels.
         n_levels = min(TREE_DEPTH - 2, len(tokens))
         for i in range(n_levels):
             node = self._child(node, tokens[i])
@@ -239,7 +238,6 @@ class DrainParser:
                 key = WILDCARD
                 child = node.children.get(key)
                 if child is None:
-                    # MAX_CHILDREN counts concrete keys; the overflow slot is extra.
                     child = node.children[key] = _Node()
             else:
                 child = node.children[key] = _Node()
