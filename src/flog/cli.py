@@ -17,13 +17,14 @@ from pathlib import Path
 
 from . import datasets, model as model_ops
 from .config import load_config
+from .federated import WindowColumns
 from .metrics import CSV_HEADER, csv_row, evaluate
 from .pipeline import (
     StageError,
     _stage,
     assign_clients,
-    build_all_windows,
     init_model,
+    node_windows,
     output_dir,
     privacy_ledger,
     read_corpus,
@@ -107,18 +108,18 @@ def cmd_evaluate(args, cfg) -> int:
         return 1
     corpus = read_corpus(cfg)
     with _stage("window"):
-        _, test_windows = build_all_windows(corpus, cfg)
+        test = WindowColumns()  # packed as the trainer's test set is
+        for _, _, node_test in node_windows(corpus, cfg):
+            test.extend(node_test)
     state = init_model(cfg, corpus.n_templates)  # the load overwrites every tensor
     with _stage("load"):
         state.load(ckpt)
-    scores = model_ops.score(
-        state, model_ops.pack_keys([w.key_ids for w in test_windows], state.config)
-    )
-    labels = [w.label for w in test_windows]
+    scores = model_ops.score(state, test.pack(state.config))
     round_idx, participants, eps_spent = last
     print(CSV_HEADER)
     print(csv_row(evaluate(
-        scores, labels, round_idx=round_idx, participants=participants, eps_spent=eps_spent,
+        scores, list(test.labels), round_idx=round_idx, participants=participants,
+        eps_spent=eps_spent,
     )))
     return 0
 

@@ -32,11 +32,12 @@ noise, is accounted and is evaluated like any other.
 A round's participants train as one cohort, in lockstep: micro-batch i of
 every client that has one shares packed forward/backward calls, while each
 client keeps its own row of adapters and head, its own class weights and
-its own optimizer step. A client's windows stay in one `model.Packed`
-form from conversion to engine call: packed once per run, reordered once
-per epoch right after its permutation (`Packed.take`), cut into
-micro-batches that view that packing (`Packed.runs`), and joined into a
-call with one concatenate per array (`Packed.join`).
+its own optimizer step. A client's windows are appended, node by node as
+they are cut, to its flat `WindowColumns`, and packed from those once per
+run into one `model.Packed`. They keep that form up to the engine call:
+reordered once per epoch right after its permutation (`Packed.take`),
+cut into micro-batches that view that packing (`Packed.runs`), and joined
+into a call with one concatenate per array (`Packed.join`).
 
 All randomness is derived from the run seed through named sub-streams,
 and each client draws from its own stream in the order it would if
@@ -48,7 +49,11 @@ from __future__ import annotations
 import logging
 import math
 import time
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -58,6 +63,7 @@ from .bounds import bounded, check
 from .metrics import RoundMetrics, evaluate
 from .model import ModelConfig, ModelState
 from .partition import ClientDataset
+from .windows import WindowSequence
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +100,39 @@ def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> l
     return np.flatnonzero(rng.random(k_clients) < q).tolist()
 
 
+_KEY_IDS = attrgetter("key_ids")
+_LABEL = attrgetter("label")
+
+
+class WindowColumns:
+    """Windows appended as flat columns, with no object kept per window.
+
+    `key_ids` holds the windows' event ids end to end as C ints, which
+    Drain's template ids fit, `lengths` each window's key count (int64) and
+    `labels` its 0/1 label, one byte: 4 B a key and 9 B a window. `extend`
+    appends windows in C loops.
+    """
+
+    __slots__ = ("key_ids", "lengths", "labels")
+
+    def __init__(self) -> None:
+        self.key_ids = array("i")
+        self.lengths = array("q")
+        self.labels = bytearray()
+
+    def extend(self, windows: list[WindowSequence]) -> None:
+        """Append `windows`, in order."""
+        self.key_ids.extend(chain.from_iterable(map(_KEY_IDS, windows)))
+        self.lengths.extend(map(len, map(_KEY_IDS, windows)))
+        self.labels.extend(map(_LABEL, windows))
+
+    def pack(self, config: ModelConfig) -> model_ops.Packed:
+        """The windows as one `Packed` batch, mapped and checked as `model.pack_keys` does."""
+        return model_ops.pack_key_columns(
+            np.frombuffer(self.key_ids, np.intc), np.array(self.lengths, np.int64), config
+        )
+
+
 @dataclass(frozen=True)
 class LocalData:
     """One client's training windows, packed as token ids, with labels and class weights."""
@@ -108,18 +147,25 @@ class LocalData:
 
     @classmethod
     def from_client(cls, client: ClientDataset, config: ModelConfig) -> "LocalData":
-        """Pack every window's keys once, as `model.pack_keys` does.
+        """Pack every window's keys once, as `from_columns` does."""
+        columns = WindowColumns()
+        columns.extend(client.sequences)
+        return cls.from_columns(columns, client.client_id, config)
+
+    @classmethod
+    def from_columns(cls, columns: WindowColumns, client_id: int,
+                     config: ModelConfig) -> "LocalData":
+        """Client `client_id`'s windows, packed once by `WindowColumns.pack`.
 
         Raises ValueError naming the client for a window without keys, or
         with more than the model's max_sequence_length.
         """
-        keys = [s.key_ids for s in client.sequences]
         try:
-            windows = model_ops.pack_keys(keys, config)
+            windows = columns.pack(config)
         except ValueError as exc:
-            raise ValueError(f"client {client.client_id}: {exc}") from None
-        labels = np.array([s.label for s in client.sequences])
-        weights = model_ops.class_weights_from_labels(labels) if keys else (1.0, 1.0)
+            raise ValueError(f"client {client_id}: {exc}") from None
+        labels = np.frombuffer(columns.labels, np.uint8).astype(np.int64)
+        weights = model_ops.class_weights_from_labels(labels) if len(labels) else (1.0, 1.0)
         return cls(windows, labels, weights)
 
 
@@ -277,23 +323,27 @@ class FederatedTrainer:
     """Runs Algorithm phases broadcast / local train / clip / aggregate / noise.
 
     It keeps the windows only packed (`local_data`, `test_tokens`), not the
-    client datasets or window lists it was built from.
+    client datasets or window lists it was built from. Each client comes
+    as a `ClientDataset` or already packed as `LocalData`, and the test
+    windows as event-id sequences or already packed.
     """
 
     def __init__(
         self,
         state: ModelState,
-        clients: list[ClientDataset],
-        test_sequences: list,
-        test_labels: list[int],
+        clients: list[ClientDataset | LocalData],
+        test_sequences: list | model_ops.Packed,
+        test_labels: Iterable[int],
         cfg: FedConfig,
         ledger: PrivacyLedger,
     ) -> None:
         self.state = state
         self.cfg = cfg
         self.ledger = ledger
-        self.local_data = [LocalData.from_client(c, state.config) for c in clients]
-        self.test_tokens = model_ops.pack_keys(test_sequences, state.config)
+        self.local_data = [c if isinstance(c, LocalData) else LocalData.from_client(c, state.config)
+                           for c in clients]
+        self.test_tokens = (test_sequences if isinstance(test_sequences, model_ops.Packed)
+                            else model_ops.pack_keys(test_sequences, state.config))
         self.test_labels = list(test_labels)
         self.server_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _STREAM_SERVER])

@@ -15,9 +15,10 @@ masks the frozen product and the masked bypass stay separate.
 
 `forward` takes a batch as a `Packed`: the sequences' rows back to back,
 as int32 token ids, with each sequence's length, from which `forward`
-derives each row's position. `pack` makes one from token-id sequences and
-`pack_keys` from windows' event ids; both check lengths, so `forward` does
-not. `Packed.take` reorders a batch's sequences, `Packed.runs` cuts it into
+derives each row's position. `pack` makes one from token-id sequences,
+`pack_keys` from windows' event ids and `pack_key_columns` from those ids
+already laid end to end; all check lengths, so `forward` does not.
+`Packed.take` reorders a batch's sequences, `Packed.runs` cuts it into
 views of consecutive sequences, and `Packed.join` puts batches back into
 one; training and scoring move windows only in that form. Each layer's
 Wq, Wk and Wv are column views of one stored [Wq | Wk | Wv], shared by a
@@ -110,9 +111,16 @@ def _layout(config: ModelConfig) -> MappingProxyType:
 
 
 def token_ids_from_keys(key_ids, vocab_size: int) -> np.ndarray:
-    """Map event ids to token ids, clamping unknown ids to UNK."""
-    ids = np.asarray(key_ids, dtype=np.int64) + N_RESERVED
-    ids[(ids < N_RESERVED) | (ids >= vocab_size)] = UNK_ID
+    """Map event ids to int32 token ids, clamping unknown ids to UNK.
+
+    The ids are cast to int32 before the shift, with no wider copy: an id
+    that int32 cannot hold is unknown, and its wrapped value is replaced.
+    """
+    keys = np.asarray(key_ids)
+    unknown = (keys < 0) | (keys >= vocab_size - N_RESERVED)
+    ids = keys.astype(np.int32)
+    ids += N_RESERVED
+    ids[unknown] = UNK_ID
     return ids
 
 
@@ -375,9 +383,13 @@ class Packed:
                       np.concatenate([b.lengths for b in batches]))
 
 
-def _lengths(sequences, config: ModelConfig) -> np.ndarray:
-    """Each sequence's length; ValueError for an empty one or one over max_sequence_length."""
-    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+def _lengths(sequences) -> np.ndarray:
+    """Each sequence's length, as int64."""
+    return np.fromiter(map(len, sequences), np.int64, len(sequences))
+
+
+def _checked(lengths: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """`lengths`; ValueError for an empty sequence or one over max_sequence_length."""
     if lengths.min(initial=1) < 1:
         raise ValueError("a sequence has no tokens")
     if lengths.max(initial=0) > config.max_sequence_length:
@@ -392,7 +404,7 @@ def pack(sequences, config: ModelConfig) -> Packed:
     Raises ValueError for an empty sequence or one longer than
     max_sequence_length.
     """
-    lengths = _lengths(sequences, config)
+    lengths = _checked(_lengths(sequences), config)
     ids = np.asarray(np.concatenate(sequences) if len(sequences) else [], dtype=np.int64)
     ids[(ids < 0) | (ids >= config.vocab_size)] = UNK_ID
     return Packed(ids.astype(np.int32), lengths)
@@ -400,11 +412,20 @@ def pack(sequences, config: ModelConfig) -> Packed:
 
 def pack_keys(key_sequences, config: ModelConfig) -> Packed:
     """Windows' event-id sequences as one `Packed` batch of token ids, checked as `pack`."""
-    lengths = _lengths(key_sequences, config)
-    ids = token_ids_from_keys(
-        np.fromiter(itertools.chain.from_iterable(key_sequences), np.int64), config.vocab_size
+    return pack_key_columns(
+        np.fromiter(itertools.chain.from_iterable(key_sequences), np.int64),
+        _lengths(key_sequences), config,
     )
-    return Packed(ids.astype(np.int32), lengths)
+
+
+def pack_key_columns(key_ids: np.ndarray, lengths: np.ndarray, config: ModelConfig) -> Packed:
+    """Windows' event ids, laid end to end, as one `Packed` batch, checked as `pack`.
+
+    `key_ids` is an integer array and `lengths` (one per window) an int64
+    one; `pack_keys` packs through this, so both map ids alike.
+    """
+    lengths = _checked(lengths, config)
+    return Packed(token_ids_from_keys(key_ids, config.vocab_size), lengths)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,12 @@ def round_robin_assign(nodes: list[str], k_clients: int) -> dict[str, int]:
 def materialize(
     windows: list[WindowSequence], assignment: dict[str, int], k_clients: int
 ) -> list[ClientDataset]:
-    """Exact partition of windows into per-client datasets."""
+    """Exact partition of windows into per-client datasets.
+
+    The pipeline does not call this: it appends each node's windows to its
+    client's `federated.WindowColumns` as they are cut. Tests use it as the
+    reference grouping, and the benchmark tracer wraps it by name.
+    """
     datasets = [ClientDataset(client_id=k, sequences=[]) for k in range(k_clients)]
     for w in windows:
         if w.node_id not in assignment:

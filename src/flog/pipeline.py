@@ -85,29 +85,53 @@ def parse_corpus(entries: Iterable[datasets.RawEntry]) -> ParsedCorpus:
     return ParsedCorpus(parser=parser, records_by_node=records_by_node)
 
 
-def build_all_windows(corpus: ParsedCorpus, cfg: RunConfig):
-    """Per-node windows split chronologically into train and test sets.
+def node_windows(corpus: ParsedCorpus, cfg: RunConfig):
+    """Each node's windows split chronologically: (node, train, test), in node order.
 
-    Each node's last int(n * test_fraction) windows are its test windows.
-    Raises ValueError when that leaves no test window at all, since a run
-    could then not be evaluated.
+    A node's last int(n * test_fraction) windows are its test windows. The
+    list `windows.build_windows` returns for a node is dropped before the
+    next node's is built. Raises ValueError after the last node when that
+    left no test window at all, since a run could then not be evaluated.
     """
-    train: list[windows.WindowSequence] = []
-    test: list[windows.WindowSequence] = []
-    most = 0
+    fraction = cfg.evaluation.test_fraction
+    n_test = most = 0
     for node, records in corpus.records_by_node.items():
         ws = windows.build_windows(records, cfg.window)
-        n_test = int(len(ws) * cfg.evaluation.test_fraction)
-        cut = len(ws) - n_test
-        train.extend(ws[:cut])
-        test.extend(ws[cut:])
+        cut = len(ws) - int(len(ws) * fraction)
+        n_test += len(ws) - cut
         most = max(most, len(ws))
-    if not test:
+        train, test = ws[:cut], ws[cut:]
+        del ws
+        yield node, train, test
+    if not n_test:
         raise ValueError(
-            f"no test windows: evaluation.test_fraction {cfg.evaluation.test_fraction} of "
+            f"no test windows: evaluation.test_fraction {fraction} of "
             f"each node's windows rounds down to 0, and no node has more than {most}"
         )
+
+
+def build_all_windows(corpus: ParsedCorpus, cfg: RunConfig):
+    """Every node's train windows and test windows, each in node order (`node_windows`)."""
+    train: list[windows.WindowSequence] = []
+    test: list[windows.WindowSequence] = []
+    for _, node_train, node_test in node_windows(corpus, cfg):
+        train += node_train
+        test += node_test
     return train, test
+
+
+def window_columns(corpus: ParsedCorpus, cfg: RunConfig, assignment: dict[str, int]):
+    """(each client's train windows, the test windows) as `federated.WindowColumns`.
+
+    Each node's windows are appended as they are cut, its train windows to
+    its client's columns, so no window list spans more than one node.
+    """
+    clients = [federated.WindowColumns() for _ in range(cfg.federated.k_clients)]
+    test = federated.WindowColumns()
+    for node, node_train, node_test in node_windows(corpus, cfg):
+        clients[assignment[node]].extend(node_train)
+        test.extend(node_test)
+    return clients, test
 
 
 def model_config(cfg: RunConfig, n_templates: int) -> ModelConfig:
@@ -178,24 +202,34 @@ def assign_clients(nodes: list[str], cfg: RunConfig, out: Path) -> dict[str, int
 def _trainer(cfg: RunConfig, out: Path) -> federated.FederatedTrainer:
     """The run's trainer, over the parsed, windowed and partitioned corpus.
 
-    The parsed corpus is freed once the windows are built, and the windows and
-    client datasets when this returns, before training: the trainer packs them.
+    The parsed corpus is freed once the windows are cut into flat columns,
+    and the columns once the trainer's packings are built from them.
     """
     corpus = read_corpus(cfg, out)
-    with _stage("window"):
-        train_windows, test_windows = build_all_windows(corpus, cfg)
-    log.info("built %d train / %d test windows", len(train_windows), len(test_windows))
     n_templates, nodes = corpus.n_templates, list(corpus.records_by_node)
+    with _stage("window"):
+        # The assignment depends on the node order alone, so windows go to
+        # their clients as they are cut; assignment.tsv waits for the cut.
+        # Without nodes there is nothing to assign, and the cut fails for
+        # want of test windows.
+        assignment = partition.round_robin_assign(nodes, cfg.federated.k_clients) if nodes else {}
+        clients, test = window_columns(corpus, cfg, assignment)
+    log.info("built %d train / %d test windows",
+             sum(len(c.lengths) for c in clients), len(test.lengths))
     del corpus  # its record columns
-    assignment = assign_clients(nodes, cfg, out)
     with _stage("partition"):
-        clients = partition.materialize(train_windows, assignment, cfg.federated.k_clients)
+        partition.write_assignment_dump(assignment, out / "assignment.tsv")
     with _stage("train"):
+        state = init_model(cfg, n_templates)
+        # Each client's columns go as soon as it is packed, so that the next
+        # client's packing can reuse their memory.
+        for k in range(len(clients)):
+            clients[k] = federated.LocalData.from_columns(clients[k], k, state.config)
         return federated.FederatedTrainer(
-            init_model(cfg, n_templates),
+            state,
             clients,
-            [w.key_ids for w in test_windows],
-            [w.label for w in test_windows],
+            test.pack(state.config),
+            test.labels,
             cfg.federated,
             privacy_ledger(cfg),
         )

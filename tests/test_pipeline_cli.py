@@ -1,5 +1,6 @@
 """End-to-end pipeline orchestration and the command-line interface."""
 
+import dataclasses
 import gc
 import logging
 import os
@@ -11,19 +12,20 @@ import weakref
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
 import flog
-from flog import federated, partition, pipeline
+from flog import federated, partition, pipeline, windows
 from flog.accountant import epsilon_for
 from flog.cli import main
 from flog.config import load_config
 from flog.datasets import RawEntry, SyntheticCorpus, encode_line
 from flog.drain import DrainParser, LogRecord
-from flog.model import ModelConfig, init
+from flog.model import ModelConfig, class_weights_from_labels, init, pack_keys
 from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
 
 # Hand-written Thunderbird lines: node dn731's lines arrive out of order
@@ -222,26 +224,37 @@ class TestRunPipeline:
         assert ledger == capsys.readouterr().out
 
     def test_no_per_line_object_survives_into_training(self, cfg_path, monkeypatch):
-        # The parsed corpus goes once the windows are built, and the client
-        # datasets once the trainer has packed them: training starts with
-        # none of them alive.
-        refs = []
+        # Each node's windows go into flat columns as they are cut: the list
+        # build_windows returns for a node is dead before the next node's is
+        # built, and training starts with none of them, nor the parsed
+        # corpus, alive. A plain list takes no weakref, so the watched
+        # build_windows hands the pipeline a list subclass.
+        class WindowList(list):
+            pass
 
-        def watched(fn):
-            def wrapper(*args):
-                result = fn(*args)
-                refs.extend(map(weakref.ref, result if isinstance(result, list) else [result]))
-                return result
-            return wrapper
+        corpus_refs, window_refs, alive_at_build = [], [], []
+        read_corpus, build_windows = pipeline.read_corpus, windows.build_windows
 
-        monkeypatch.setattr(pipeline, "read_corpus", watched(pipeline.read_corpus))
-        monkeypatch.setattr(partition, "materialize", watched(partition.materialize))
+        def watched_read(*args):
+            corpus = read_corpus(*args)
+            corpus_refs.append(weakref.ref(corpus))
+            return corpus
+
+        def watched_build(*args):
+            alive_at_build.append(sum(r() is not None for r in window_refs))
+            ws = WindowList(build_windows(*args))
+            window_refs.append(weakref.ref(ws))
+            return ws
+
+        monkeypatch.setattr(pipeline, "read_corpus", watched_read)
+        monkeypatch.setattr(windows, "build_windows", watched_build)
         train = federated.FederatedTrainer.run
         alive_at_training = []
 
         def run(trainer):
             gc.collect()
-            alive_at_training.extend(type(r()).__name__ for r in refs if r() is not None)
+            alive_at_training.extend(
+                type(r()).__name__ for r in corpus_refs + window_refs if r() is not None)
             return train(trainer)
 
         monkeypatch.setattr(federated.FederatedTrainer, "run", run)
@@ -249,7 +262,9 @@ class TestRunPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_pipeline(cfg, seed=0)
-        assert len(refs) == 1 + cfg.federated.k_clients
+        n_nodes = cfg.dataset.synthetic.n_nodes
+        assert len(corpus_refs) == 1 and len(window_refs) == n_nodes
+        assert alive_at_build == [0] * n_nodes
         assert alive_at_training == []
 
 
@@ -403,6 +418,61 @@ class TestBglFixture:
         rows = (tmp_path / "out" / "templates.tsv").read_text(encoding="utf-8").splitlines()[1:]
         assert sum(int(row.split("\t")[2]) for row in rows) == 22
         assert any("\ufffd" in row for row in rows)
+
+
+def packed_from_keys(client, config):
+    """A client's `LocalData` packed from its windows' key tuples by `model.pack_keys`."""
+    keys = [s.key_ids for s in client.sequences]
+    labels = np.array([s.label for s in client.sequences])
+    weights = class_weights_from_labels(labels) if keys else (1.0, 1.0)
+    return federated.LocalData(pack_keys(keys, config), labels, weights)
+
+
+class TestPackedAsCut:
+    """The trainer's inputs, packed node by node as the windows are cut,
+    equal those packed from the whole partitioned window lists."""
+
+    @pytest.fixture(params=["thunderbird", "bgl", "synthetic", "more-clients-than-nodes"])
+    def cfg(self, request, tmp_path):
+        if request.param in ("thunderbird", "bgl"):
+            fixture = {"thunderbird": THUNDERBIRD_FIXTURE, "bgl": BGL_FIXTURE}[request.param]
+            return load_config(log_file_config(tmp_path, request.param, fixture))
+        if request.param == "synthetic":
+            cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.yaml")
+            return dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))
+        doc = small_doc(tmp_path / "out")  # 4 nodes over 6 clients
+        doc["federated"]["k_clients"] = 6
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        return load_config(path)
+
+    def test_equals_packing_the_partitioned_window_lists(self, cfg):
+        k = cfg.federated.k_clients
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trainer = pipeline._trainer(cfg, pipeline.output_dir(cfg))
+            corpus = pipeline.read_corpus(cfg)
+            train, test = pipeline.build_all_windows(corpus, cfg)
+            assignment = partition.round_robin_assign(list(corpus.records_by_node), k)
+            clients = partition.materialize(train, assignment, k)
+            config = trainer.state.config
+            wanted = [(federated.LocalData.from_client(c, config), packed_from_keys(c, config))
+                      for c in clients]
+        assert len(trainer.local_data) == k
+        assert any(c.n_samples == 0 for c in clients) == (k > len(assignment))
+        for got, wants in zip(trainer.local_data, wanted, strict=True):
+            for want in wants:
+                assert got.windows.ids.dtype == want.windows.ids.dtype == np.int32
+                np.testing.assert_array_equal(got.windows.ids, want.windows.ids)
+                assert got.windows.lengths.dtype == want.windows.lengths.dtype == np.int64
+                np.testing.assert_array_equal(got.windows.lengths, want.windows.lengths)
+                np.testing.assert_array_equal(got.labels, want.labels)
+                assert got.class_weights == want.class_weights
+        want_test = pack_keys([w.key_ids for w in test], config)
+        assert trainer.test_tokens.ids.dtype == np.int32
+        np.testing.assert_array_equal(trainer.test_tokens.ids, want_test.ids)
+        np.testing.assert_array_equal(trainer.test_tokens.lengths, want_test.lengths)
+        assert trainer.test_labels == [w.label for w in test]
 
 
 class TestLargeProfile:
