@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import datasets, model as model_ops
 from .config import load_config
-from .federated import WindowColumns
 from .metrics import CSV_HEADER, csv_row, evaluate
 from .pipeline import (
     StageError,
@@ -30,6 +29,7 @@ from .pipeline import (
     read_corpus,
     run_pipeline,
 )
+from .windows import WindowColumns
 
 log = logging.getLogger(__name__)
 

@@ -67,6 +67,8 @@ def decode_line(line: str) -> RawEntry:
         raise LineParseError(f"bad epoch field {parts[1]!r}") from None
     if not 0 <= epoch < 1 << 63:
         raise LineParseError(f"epoch {epoch} outside [0, 2**63)")
+    if not (parts[1].isascii() and parts[1].isdigit()):  # int() reads +1, 1_0 and ١ too
+        raise LineParseError(f"bad epoch field {parts[1]!r}")
     return tuple.__new__(RawEntry, (parts[0], epoch, parts[_NODE_INDEX], parts[_N_HEADER].rstrip()))
 
 

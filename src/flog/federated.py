@@ -32,9 +32,9 @@ noise, is accounted and is evaluated like any other.
 A round's participants train as one cohort, in lockstep: micro-batch i of
 every client that has one shares packed forward/backward calls, while each
 client keeps its own row of adapters and head, its own class weights and
-its own optimizer step. A client's windows are appended, node by node as
-they are cut, to its flat `WindowColumns`, and packed from those once per
-run into one `model.Packed`. They keep that form up to the engine call:
+its own optimizer step. A client's windows come in its
+`windows.WindowColumns`, packed once per run into one `model.Packed`
+(`LocalData.from_columns`). They keep that form up to the engine call:
 reordered once per epoch right after its permutation (`Packed.take`),
 cut into micro-batches that view that packing (`Packed.runs`), and joined
 into a call with one concatenate per array (`Packed.join`).
@@ -49,11 +49,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -63,7 +60,7 @@ from .bounds import bounded, check
 from .metrics import RoundMetrics, evaluate
 from .model import ModelConfig, ModelState
 from .partition import ClientDataset
-from .windows import WindowSequence
+from .windows import WindowColumns
 
 log = logging.getLogger(__name__)
 
@@ -98,39 +95,6 @@ class FedConfig:
 def select_participants(k_clients: int, q: float, rng: np.random.Generator) -> list[int]:
     """Poisson sampling: each client independently with probability q; may be empty."""
     return np.flatnonzero(rng.random(k_clients) < q).tolist()
-
-
-_KEY_IDS = attrgetter("key_ids")
-_LABEL = attrgetter("label")
-
-
-class WindowColumns:
-    """Windows appended as flat columns, with no object kept per window.
-
-    `key_ids` holds the windows' event ids end to end as C ints, which
-    Drain's template ids fit, `lengths` each window's key count (int64) and
-    `labels` its 0/1 label, one byte: 4 B a key and 9 B a window. `extend`
-    appends windows in C loops.
-    """
-
-    __slots__ = ("key_ids", "lengths", "labels")
-
-    def __init__(self) -> None:
-        self.key_ids = array("i")
-        self.lengths = array("q")
-        self.labels = bytearray()
-
-    def extend(self, windows: list[WindowSequence]) -> None:
-        """Append `windows`, in order."""
-        self.key_ids.extend(chain.from_iterable(map(_KEY_IDS, windows)))
-        self.lengths.extend(map(len, map(_KEY_IDS, windows)))
-        self.labels.extend(map(_LABEL, windows))
-
-    def pack(self, config: ModelConfig) -> model_ops.Packed:
-        """The windows as one `Packed` batch, mapped and checked as `model.pack_keys` does."""
-        return model_ops.pack_key_columns(
-            np.frombuffer(self.key_ids, np.intc), np.array(self.lengths, np.int64), config
-        )
 
 
 @dataclass(frozen=True)

@@ -652,12 +652,8 @@ def row_chunks(row_counts) -> list[tuple[int, int]]:
     return runs
 
 
-def score(state: ModelState, sequences) -> list[float]:
-    """Eval-mode probability of each sequence, scored in `row_chunks` runs.
-
-    `sequences` is a `Packed` batch or a list of key-id sequences.
-    """
-    batch = sequences if isinstance(sequences, Packed) else pack(sequences, state.config)
+def score(state: ModelState, batch: Packed) -> list[float]:
+    """Eval-mode probability of each sequence of `batch`, scored in `row_chunks` runs."""
     out = []
     for run in batch.runs(row_chunks(batch.lengths.tolist())):
         out += forward(state, run)[0].tolist()

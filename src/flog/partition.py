@@ -34,7 +34,7 @@ def materialize(
     """Exact partition of windows into per-client datasets.
 
     The pipeline does not call this: it appends each node's windows to its
-    client's `federated.WindowColumns` as they are cut. Tests use it as the
+    client's `windows.WindowColumns` as they are cut. Tests use it as the
     reference grouping, and the benchmark tracer wraps it by name.
     """
     datasets = [ClientDataset(client_id=k, sequences=[]) for k in range(k_clients)]

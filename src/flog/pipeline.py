@@ -110,30 +110,6 @@ def node_windows(corpus: ParsedCorpus, cfg: RunConfig):
         )
 
 
-def build_all_windows(corpus: ParsedCorpus, cfg: RunConfig):
-    """Every node's train windows and test windows, each in node order (`node_windows`)."""
-    train: list[windows.WindowSequence] = []
-    test: list[windows.WindowSequence] = []
-    for _, node_train, node_test in node_windows(corpus, cfg):
-        train += node_train
-        test += node_test
-    return train, test
-
-
-def window_columns(corpus: ParsedCorpus, cfg: RunConfig, assignment: dict[str, int]):
-    """(each client's train windows, the test windows) as `federated.WindowColumns`.
-
-    Each node's windows are appended as they are cut, its train windows to
-    its client's columns, so no window list spans more than one node.
-    """
-    clients = [federated.WindowColumns() for _ in range(cfg.federated.k_clients)]
-    test = federated.WindowColumns()
-    for node, node_train, node_test in node_windows(corpus, cfg):
-        clients[assignment[node]].extend(node_train)
-        test.extend(node_test)
-    return clients, test
-
-
 def model_config(cfg: RunConfig, n_templates: int) -> ModelConfig:
     """The model shape for a run: its vocabulary is the parsed templates."""
     return ModelConfig(
@@ -213,9 +189,13 @@ def _trainer(cfg: RunConfig, out: Path) -> federated.FederatedTrainer:
         # Without nodes there is nothing to assign, and the cut fails for
         # want of test windows.
         assignment = partition.round_robin_assign(nodes, cfg.federated.k_clients) if nodes else {}
-        clients, test = window_columns(corpus, cfg, assignment)
-    log.info("built %d train / %d test windows",
-             sum(len(c.lengths) for c in clients), len(test.lengths))
+        # Windows go to columns node by node, so no window list spans two nodes.
+        clients = [windows.WindowColumns() for _ in range(cfg.federated.k_clients)]
+        test = windows.WindowColumns()
+        for node, node_train, node_test in node_windows(corpus, cfg):
+            clients[assignment[node]].extend(node_train)
+            test.extend(node_test)
+    log.info("built %d train / %d test windows", sum(map(len, clients)), len(test))
     del corpus  # its record columns
     with _stage("partition"):
         partition.write_assignment_dump(assignment, out / "assignment.tsv")

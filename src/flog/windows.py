@@ -15,7 +15,8 @@ Both bounds rise with t, so the windows that hold a record form runs of
 consecutive k, found from the bounds of consecutive records. They are
 enumerated in O(records + windows), whatever W/S is and however long and
 sparse the node's span; each window's records come from a binary search
-over the bounds.
+over the bounds. Each node's windows are appended, as they are cut, to
+flat `WindowColumns`, which are packed once into a `model.Packed` batch.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
+from . import model as model_ops
 from .bounds import bounded, check
 from .drain import LogRecord
 
@@ -51,6 +54,42 @@ class WindowSequence(NamedTuple):
     start_time: int
     key_ids: tuple[int, ...]
     label: int
+
+
+_KEY_IDS = attrgetter("key_ids")
+_LABEL = attrgetter("label")
+
+
+class WindowColumns:
+    """Windows appended as flat columns, with no object kept per window.
+
+    `key_ids` holds the windows' event ids end to end as C ints, which
+    Drain's template ids fit, `lengths` each window's key count (int64) and
+    `labels` its 0/1 label, one byte: 4 B a key and 9 B a window. `extend`
+    appends windows in C loops. len() is the number of windows.
+    """
+
+    __slots__ = ("key_ids", "lengths", "labels")
+
+    def __init__(self) -> None:
+        self.key_ids = array("i")
+        self.lengths = array("q")
+        self.labels = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def extend(self, windows: list[WindowSequence]) -> None:
+        """Append `windows`, in order."""
+        self.key_ids.extend(chain.from_iterable(map(_KEY_IDS, windows)))
+        self.lengths.extend(map(len, map(_KEY_IDS, windows)))
+        self.labels.extend(map(_LABEL, windows))
+
+    def pack(self, config: model_ops.ModelConfig) -> model_ops.Packed:
+        """The windows as one `Packed` batch, mapped and checked as `model.pack_keys` does."""
+        return model_ops.pack_key_columns(
+            np.frombuffer(self.key_ids, np.intc), np.array(self.lengths, np.int64), config
+        )
 
 
 class NodeRecords:

@@ -70,9 +70,11 @@ class TestDecode:
             decode_line("too short")
 
     def test_bad_epoch(self):
-        bad = TBIRD_LINE.replace("1131566461", "notanumber")
-        with pytest.raises(LineParseError):
-            decode_line(bad)
+        # int() also reads underscores, a plus sign and Arabic-Indic digits,
+        # which no log writes.
+        for field in ("notanumber", "1_131_566_461", "+1131566461", "١١٣١٥٦٦٤٦١"):
+            with pytest.raises(LineParseError, match="bad epoch field"):
+                decode_line(TBIRD_LINE.replace("1131566461", field))
 
     def test_epoch_outside_int64_is_malformed(self):
         # Parsed records keep epochs in an int64 column.

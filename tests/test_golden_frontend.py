@@ -1,9 +1,10 @@
 """Golden digests of the front end: ingest, Drain and windowing, byte for byte.
 
-Each case runs `read_corpus` and `build_all_windows` on a shipped profile
-and pins sha256 digests of the template table and of the train and test
-window lists, so any change to how records are built, parsed or windowed
-must leave every template, count, window and label as it was.
+Each case runs `read_corpus` and `node_windows` on a shipped profile and
+pins sha256 digests of the template table and of the train and test
+window lists, each node's windows in node order, so any change to how
+records are built, parsed or windowed must leave every template, count,
+window and label as it was.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 import yaml
 
 from flog.config import load_config
-from flog.pipeline import build_all_windows, read_corpus
+from flog.pipeline import node_windows, read_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -32,7 +33,10 @@ def window_rows(ws):
 
 def frontend_digests(cfg) -> dict:
     corpus = read_corpus(cfg)
-    train, test = build_all_windows(corpus, cfg)
+    train, test = [], []
+    for _, node_train, node_test in node_windows(corpus, cfg):
+        train += node_train
+        test += node_test
     return {
         "templates": sha256_lines(corpus.parser.export_templates()),
         "train": (len(train), sha256_lines(window_rows(train))),

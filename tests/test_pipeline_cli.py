@@ -452,7 +452,10 @@ class TestPackedAsCut:
             warnings.simplefilter("ignore")
             trainer = pipeline._trainer(cfg, pipeline.output_dir(cfg))
             corpus = pipeline.read_corpus(cfg)
-            train, test = pipeline.build_all_windows(corpus, cfg)
+            train, test = [], []
+            for _, node_train, node_test in pipeline.node_windows(corpus, cfg):
+                train += node_train
+                test += node_test
             assignment = partition.round_robin_assign(list(corpus.records_by_node), k)
             clients = partition.materialize(train, assignment, k)
             config = trainer.state.config

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flog import model as M
 from flog.drain import LogRecord
-from flog.windows import NodeRecords, WindowConfig, WindowSequence, build_windows
+from flog.windows import NodeRecords, WindowColumns, WindowConfig, WindowSequence, build_windows
 
 
 def mk_records(times, anomalous=None, node="n0"):
@@ -135,6 +136,46 @@ class TestNodeRecords:
         assert len(NodeRecords("n0")) == 0 and list(NodeRecords("n0")) == []
         cfg = WindowConfig(window_seconds=10, step_seconds=10)
         assert build_windows(NodeRecords("n0"), cfg) == []
+
+
+class TestWindowColumns:
+    CONFIG = M.ModelConfig(vocab_size=12, hidden_dim=8, head_dim=8, n_heads=1, n_layers=1,
+                           lora_rank=2, lora_alpha=16.0, lora_dropout=0.0,
+                           max_sequence_length=4, ffn_dim=12)
+
+    def test_windows_of_several_nodes_pack_as_pack_keys(self):
+        nodes = [[WindowSequence("a", 0, (3, 0, 9), 0), WindowSequence("a", 5, (9,), 1)],
+                 [],
+                 [WindowSequence("b", 2, (1, 2, 3, 4), 1)]]
+        columns = WindowColumns()
+        for ws in nodes:
+            columns.extend(ws)
+        every = [w for ws in nodes for w in ws]
+        got, want = columns.pack(self.CONFIG), M.pack_keys([w.key_ids for w in every], self.CONFIG)
+        assert len(columns) == len(got) == 3
+        assert got.ids.dtype == want.ids.dtype == np.int32
+        np.testing.assert_array_equal(got.ids, want.ids)
+        assert got.lengths.dtype == want.lengths.dtype == np.int64
+        np.testing.assert_array_equal(got.lengths, want.lengths)
+        assert list(columns.labels) == [w.label for w in every] == [0, 1, 1]
+
+    def test_empty(self):
+        columns = WindowColumns()
+        columns.extend([])
+        batch = columns.pack(self.CONFIG)
+        assert len(columns) == len(batch) == 0 and len(batch.ids) == 0
+
+    def test_key_outside_the_vocabulary_is_unk(self):
+        # vocab_size 12 holds the reserved ids and event ids 0 to 9.
+        columns = WindowColumns()
+        columns.extend([WindowSequence("a", 0, (9, 10, 2**31 - 1), 0)])
+        assert columns.pack(self.CONFIG).ids.tolist() == [11, M.UNK_ID, M.UNK_ID]
+
+    def test_overlong_window_rejected(self):
+        columns = WindowColumns()
+        columns.extend([WindowSequence("a", 0, (1, 2, 3, 4, 5), 0)])
+        with pytest.raises(ValueError, match="longer than max_sequence_length 4"):
+            columns.pack(self.CONFIG)
 
 
 class TestLabels:
