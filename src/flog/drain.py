@@ -1,10 +1,11 @@
 """Online log template mining with a fixed-depth similarity tree.
 
 Messages are routed by token count, then by their first few tokens, to a
-leaf holding candidate templates. The best-matching template absorbs the
-message (diverging positions become the wildcard ``<*>``); if nothing is
-similar enough a new template is created. Event ids are dense integers in
-first-seen order and form the model vocabulary.
+leaf holding candidate templates; below the count level, a node that holds
+MAX_CHILDREN tokens sends later ones to its overflow child ``<*>``. The
+best-matching template absorbs the message (diverging positions become the
+wildcard ``<*>``); if nothing is similar enough a new template is created.
+Event ids are dense integers in first-seen order and form the model vocabulary.
 
 Three memos let repeated input skip work. Each belongs to the parser and
 is emptied when it reaches MEMO_LIMIT entries.
@@ -127,7 +128,7 @@ class DrainParser:
 
     def __init__(self) -> None:
         self._root = _Node()
-        self._templates: list[LogTemplate] = []  # by event id
+        self.templates: list[LogTemplate] = []  # by event id
         # Masked token tuple -> (its leaf, the leaf's version then, its template).
         self._memo: dict[tuple[str, ...], tuple[_Node, int, LogTemplate]] = {}
         self._token_mask = TokenMask()
@@ -135,10 +136,6 @@ class DrainParser:
         self._shapes: dict[bytes, tuple[str, ...]] | None = {}
         self._shape_hits = 0  # hits since the shape memo was last emptied
         self._shape_check = SHAPE_CHECK  # its size at the next hit count check
-
-    @property
-    def templates(self) -> list[LogTemplate]:
-        return self._templates
 
     def parse_line(self, tokens: Sequence[str]) -> tuple[int, LogTemplate]:
         """Route the tokens to a leaf, merge into the best template or mint a new one.
@@ -171,8 +168,8 @@ class DrainParser:
                 leaf.version += 1
             best.occurrence_count += 1
         else:
-            best = LogTemplate(len(self._templates), list(tokens), occurrence_count=1)
-            self._templates.append(best)
+            best = LogTemplate(len(self.templates), list(tokens), occurrence_count=1)
+            self.templates.append(best)
             leaf.templates.append(best)
         if len(self._memo) >= MEMO_LIMIT:
             self._memo.clear()
@@ -222,30 +219,19 @@ class DrainParser:
         shapes[shape] = tokens
         return tokens
 
-    def _descend(self, tokens: list[str]) -> _Node:
+    def _descend(self, tokens: Sequence[str]) -> _Node:
         # The length level has no MAX_CHILDREN cap: a leaf must hold one length.
         node = self._root.children.setdefault(str(len(tokens)), _Node())
-        n_levels = min(TREE_DEPTH - 2, len(tokens))
-        for i in range(n_levels):
-            node = self._child(node, tokens[i])
+        for token in tokens[:TREE_DEPTH - 2]:
+            # A new token gets its own child, or the overflow child once the node is full.
+            children = node.children
+            node = children.get(token) or children.setdefault(
+                token if len(children) < MAX_CHILDREN else WILDCARD, _Node())
         return node
-
-    def _child(self, node: _Node, key: str) -> _Node:
-        child = node.children.get(key)
-        if child is None:
-            if len(node.children) >= MAX_CHILDREN:
-                # Full internal node: route through the shared overflow child.
-                key = WILDCARD
-                child = node.children.get(key)
-                if child is None:
-                    child = node.children[key] = _Node()
-            else:
-                child = node.children[key] = _Node()
-        return child
 
     def export_templates(self) -> list[tuple[int, str, int]]:
         """Immutable snapshot: (event_id, template string, occurrence count), by id."""
-        return [(tpl.event_id, tpl.render(), tpl.occurrence_count) for tpl in self._templates]
+        return [(tpl.event_id, tpl.render(), tpl.occurrence_count) for tpl in self.templates]
 
 
 def write_template_table(rows: list[tuple[int, str, int]], path) -> None:

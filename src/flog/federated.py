@@ -301,6 +301,8 @@ class FederatedTrainer:
         cfg: FedConfig,
         ledger: PrivacyLedger,
     ) -> None:
+        if len(clients) != cfg.k_clients:
+            raise ValueError(f"{len(clients)} clients given for k_clients = {cfg.k_clients}")
         self.state = state
         self.cfg = cfg
         self.ledger = ledger

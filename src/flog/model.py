@@ -492,19 +492,9 @@ def _blocks(X: np.ndarray) -> np.ndarray:
     return X.reshape(C, d, 3, d).transpose(0, 2, 1, 3)
 
 
-def _projection(H, W, S, mask, bounds):
-    """Rows bounds[c]:bounds[c + 1] of H through W and client c's bypass S[c].
-
-    Without a mask each client's rows take one product H_c (W + S_c). With
-    one, the mask drops bypass inputs only: H W + (H o mask)_c S_c.
-    """
-    if mask is None:
-        return _by_client(H, W + S, bounds)
-    return H @ W + _by_client(H * mask, S, bounds)
-
-
 def _projection_input_grad(dX, W, S, mask, bounds):
-    """The gradient reaching H from dX through `_projection`."""
+    """The gradient reaching H from dX, where X = H_c (W + S_c) on client c's rows,
+    or H_c W + (H o mask)_c S_c under a mask, which drops bypass inputs only."""
     if mask is None:
         return _by_client(dX, (W + S).swapaxes(-1, -2), bounds)
     return dX @ W.T + _by_client(dX, S.swapaxes(-1, -2), bounds) * mask
@@ -600,10 +590,10 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
                                     for g, a, b in zip(rngs, bounds, bounds[1:])])
                 masks.append((u < keep) / keep)
         if masks is None:  # one product per client with [Wq + S_q | Wk + S_k | Wv + S_v]
-            QKV = _projection(H, W, S, None, row_bounds)
+            QKV = _by_client(H, W + S, row_bounds)
             Q, K, V = QKV[:, :d][pairs.rows], QKV[:, d:2 * d], QKV[:, 2 * d:]
         else:  # Q on its rows; one frozen product for K and V, then each masked bypass
-            Q = _projection(Hq, W[:, :d], S[..., :d], masks[0], pairs.q_bounds)
+            Q = Hq @ W[:, :d] + _by_client(Hq * masks[0], S[..., :d], pairs.q_bounds)
             KV = H @ W[:, d:]
             K = KV[:, :d] + _by_client(H * masks[1], S[..., d:2 * d], row_bounds)
             V = KV[:, d:] + _by_client(H * masks[2], S[..., 2 * d:], row_bounds)
@@ -622,7 +612,8 @@ def forward(state: ModelState, sequences, mode: str = "eval", rng=None, groups=N
         H = H1 + np.maximum(Z, 0.0) @ frozen[f"W2_{l}"]
 
     z = _by_client(H, flat[:, layout["head_w"][0]].reshape(C, d, 1), seq_bounds)[:, 0]
-    y_hat = 1.0 / (1.0 + np.exp(-(z + flat[:, layout["head_b"][0].start].repeat(sizes))))
+    with np.errstate(over="ignore"):  # exp overflows below z ~ -709, where y_hat is 0.0
+        y_hat = 1.0 / (1.0 + np.exp(-(z + flat[:, layout["head_b"][0].start].repeat(sizes))))
     cache = _Cache(layers, sizes, seq_bounds, row_bounds, H, y_hat)
     return (y_hat[0] if single else y_hat), cache
 

@@ -24,16 +24,34 @@ from flog.drain import (
 
 class ScanParser(DrainParser):
     """Oracle: every message is split and masked, every line scans its
-    leaf's templates, and nothing is memoised."""
+    leaf's templates, and nothing is memoised. It routes through a tree of
+    its own, kept as plain dicts keyed by route."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {}  # route -> the concrete tokens routed below it
+        self.leaves = {}  # full route -> its leaf's templates
+
+    def route(self, tokens):
+        """The leaf of `tokens`: their count, then up to TREE_DEPTH - 2 of
+        them, where a node takes MAX_CHILDREN concrete tokens and sends
+        every later one to its overflow child WILDCARD."""
+        path = (len(tokens),)
+        for token in tokens[:drain.TREE_DEPTH - 2]:
+            seen = self.seen.setdefault(path, set())
+            if token not in seen and len(seen) < drain.MAX_CHILDREN:
+                seen.add(token)
+            path += (token if token in seen else WILDCARD,)
+        return self.leaves.setdefault(path, [])
 
     def parse_message(self, raw_line):
         tokens = preprocess_line(raw_line)
         return self.parse_line(tokens)[0] if tokens else None
 
     def parse_line(self, tokens):
-        leaf = self._descend(tokens)
+        leaf = self.route(tokens)
         best, best_sim = None, -1.0
-        for tpl in leaf.templates:
+        for tpl in leaf:
             sim = seq_similarity(tokens, tpl.tokens)
             if sim > best_sim:
                 best, best_sim = tpl, sim
@@ -43,9 +61,9 @@ class ScanParser(DrainParser):
             ]
             best.occurrence_count += 1
             return best.event_id, best
-        tpl = LogTemplate(event_id=len(self._templates), tokens=list(tokens), occurrence_count=1)
-        self._templates.append(tpl)
-        leaf.templates.append(tpl)
+        tpl = LogTemplate(event_id=len(self.templates), tokens=list(tokens), occurrence_count=1)
+        self.templates.append(tpl)
+        leaf.append(tpl)
         return tpl.event_id, tpl
 
 

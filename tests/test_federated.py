@@ -509,6 +509,15 @@ class TestTrainer:
         ).max()
         assert diff < 1e-12
 
+    @pytest.mark.parametrize("k_clients, n_given", [(3, 1), (1, 2)])
+    def test_rejects_a_client_list_of_the_wrong_length(self, k_clients, n_given):
+        # Too few would fail in run_round; too many would leave some never sampled.
+        fc = fed_config(k_clients=k_clients, noise_multiplier=1.0)
+        clients = [mk_client(k, 6, seed=20 + k) for k in range(n_given)]
+        want = f"{n_given} clients given for k_clients = {k_clients}"
+        with pytest.raises(ValueError, match=want):
+            build_trainer(fc, clients=clients)
+
     def test_two_runs_identical(self):
         fc = fed_config(noise_multiplier=0.3, rounds=3)
         t1, t2 = build_trainer(fc), build_trainer(fc)

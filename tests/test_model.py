@@ -1,7 +1,9 @@
 """Model: LoRA algebra, packed forward, analytic gradients, checkpoints."""
 
+import copy
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -63,45 +65,6 @@ class TestTokenMapping:
         assert ids.tolist() == [M.UNK_ID, M.UNK_ID]
 
 
-class TestAdaptedProjection:
-    """`model._projection`: the Q/K/V product with each client's LoRA bypass."""
-
-    def test_dense_matrix_oracle(self):
-        # Random small case equals H (W + (alpha/r) B A) computed densely.
-        rng = np.random.default_rng(0)
-        T, d, r, alpha = 2, 4, 2, 16.0
-        H = rng.normal(size=(T, d))
-        W = rng.normal(size=(d, d))
-        A = rng.normal(size=(r, d))
-        B = rng.normal(size=(d, r))
-        S = (alpha / r) * (B @ A)
-        got = M._projection(H, W, S[None], np.ones((T, d)), (0, T))
-        want = H @ (W + (alpha / r) * B @ A)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_cohort_equals_dense_per_client(self, masked):
-        # Three clients with unequal row runs, one a single row. Without a
-        # mask each run takes H_c (W + s B_c A_c); a mask drops bypass inputs
-        # only, so the frozen product keeps every input.
-        rng = np.random.default_rng(8)
-        d, r, alpha = 6, 2, 16.0
-        bounds = (0, 4, 5, 11)
-        H = rng.normal(size=(11, d))
-        W = rng.normal(size=(d, d))
-        A = rng.normal(size=(3, r, d))
-        B = rng.normal(size=(3, d, r))
-        mask = (rng.random((11, d)) < 0.7) / 0.7 if masked else None
-        got = M._projection(H, W, (alpha / r) * (B @ A), mask, bounds)
-        for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            S = (alpha / r) * B[c] @ A[c]
-            if masked:
-                want = H[a:b] @ W + (H[a:b] * mask[a:b]) @ S
-            else:
-                want = H[a:b] @ (W + S)
-            np.testing.assert_allclose(got[a:b], want, rtol=1e-12)
-
-
 class TestForward:
     def test_identity_at_init(self):
         # With B = 0 the bypass vanishes: forward equals the adapter-free
@@ -151,6 +114,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(state, [1, 2], mode="train")
 
+    def test_sigmoid_saturates_without_overflow(self):
+        # exp(-z) overflows to inf below z ~ -709, and 1 / (1 + inf) is 0.0.
+        state = init(tiny_config(), 0)
+        state.head_b[...] = -1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert forward(state, [1, 2, 3])[0] == 0.0
+
     def test_eval_ignores_dropout(self):
         cfg = tiny_config(lora_dropout=0.5)
         state = init(cfg, 0)
@@ -159,8 +130,12 @@ class TestForward:
         assert y1 == y2
 
 
-def base_forward(state, key_ids):
-    """Adapter-free oracle: the plain frozen transformer, no bypass."""
+def base_forward(state, key_ids, bypass=lambda l, p, H: 0.0):
+    """Per-sequence oracle: the plain transformer over the sequence's rows.
+
+    Each projection p of layer l is H W_p + bypass(l, p, H), and the head
+    reads the last row. The default bypass is none: the adapter-free model.
+    """
     cfg = state.config
     ids = np.asarray(key_ids, dtype=np.int64)
     ids = np.where((ids < 0) | (ids >= cfg.vocab_size), M.UNK_ID, ids)
@@ -168,9 +143,7 @@ def base_forward(state, key_ids):
     H = state.frozen["embed"][ids] + state.frozen["pos"][:T]
     d_k = cfg.head_dim
     for l in range(cfg.n_layers):
-        Q = H @ state.frozen[f"Wq_{l}"]
-        K = H @ state.frozen[f"Wk_{l}"]
-        V = H @ state.frozen[f"Wv_{l}"]
+        Q, K, V = (H @ state.frozen[f"W{p}_{l}"] + bypass(l, p, H) for p in "qkv")
         O = np.empty_like(H)
         for h in range(cfg.n_heads):
             sl = slice(h * d_k, (h + 1) * d_k)
@@ -183,6 +156,75 @@ def base_forward(state, key_ids):
         H = H1 + np.maximum(H1 @ state.frozen[f"W1_{l}"], 0.0) @ state.frozen[f"W2_{l}"]
     z = float(H[-1] @ state.head_w + state.head_b[0])
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def lora_forward(state, key_ids, masks=None):
+    """Dense LoRA oracle for one sequence of a one-row model.
+
+    Each projection is H (W + (alpha/r) B A), with the adapters read by
+    their layout names. Given `masks`, masks[l][p] is projection p's
+    dropout mask over the sequence's rows in layer l, and it multiplies the
+    bypass input alone: H W + (H o M) (alpha/r) B A.
+    """
+    adapters, scale = state.adapters, state.config.scale
+
+    def bypass(l, p, H):
+        X = H if masks is None else H * masks[l][p]
+        return X @ (scale * adapters[f"B{p}_{l}"] @ adapters[f"A{p}_{l}"])
+
+    return base_forward(state, key_ids, bypass)
+
+
+def replay_masks(gen, lengths, cfg):
+    """The dropout masks of a one-row call on sequences of `lengths`, per sequence.
+
+    They come from `gen` in `forward`'s order: per layer the q rows, then
+    the k rows, then the v rows. An inner layer's q rows are all rows; the
+    final layer's are the sequences' last rows, so a sequence's q mask there
+    is ones but on its last row, the only row whose query the head reads.
+    """
+    d, keep, n = cfg.hidden_dim, 1.0 - cfg.lora_dropout, sum(lengths)
+    masks = [[] for _ in lengths]
+    for l in range(cfg.n_layers):
+        final = l == cfg.n_layers - 1
+        q, k, v = ((gen.random((m, d)) < keep) / keep for m in (len(lengths) if final else n, n, n))
+        for j, end in enumerate(np.cumsum(lengths)):
+            rows = slice(end - lengths[j], end)
+            if final:
+                mq = np.ones((lengths[j], d))
+                mq[-1] = q[j]
+            else:
+                mq = q[rows]
+            masks[j].append({"q": mq, "k": k[rows], "v": v[rows]})
+    return masks
+
+
+class TestLoraOracle:
+    """A cohort call of `forward` against `lora_forward` on each client's sequences."""
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_cohort_forward_equals_dense_lora(self, n_layers, n_heads, mode):
+        cfg = tiny_config(n_layers=n_layers, n_heads=n_heads, head_dim=8 // n_heads,
+                          lora_dropout=0.3)
+        state = init(cfg, 17)
+        rng = np.random.default_rng(40 + 4 * n_layers + n_heads)
+        rows = rng.normal(0.0, 0.3, size=(3, state.n_trainable))
+        # Unequal groups; client 1 holds one single-row sequence.
+        lengths = [(5, 16, 2), (1,), (3, 1, 9, 4)]
+        seqs = [[rng.integers(0, cfg.vocab_size, size=t) for t in ts] for ts in lengths]
+        gens = [np.random.default_rng([11, c]) for c in range(3)]
+        replays = [copy.deepcopy(g) for g in gens]
+
+        probs, _ = forward(state.with_trainable(rows), [s for group in seqs for s in group],
+                           mode, gens, groups=[len(ts) for ts in lengths])
+        want = []
+        for row, group, ts, gen in zip(rows, seqs, lengths, replays):
+            solo = state.with_trainable(row)
+            masks = replay_masks(gen, ts, cfg) if mode == "train" else [None] * len(group)
+            want += [lora_forward(solo, seq, m) for seq, m in zip(group, masks)]
+        np.testing.assert_allclose(probs, want, rtol=1e-12, atol=0.0)
 
 
 class TestPacking:
