@@ -2,10 +2,13 @@
 
 Per round the server releases an aggregate with l2 sensitivity C plus
 Gaussian noise of std sigma * C, i.e. a Gaussian mechanism with
-noise-to-sensitivity ratio sigma. Its Renyi divergence at order alpha is
-alpha / (2 sigma^2); rounds compose additively; the (epsilon, delta)
-statement is the minimum over an alpha grid of rho(alpha) +
-log(1/delta) / (alpha - 1).
+noise-to-sensitivity ratio sigma. Its RDP at order alpha is
+rho(alpha) = alpha / (2 sigma^2), +inf at sigma 0. The accountant works on
+rho arrays over `DEFAULT_ALPHA_GRID`: RDP adds across releases, so T rounds
+are T * rho (a product, not a running sum, so the ledger equals
+`epsilon_for` bit for bit), and the (epsilon, delta) statement is the
+minimum over the grid of rho(alpha) + log(1/delta) / (alpha - 1). The
+ledger's alpha* is the first order attaining it, or NaN when epsilon is inf.
 
 Participation subsampling is deliberately not credited: the reported
 epsilon is a conservative upper bound. Alongside the rigorous figure the
@@ -26,39 +29,37 @@ DEFAULT_ALPHA_GRID.flags.writeable = False
 
 def rdp_gaussian(sigma: float, alpha):
     """Renyi divergence of order alpha (a scalar or an array of orders) for the
-    Gaussian mechanism at ratio 1/sigma."""
+    Gaussian mechanism at ratio 1/sigma; +inf at sigma 0."""
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha <= 1.0):
         raise ValueError("alpha must exceed 1")
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
-    if sigma == 0.0:
-        return np.full_like(alpha, math.inf)
-    return alpha / (2.0 * sigma * sigma)
+    with np.errstate(divide="ignore"):
+        return alpha / (2.0 * sigma * sigma)
 
 
-def to_epsilon(rho_total, delta: float, alphas=DEFAULT_ALPHA_GRID) -> tuple[float, float]:
-    """Best (epsilon, alpha*) over the alpha grid for the given delta.
+def to_epsilon(rho, delta: float) -> tuple[float, float]:
+    """Best (epsilon, alpha*) for the given delta.
 
-    `rho_total` maps the array of orders to the composed RDP at each order.
-    alpha* is the first order where epsilon is smallest. If no order gives a
-    finite epsilon, the result is (inf, alphas[0]).
+    `rho` is the composed RDP at each order of `DEFAULT_ALPHA_GRID`. alpha*
+    is the first order where epsilon is smallest; a NaN order counts as
+    +inf. If no order gives a finite epsilon, the result is (inf, 1.25).
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    alphas = np.asarray(alphas, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0 rounds * inf RDP is NaN
-        eps = rho_total(alphas) + math.log(1.0 / delta) / (alphas - 1.0)
+    eps = rho + math.log(1.0 / delta) / (DEFAULT_ALPHA_GRID - 1.0)
     eps[np.isnan(eps)] = math.inf
     best = int(np.argmin(eps))
-    return float(eps[best]), float(alphas[best])
+    return float(eps[best]), float(DEFAULT_ALPHA_GRID[best])
 
 
 def epsilon_for(sigma: float, rounds: int, delta: float) -> tuple[float, float]:
-    """Epsilon spent by `rounds` Gaussian releases at this sigma."""
+    """Epsilon spent by `rounds` Gaussian releases at this sigma: rounds x rho."""
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    return to_epsilon(lambda a: rounds * rdp_gaussian(sigma, a), delta)
+    with np.errstate(invalid="ignore"):  # 0 rounds * inf RDP is NaN
+        return to_epsilon(rounds * rdp_gaussian(sigma, DEFAULT_ALPHA_GRID), delta)
 
 
 @dataclass
@@ -83,12 +84,10 @@ class PrivacyLedger:
     def update(self) -> "PrivacyLedger":
         """Record one completed round and recompute both budget views."""
         self.rounds_completed += 1
-        if self.noise_multiplier > 0.0:
-            self.eps_spent_rdp, self.alpha_star = epsilon_for(
-                self.noise_multiplier, self.rounds_completed, self.delta
-            )
-        else:
-            self.eps_spent_rdp, self.alpha_star = math.inf, math.nan
+        self.eps_spent_rdp, alpha = epsilon_for(
+            self.noise_multiplier, self.rounds_completed, self.delta
+        )
+        self.alpha_star = alpha if math.isfinite(self.eps_spent_rdp) else math.nan
         self.eps_spent_linear = (
             self.target_epsilon * self.rounds_completed / self.total_rounds
         )

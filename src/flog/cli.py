@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import datasets, model as model_ops
 from .config import load_config
-from .metrics import CSV_HEADER, csv_row, evaluate
+from .metrics import CSV_HEADER, RoundMetrics, csv_row, evaluate
 from .pipeline import (
     StageError,
     _stage,
@@ -117,9 +117,9 @@ def cmd_evaluate(args, cfg) -> int:
     scores = model_ops.score(state, test.pack(state.config))
     round_idx, participants, eps_spent = last
     print(CSV_HEADER)
-    print(csv_row(evaluate(
-        scores, list(test.labels), round_idx=round_idx, participants=participants,
-        eps_spent=eps_spent,
+    print(csv_row(RoundMetrics(
+        round=round_idx, participants=participants, **evaluate(scores, list(test.labels)),
+        eps_spent=eps_spent, mean_pre_clip_norm=0.0, wall_seconds=0.0,
     )))
     return 0
 

@@ -345,11 +345,10 @@ class FederatedTrainer:
         self.ledger.update()
 
         scores, labels = self.evaluate_global()
-        m = evaluate(
-            scores,
-            labels,
-            round_idx=round_idx,
+        m = RoundMetrics(
+            round=round_idx,
             participants=len(participants),
+            **evaluate(scores, labels),
             eps_spent=self.ledger.eps_spent_rdp,
             mean_pre_clip_norm=float(np.mean(pre_clip)) if pre_clip else 0.0,
             wall_seconds=time.perf_counter() - t_start,

@@ -251,10 +251,10 @@ def read_checkpoint(path, shapes=None) -> dict[str, np.ndarray]:
     """The tensors, by name, of a checkpoint written by `ModelState.save`.
 
     Raises ValueError naming the file when its header or manifest cannot be
-    read, and naming the tensor when the data is not exactly the manifest's.
-    Given `shapes`, the name -> shape of every tensor a model holds, it also
-    names a tensor that the manifest misses or adds, or whose shape differs,
-    before it looks at the data.
+    read, and naming the tensor when it is listed twice or its data is not
+    exactly the manifest's. Given `shapes`, the name -> shape of every
+    tensor a model holds, it also names a tensor that the manifest misses
+    or adds, or whose shape differs, before it looks at the data.
     """
     with open(path, "rb") as fh:
         header = fh.read(4)
@@ -281,9 +281,12 @@ def read_checkpoint(path, shapes=None) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: tensor {missing[0]!r} is missing from the checkpoint")
         if unknown := sorted(named - shapes.keys()):
             raise ValueError(f"{path}: tensor {unknown[0]!r} is not part of the model")
-    offset, name = 0, None
+    offset, name, seen = 0, None, set()
     for entry in manifest:
         name, shape = entry["name"], tuple(entry["shape"])
+        if name in seen:
+            raise ValueError(f"{path}: tensor {name!r} is listed twice")
+        seen.add(name)
         if shapes is not None and shape != shapes[name]:
             raise ValueError(f"{path}: tensor {name!r} has shape {list(shape)}, "
                              f"the model expects {list(shapes[name])}")

@@ -1,6 +1,7 @@
 """Privacy accounting: RDP curve, composition, conversion, ledger."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,9 +150,9 @@ class TestToEpsilon:
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
-            to_epsilon(lambda a: a, 0.0)
+            to_epsilon(DEFAULT_ALPHA_GRID, 0.0)
         with pytest.raises(ValueError):
-            to_epsilon(lambda a: a, 1.0)
+            to_epsilon(DEFAULT_ALPHA_GRID, 1.0)
 
     def test_grid_spans_low_and_high_alpha(self):
         assert DEFAULT_ALPHA_GRID[0] == pytest.approx(1.25)
@@ -201,6 +202,35 @@ class TestLedger:
             _w.simplefilter("ignore")
             ledger.update()
         assert ledger.eps_spent_rdp == math.inf
+
+    def test_rounds_compose_by_multiplicity(self):
+        # The ledger records T rounds as T * rho. A running sum of rho rounds
+        # differently: at sigma 0.33, T 50 it gives 333.01221609312245.
+        for sigma in (0.1, 0.01, 1.5, 0.7, 1.27, 2.5, 0.33):
+            ledger = PrivacyLedger(
+                target_epsilon=math.inf, delta=1e-5, noise_multiplier=sigma, total_rounds=50
+            )
+            for rounds in range(1, 51):
+                ledger.update()
+                want = epsilon_for(sigma, rounds, 1e-5)
+                assert (ledger.eps_spent_rdp, ledger.alpha_star) == want, (sigma, rounds)
+        assert ledger.eps_spent_rdp == 333.0122160931224
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -1e-5, 2.0])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            PrivacyLedger(target_epsilon=10.0, delta=delta, noise_multiplier=1.0,
+                          total_rounds=5)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-170])
+    def test_infinite_epsilon_has_no_alpha_star(self, sigma):
+        # sigma^2 underflows to 0 at 1e-170: both are sigma 0 to the accountant.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no DP; overspent target
+            ledger = PrivacyLedger(target_epsilon=10.0, delta=1e-5, noise_multiplier=sigma,
+                                   total_rounds=2).update()
+        assert ledger.eps_spent_rdp == math.inf and math.isnan(ledger.alpha_star)
+        assert "eps_rdp=inf\neps_linear=5.0\nalpha_star=nan\n" in ledger.dump()
 
     def test_dump_format(self):
         ledger = PrivacyLedger(

@@ -193,6 +193,16 @@ class TestLoad:
             with pytest.raises(ValueError, match=match):
                 load_config(write(tmp_path, {**MINIMAL, **bad}))
 
+    def test_dataset_format_and_its_source_checked(self, tmp_path):
+        for dataset, match in [
+            ({"format": "csv", "path": str(tmp_path)},
+             "dataset.format must be thunderbird|bgl|synthetic, got 'csv'"),
+            ({"format": "synthetic"}, "dataset.synthetic section required for synthetic format"),
+            ({"format": "bgl"}, "dataset.path required for file-based formats"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(match)):
+                load_config(write(tmp_path, {**MINIMAL, "dataset": dataset}))
+
     def test_bad_model_section_is_a_configuration_error(self, tmp_path, capsys):
         # Caught at load, before any stage runs, by `flog account` too.
         for model, match in [

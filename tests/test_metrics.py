@@ -125,11 +125,11 @@ class TestRocAuc:
 
 class TestEvaluate:
     def test_builds_row(self):
-        m = evaluate([0.9, 0.1], [1, 0], round_idx=3, participants=2, eps_spent=1.5)
-        assert m.round == 3
-        assert m.f1 == 1.0
-        assert m.roc_auc == 1.0
-        assert m.eps_spent == 1.5
+        m = evaluate([0.9, 0.1], [1, 0])
+        assert m == dict(accuracy=1.0, precision=1.0, recall=1.0, f1=1.0, roc_auc=1.0)
+        row = RoundMetrics(round=3, participants=2, **m, eps_spent=1.5,
+                           mean_pre_clip_norm=0.0, wall_seconds=0.0)
+        assert (row.round, row.f1, row.roc_auc, row.eps_spent) == (3, 1.0, 1.0, 1.5)
 
     def test_accuracy_invariant_under_joint_flip(self):
         rng = np.random.default_rng(4)
@@ -137,11 +137,11 @@ class TestEvaluate:
         labels = rng.integers(0, 2, size=40)
         m1 = evaluate(scores, labels)
         m2 = evaluate(1.0 - scores - 1e-12, 1 - labels)
-        assert m1.accuracy == pytest.approx(m2.accuracy)
+        assert m1["accuracy"] == pytest.approx(m2["accuracy"])
 
     def test_single_class_auc_falls_back(self):
         m = evaluate([0.9, 0.8], [1, 1])
-        assert m.roc_auc == 0.5
+        assert m["roc_auc"] == 0.5
 
 
 class TestCsv:
@@ -154,3 +154,8 @@ class TestCsv:
         row = csv_row(m)
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
         assert row.startswith("0,4,1.000000")
+
+    def test_header_is_the_rounds_csv_format(self):
+        # Built from RoundMetrics' fields: rounds.csv's columns, in order.
+        assert CSV_HEADER == ("round,participants,accuracy,precision,recall,f1,roc_auc,"
+                              "eps_spent,mean_pre_clip_norm,wall_seconds")

@@ -589,6 +589,49 @@ class TestStateAndCheckpoint:
         with pytest.raises(ValueError, match="'head_w'"):
             init(tiny_config(), 0).load(path)
 
+    def test_set_trainable_rejects_wrong_length(self):
+        state = init(tiny_config(), 0)
+        with pytest.raises(ValueError, match="flat vector length does not match layout"):
+            state.set_trainable(np.zeros(state.n_trainable + 1))
+
+    @pytest.mark.parametrize("edit, tail, message", [
+        # A second 'head_b' of value 7.0, its data appended after the last tensor.
+        (lambda m: [*m, {"name": "head_b", "offset": 777, "length": 1, "shape": [1]}],
+         struct.pack("<d", 7.0), "tensor 'head_b' is listed twice"),
+        (lambda m: [*m, {"name": "extra", "offset": 777, "length": 1, "shape": [1]}],
+         struct.pack("<d", 7.0), "tensor 'extra' is not part of the model"),
+        (lambda m: [{**e, "shape": [8, 16]} if e["name"] == "pos" else e for e in m], b"",
+         r"tensor 'pos' has shape \[8, 16\], the model expects \[16, 8\]"),
+        (lambda m: [{**e, "length": 2} if e["name"] == "head_b" else e for e in m], b"",
+         r"tensor 'head_b' has length 2 for shape \[1\]"),
+        (lambda m: m, b"\0" * 8, "8 bytes after tensor 'pos'"),
+    ], ids=["listed-twice", "unknown", "shape", "length", "trailing-bytes"])
+    def test_load_names_the_tensor_the_manifest_gets_wrong(self, tmp_path, edit, tail,
+                                                           message):
+        path = tmp_path / "model.ckpt"
+        init(tiny_config(), 0).save(path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[:4])
+        assert sum(e["length"] for e in json.loads(raw[4 : 4 + n])) == 777  # appended data
+        blob = json.dumps(edit(json.loads(raw[4 : 4 + n]))).encode("utf-8")
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + n :] + tail)
+        with pytest.raises(ValueError, match=message) as info:
+            init(tiny_config(), 0).load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_read_checkpoint_rejects_a_tensor_listed_twice_without_shapes(self, tmp_path):
+        # `flog evaluate` checks the file this way before it knows the model.
+        path = tmp_path / "model.ckpt"
+        init(tiny_config(), 0).save(path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[:4])
+        manifest = json.loads(raw[4 : 4 + n])
+        manifest.append({**manifest[0], "offset": 777})
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + n :] + raw[-128:])
+        with pytest.raises(ValueError, match=f"tensor '{manifest[0]['name']}' is listed twice"):
+            M.read_checkpoint(path)
+
     def test_init_deterministic(self):
         s1, s2 = init(tiny_config(), 7), init(tiny_config(), 7)
         for name, arr in s1.all_tensors().items():

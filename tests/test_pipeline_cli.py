@@ -661,6 +661,19 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
         assert "no rounds.csv" in capsys.readouterr().err
 
+    def test_evaluate_on_header_only_rounds_csv_fails(self, cfg_path, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        rounds_csv = tmp_path / "out" / "rounds.csv"
+        header = rounds_csv.read_text(encoding="utf-8").splitlines()[0]
+        rounds_csv.write_text(header + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"{rounds_csv} has no completed round\n"
+        assert out == ""
+
     def test_evaluate_on_damaged_checkpoint_names_load_stage(self, cfg_path, tmp_path,
                                                              monkeypatch, capsys):
         with warnings.catch_warnings():

@@ -6,16 +6,17 @@
 Extracts BASE with `git archive` into a temporary directory, writes the
 `tbird-ingest` inputs once (with `perfbench/workloads.prepare`, seed 4),
 and runs the command line, `flog.cli.main`, in both trees, each command in
-a fresh interpreter. `train --seed N` runs on eight (config, seed) pairs:
+a fresh interpreter. `train --seed N` runs on nine (config, seed) pairs:
 
 - `configs/synthetic.yaml` and the `tbird-ingest` config, at seeds 4 and 9;
-- at seed 4, four configs that reach paths the shipped ones do not: the
+- at seed 4, five configs that reach paths the shipped ones do not: the
   `tbird-ingest` model at 2 rounds x 2 epochs with q = 0.5; the same with
   two layers and q = 0.6; synthetic at 12,000 lines with two layers,
   two heads of width 4, LoRA dropout 0.2, 3 accumulation steps and q = 0.7;
   and synthetic over 12 clients with q = 0.5, so that its 8 nodes leave
   four clients without a window, which still draw their epochs'
-  permutations when sampled.
+  permutations when sampled; and synthetic at noise multiplier 0 for 2
+  rounds, whose ledger reads `eps_rdp=inf` and `alpha_star=nan`.
 
 On the two base configs at seed 4 it also runs `parse`, `partition` and
 `account`, and `evaluate` on train's output directory.
@@ -106,6 +107,7 @@ def configs(work: Path) -> list[tuple[str, Path, int]]:
             federated=dict(grad_accum_steps=3, participation_rate=0.7)),
         "synthetic-k12-q0.5": variant(
             synthetic, federated=dict(k_clients=12, participation_rate=0.5)),
+        "synthetic-sigma0": variant(synthetic, federated=dict(noise_multiplier=0.0, rounds=2)),
     }
     paths = {}
     for name, doc in docs.items():
@@ -113,7 +115,7 @@ def configs(work: Path) -> list[tuple[str, Path, int]]:
         paths[name].write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
     runs = [(name, seed) for name in ("synthetic", "tbird-ingest") for seed in (4, 9)]
     runs += [(name, 4) for name in ("tbird-2x2-q0.5", "tbird-2x2-L2-q0.6", "synthetic-12k-L2",
-                                    "synthetic-k12-q0.5")]
+                                    "synthetic-k12-q0.5", "synthetic-sigma0")]
     return [(name, paths[name], seed) for name, seed in runs]
 
 
