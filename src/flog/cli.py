@@ -73,27 +73,23 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _last_round(path: Path) -> tuple[int, int, float] | None:
-    """Round, participants and privacy spend of the last row of a rounds.csv, if any."""
+def _last_round(path: Path) -> RoundMetrics | None:
+    """The last row of a rounds.csv, if any."""
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    if not rows:
-        return None
-    last = rows[-1]
     try:
-        return int(last["round"]), int(last["participants"]), float(last["eps_spent"])
+        return RoundMetrics.from_row(rows[-1]) if rows else None
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: last row does not parse: {exc}") from None
+        raise ValueError(f"{path}: last row does not parse: {exc!r}") from None
 
 
 def cmd_evaluate(args, cfg) -> int:
-    """Score the trained checkpoint on the test windows."""
+    """Re-score the checkpoint's rounds.csv row on the test windows."""
     out = Path(cfg.output_dir)  # read only: evaluate writes nothing there
     ckpt = out / "model.ckpt"
     if not ckpt.exists():
         print(f"no checkpoint at {ckpt}; run `flog train` first", file=sys.stderr)
         return 1
-    # The checkpoint's round, participants and privacy spend are the run's last row.
     rounds_csv = out / "rounds.csv"
     if not rounds_csv.exists():
         print(f"no rounds.csv at {rounds_csv}; run `flog train` first", file=sys.stderr)
@@ -115,12 +111,8 @@ def cmd_evaluate(args, cfg) -> int:
     with _stage("load"):
         state.load(ckpt)
     scores = model_ops.score(state, test.pack(state.config))
-    round_idx, participants, eps_spent = last
     print(CSV_HEADER)
-    print(csv_row(RoundMetrics(
-        round=round_idx, participants=participants, **evaluate(scores, list(test.labels)),
-        eps_spent=eps_spent, mean_pre_clip_norm=0.0, wall_seconds=0.0,
-    )))
+    print(csv_row(dataclasses.replace(last, **evaluate(scores, list(test.labels)))))
     return 0
 
 
@@ -159,6 +151,8 @@ def main(argv=None) -> int:
         p.add_argument("-v", "--verbose", action="store_true")
         p.set_defaults(fn=fn, out=None)
     args = parser.parse_args(argv)
+    if args.out == "":  # an unset shell variable would otherwise write to output_dir
+        parser.error("argument --out: must name a directory, got ''")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

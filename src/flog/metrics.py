@@ -3,6 +3,7 @@ its caller adds the round fields it holds to make that round's `RoundMetrics`.""
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +21,11 @@ class RoundMetrics:
     eps_spent: float
     mean_pre_clip_norm: float
     wall_seconds: float
+
+    @classmethod
+    def from_row(cls, row: dict[str, str]) -> RoundMetrics:
+        """The round of a `csv.DictReader` row of rounds.csv, each column by its field's type."""
+        return cls(**{name: t(row[name]) for name, t in typing.get_type_hints(cls).items()})
 
 
 def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:

@@ -197,8 +197,7 @@ def _trainer(cfg: RunConfig, out: Path) -> federated.FederatedTrainer:
             test.extend(node_test)
     log.info("built %d train / %d test windows", sum(map(len, clients)), len(test))
     del corpus  # its record columns
-    with _stage("partition"):
-        partition.write_assignment_dump(assignment, out / "assignment.tsv")
+    assign_clients(nodes, cfg, out)
     with _stage("train"):
         state = init_model(cfg, n_templates)
         # Each client's columns go as soon as it is packed, so that the next

@@ -25,6 +25,7 @@ from flog.cli import main
 from flog.config import load_config
 from flog.datasets import RawEntry, SyntheticCorpus, encode_line
 from flog.drain import DrainParser, LogRecord
+from flog.metrics import CSV_HEADER
 from flog.model import ModelConfig, class_weights_from_labels, init, pack_keys
 from flog.pipeline import ARTIFACTS, StageError, load_entries, parse_corpus, run_pipeline
 
@@ -87,6 +88,10 @@ def cfg_path(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(small_doc(tmp_path / "out")))
     return path
+
+
+# A rounds.csv row in every CSV_HEADER column, for a checkpoint that no run wrote.
+FULL_ROW = "0,1,0.500000,0.500000,0.500000,0.500000,0.500000,0.500000,1.000000,0.100"
 
 
 def read_masked_rounds(path):
@@ -184,8 +189,7 @@ class TestRunPipeline:
         assert not any((out / name).exists() for name in ARTIFACTS[1:])
         # evaluate reads the corpus once its checkpoint and last round read.
         init(ModelConfig(vocab_size=3), 0).save(out / "model.ckpt")
-        (out / "rounds.csv").write_text(
-            "round,participants,eps_spent\n0,1,0.5\n", encoding="utf-8")
+        (out / "rounds.csv").write_text(f"{CSV_HEADER}\n{FULL_ROW}\n", encoding="utf-8")
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "stage 'window' failed: no test windows" in capsys.readouterr().err
 
@@ -199,8 +203,7 @@ class TestRunPipeline:
         # cleanly; the checkpoint's shapes are checked after the corpus.
         out = tmp_path / "out"
         init(ModelConfig(vocab_size=3), 0).save(out / "model.ckpt")
-        (out / "rounds.csv").write_text(
-            "round,participants,eps_spent\n0,1,0.5\n", encoding="utf-8")
+        (out / "rounds.csv").write_text(f"{CSV_HEADER}\n{FULL_ROW}\n", encoding="utf-8")
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "stage 'ingest' failed" in capsys.readouterr().err
 
@@ -575,6 +578,15 @@ class TestCli:
         assert dump[0] == "node_id\tclient_id"
         assert len(dump) == 5  # header + 4 nodes
 
+    def test_partition_and_train_write_the_same_assignment(self, cfg_path, tmp_path):
+        assert main(["partition", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        dump = (tmp_path / "p" / "assignment.tsv").read_bytes()
+        assert dump == (tmp_path / "t" / "assignment.tsv").read_bytes()
+        assert dump.count(b"\n") == 5  # header + 4 nodes
+
     def test_partition_without_nodes_names_partition_stage(self, tmp_path, capsys):
         log_path = tmp_path / "malformed.log"
         log_path.write_text("not a log line\n- 12 also not\n", encoding="utf-8")
@@ -642,15 +654,12 @@ class TestCli:
             assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
             capsys.readouterr()
             assert main(["evaluate", "--config", str(cfg_path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("round,participants,")
         # The reloaded checkpoint scores the test split exactly as the last
-        # training round did: accuracy, precision, recall, F1, ROC-AUC.
-        last = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[-1]
-        assert out.splitlines()[1].split(",")[2:7] == last.split(",")[2:7]
-        # ... and reports that round's index, participants and eps spent.
-        row, want = out.splitlines()[1].split(","), last.split(",")
-        assert [row[i] for i in (0, 1, 7)] == [want[i] for i in (0, 1, 7)]
+        # training round did, so its re-scored row is that round's row, in
+        # all ten columns.
+        lines = (tmp_path / "out" / "rounds.csv").read_text().splitlines()
+        assert capsys.readouterr().out.splitlines() == [CSV_HEADER, lines[-1]]
+        assert lines[0] == CSV_HEADER and len(lines[-1].split(",")) == 10
 
     def test_evaluate_without_rounds_csv_fails(self, cfg_path, tmp_path, capsys):
         with warnings.catch_warnings():
@@ -696,18 +705,25 @@ class TestCli:
             assert "configuration error" not in err
             assert out == ""
 
+    # A last row that is not numbers, and a file without one of the columns.
+    @pytest.mark.parametrize("damage,named", [
+        (lambda rows: [*rows[:-1], ["x", "y", "z"]], "'x'"),
+        (lambda rows: [r[:8] + r[9:] for r in rows], "mean_pre_clip_norm"),
+    ], ids=["row", "column"])
     def test_evaluate_on_unparsable_last_round_names_load_stage(self, cfg_path, tmp_path,
-                                                                capsys):
+                                                                capsys, damage, named):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
         rounds_csv = tmp_path / "out" / "rounds.csv"
-        lines = rounds_csv.read_text(encoding="utf-8").splitlines()
-        rounds_csv.write_text("\n".join([*lines[:-1], "x,y,z"]) + "\n", encoding="utf-8")
+        rows = [line.split(",") for line in rounds_csv.read_text(encoding="utf-8").splitlines()]
+        assert rows[0][8] == "mean_pre_clip_norm"
+        rounds_csv.write_text("".join(",".join(r) + "\n" for r in damage(rows)), encoding="utf-8")
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
         assert f"stage 'load' failed: {rounds_csv}: " in err
+        assert named in err
         assert "configuration error" not in err
         assert out == ""
 
@@ -742,6 +758,16 @@ class TestCli:
             assert main([command, "--config", str(cfg_path), "--out", str(alt)]) == 0
             assert (alt / artifact).exists()
         assert not (tmp_path / "out").exists()
+
+    # An --out that a shell expanded from an unset variable names no directory.
+    @pytest.mark.parametrize("command", ["synth", "parse", "partition", "train", "evaluate"])
+    def test_empty_out_is_usage_error(self, cfg_path, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", str(cfg_path), "--out", ""])
+        assert info.value.code == 2
+        assert "argument --out: must name a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.yaml"]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -35,13 +35,14 @@ nodes by time.
 
 Both trees read the same inputs and configs, written from this tree.
 It compares the `templates.tsv` that `parse` writes, the `assignment.tsv`
-that `partition` writes, the standard output of `account`, `train`
-(without `wall_seconds`) and `evaluate`, and the artifacts that `train`
-writes: `templates.tsv`, `assignment.tsv`, `ledger.txt`, `model.ckpt`
-byte for byte, and `rounds.csv` without its `wall_seconds` column. It
-prints one line per run and output and exits 1 on any difference, if
-the hex-id log routes no more than `drain.MAX_CHILDREN` tokens below one
-tree node, or if the messy log has no node out of time order.
+that `partition` writes, the standard output of `account`, and of `train`
+and `evaluate` without `wall_seconds` (evaluate copies it from the run's
+last row), and the artifacts that `train` writes: `templates.tsv`,
+`assignment.tsv`, `ledger.txt`, `model.ckpt` byte for byte, and
+`rounds.csv` without its `wall_seconds` column. It prints one line per
+run and output and exits 1 on any difference, if the hex-id log routes
+no more than `drain.MAX_CHILDREN` tokens below one tree node, or if the
+messy log has no node out of time order.
 """
 
 from __future__ import annotations
@@ -223,7 +224,9 @@ def cli_outputs(tree: Path, config: Path, out: Path, commands, seed: int
         stdout, error = run(tree, command, "--config", config, *args[command])
         if error is not None:
             failed.append(f"{command}: {error}")
-        if command == "train":  # rounds.csv's rows, whose last column is wall_seconds
+        # rounds.csv's rows, whose last column is wall_seconds: train prints
+        # every row, and evaluate the last one re-scored.
+        if command in ("train", "evaluate"):
             stdout = "".join(line.rsplit(",", 1)[0] + "\n" for line in stdout.splitlines())
         if command not in ("parse", "partition"):
             outputs[f"{command} stdout"] = stdout.encode() if error is None else None
