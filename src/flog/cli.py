@@ -9,7 +9,6 @@ account) or the whole pipeline (train, evaluate).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 
 from . import datasets, model as model_ops
 from .config import load_config
-from .metrics import CSV_HEADER, RoundMetrics, csv_row, evaluate
+from .metrics import csv_row, csv_text, evaluate, read_last_round
 from .pipeline import (
     StageError,
     _stage,
@@ -73,16 +72,6 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _last_round(path: Path) -> RoundMetrics | None:
-    """The last row of a rounds.csv, if any."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    try:
-        return RoundMetrics.from_row(rows[-1]) if rows else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: last row does not parse: {exc!r}") from None
-
-
 def cmd_evaluate(args, cfg) -> int:
     """Re-score the checkpoint's rounds.csv row on the test windows."""
     out = Path(cfg.output_dir)  # read only: evaluate writes nothing there
@@ -97,7 +86,7 @@ def cmd_evaluate(args, cfg) -> int:
     # Both files are checked before the corpus is read; the checkpoint's
     # shapes only once the parsed templates give the vocabulary size.
     with _stage("load"):
-        last = _last_round(rounds_csv)
+        last = read_last_round(rounds_csv)
         model_ops.read_checkpoint(ckpt)
     if last is None:
         print(f"{rounds_csv} has no completed round", file=sys.stderr)
@@ -111,8 +100,7 @@ def cmd_evaluate(args, cfg) -> int:
     with _stage("load"):
         state.load(ckpt)
     scores = model_ops.score(state, test.pack(state.config))
-    print(CSV_HEADER)
-    print(csv_row(dataclasses.replace(last, **evaluate(scores, list(test.labels)))))
+    print(csv_text([dataclasses.replace(last, **evaluate(scores, list(test.labels)))]), end="")
     return 0
 
 

@@ -1,10 +1,11 @@
 """Run configuration: YAML loading, validation, defaults, round-trip dump.
 
-Unknown keys are rejected so typos fail loudly; every omitted key falls
-back to a documented default, logged at load time. Every value must have
-its field's annotated type: an int is no bool, a float may be written as
-an int and is kept as written, `X | None` also takes null, a frozenset is
-a YAML list, and a dataclass is a nested mapping checked the same way.
+Unknown keys, and a key given twice in one mapping, are rejected so typos
+fail loudly; every omitted key falls back to a documented default, logged
+at load time. Every value must have its field's annotated type: an int is
+no bool, a float may be written as an int and is kept as written, `X |
+None` also takes null, a frozenset is a YAML list, and a dataclass is a
+nested mapping checked the same way.
 Each int and float must also lie in its field's declared range (`flog.bounds`).
 """
 
@@ -85,6 +86,10 @@ class RunConfig:
     evaluation: EvalConfig
     output_dir: str = "out"
 
+    def __post_init__(self) -> None:
+        if not self.output_dir:  # "" would write every artifact to the working directory
+            raise ValueError(f"output_dir must name a directory, got {self.output_dir!r}")
+
 
 _SECTIONS = [name for name, tp in typing.get_type_hints(RunConfig).items() if is_dataclass(tp)]
 
@@ -146,11 +151,27 @@ def _build(cls, raw: dict, section: str):
         raise ValueError(f"{prefix}{exc}") from None
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a key given twice in one mapping; PyYAML keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value:
+            # A merge key (`<<`) is no key of the mapping; PyYAML expands it.
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in lines:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"key {key!r} given twice, at lines {lines[key]} and {line}")
+                lines[key] = line
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> RunConfig:
     """The RunConfig in the YAML file at `path`, every key checked; reads no other file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except (OSError, yaml.YAMLError) as exc:
         raise ValueError(f"cannot load {path}: {exc}") from exc
     # A section left out takes every default, as a null one does.

@@ -314,7 +314,6 @@ class FederatedTrainer:
         self.server_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _STREAM_SERVER])
         )
-        self.metrics: list[RoundMetrics] = []
 
     def _round_rng(self, stream: int, round_idx: int, client: int = 0):
         return np.random.default_rng(
@@ -353,14 +352,10 @@ class FederatedTrainer:
             mean_pre_clip_norm=float(np.mean(pre_clip)) if pre_clip else 0.0,
             wall_seconds=time.perf_counter() - t_start,
         )
-        self.metrics.append(m)
+        log.info("round %d: f1=%.4f auc=%.4f eps_rdp=%.4g",
+                 round_idx, m.f1, m.roc_auc, m.eps_spent)
         return m
 
     def run(self) -> list[RoundMetrics]:
-        for round_idx in range(self.cfg.rounds):
-            m = self.run_round(round_idx)
-            log.info(
-                "round %d: f1=%.4f auc=%.4f eps_rdp=%.4g",
-                round_idx, m.f1, m.roc_auc, m.eps_spent,
-            )
-        return self.metrics
+        """Runs every round in order; returns their rows."""
+        return [self.run_round(round_idx) for round_idx in range(self.cfg.rounds)]

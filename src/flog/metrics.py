@@ -1,16 +1,21 @@
-"""Binary classification metrics: `evaluate` scores a round's predictions, and
-its caller adds the round fields it holds to make that round's `RoundMetrics`."""
+"""Binary classification metrics, and rounds.csv: `evaluate` scores a round's
+predictions, its caller adds the round fields it holds to make that round's
+`RoundMetrics`, and this module alone writes and reads those rows."""
 
 from __future__ import annotations
 
+import csv
 import typing
-from dataclasses import dataclass, fields
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class RoundMetrics:
+    """A round's row of rounds.csv: its fields are the columns, in order."""
+
     round: int
     participants: int
     accuracy: float
@@ -20,12 +25,7 @@ class RoundMetrics:
     roc_auc: float
     eps_spent: float
     mean_pre_clip_norm: float
-    wall_seconds: float
-
-    @classmethod
-    def from_row(cls, row: dict[str, str]) -> RoundMetrics:
-        """The round of a `csv.DictReader` row of rounds.csv, each column by its field's type."""
-        return cls(**{name: t(row[name]) for name, t in typing.get_type_hints(cls).items()})
+    wall_seconds: float = field(metadata={"format": ".3f"})
 
 
 def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
@@ -90,12 +90,29 @@ def evaluate(scores, labels) -> dict[str, float]:
     return dict(accuracy=accuracy, precision=precision, recall=recall, f1=f1, roc_auc=auc)
 
 
-CSV_HEADER = ",".join(f.name for f in fields(RoundMetrics))
+# rounds.csv's columns, in field order: (name, type, format spec). The spec is
+# the field's own "format", else "d" for an int and ".6f" for a float.
+_COLUMNS = [(f.name, t, f.metadata.get("format", {int: "d", float: ".6f"}[t]))
+            for f, t in zip(fields(RoundMetrics), typing.get_type_hints(RoundMetrics).values())]
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
 def csv_row(m: RoundMetrics) -> str:
-    return (
-        f"{m.round},{m.participants},{m.accuracy:.6f},{m.precision:.6f},"
-        f"{m.recall:.6f},{m.f1:.6f},{m.roc_auc:.6f},{m.eps_spent:.6f},"
-        f"{m.mean_pre_clip_norm:.6f},{m.wall_seconds:.3f}"
-    )
+    return ",".join(format(getattr(m, name), spec) for name, _, spec in _COLUMNS)
+
+
+def csv_text(rounds: Iterable[RoundMetrics]) -> str:
+    """The text of a rounds.csv: the header, then one line per round."""
+    return "".join(line + "\n" for line in [CSV_HEADER, *map(csv_row, rounds)])
+
+
+def read_last_round(path) -> RoundMetrics | None:
+    """The last row of the rounds.csv at `path`, if any, each column by its field's type."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        return None
+    try:
+        return RoundMetrics(**{name: t(rows[-1][name]) for name, t, _ in _COLUMNS})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: last row does not parse: {exc!r}") from None

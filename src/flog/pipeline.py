@@ -16,7 +16,7 @@ from pathlib import Path
 from . import datasets, drain, federated, model as model_ops, partition, windows
 from .accountant import PrivacyLedger
 from .config import RunConfig
-from .metrics import CSV_HEADER, RoundMetrics, csv_row
+from .metrics import RoundMetrics, csv_text
 from .model import ModelConfig
 
 log = logging.getLogger(__name__)
@@ -220,11 +220,7 @@ def run_pipeline(cfg: RunConfig, seed: int) -> list[RoundMetrics]:
     trainer = _trainer(cfg, out)
     with _stage("train"):
         metrics = trainer.run()
-
-    with open(out / "rounds.csv", "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for m in metrics:
-            fh.write(csv_row(m) + "\n")
+    (out / "rounds.csv").write_text(csv_text(metrics), encoding="utf-8")
     (out / "ledger.txt").write_text(trainer.ledger.dump(), encoding="utf-8")
     trainer.state.save(out / "model.ckpt")
     return metrics

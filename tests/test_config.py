@@ -119,6 +119,24 @@ class TestLoad:
         with pytest.raises(ValueError, match="unknown key"):
             load_config(write(tmp_path, doc))
 
+    def test_key_given_twice_rejected(self, tmp_path, monkeypatch, capsys):
+        # PyYAML keeps the last of two equal keys: a repeated section would
+        # drop every key the first one set.
+        monkeypatch.chdir(tmp_path)
+        text = yaml.safe_dump(MINIMAL)
+        section = text + "federated: {k_clients: 2, rounds: 1}\n"
+        key = text.replace("  rounds: 5\n", "  rounds: 5\n  rounds: 6\n")
+        path = tmp_path / "cfg.yaml"
+        for doc, name in [(section, "federated"), (key, "rounds")]:
+            first, second = [i + 1 for i, line in enumerate(doc.splitlines())
+                             if line.lstrip().startswith(f"{name}:")]
+            path.write_text(doc)
+            assert main(["train", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"configuration error: cannot load {path}: "
+                f"key '{name}' given twice, at lines {first} and {second}\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_missing_required_key_rejected(self, tmp_path):
         doc = {**MINIMAL, "federated": {"k_clients": 2}}
         with pytest.raises(ValueError, match="missing required"):

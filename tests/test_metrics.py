@@ -1,5 +1,7 @@
 """Classification metrics vs hand counts and O(n^2) rank oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from flog.metrics import (
     RoundMetrics,
     confusion,
     csv_row,
+    csv_text,
     evaluate,
     prf1_accuracy,
+    read_last_round,
     roc_auc,
 )
 
@@ -159,3 +163,24 @@ class TestCsv:
         # Built from RoundMetrics' fields: rounds.csv's columns, in order.
         assert CSV_HEADER == ("round,participants,accuracy,precision,recall,f1,roc_auc,"
                               "eps_spent,mean_pre_clip_norm,wall_seconds")
+
+    def test_text_is_read_back_as_written(self, tmp_path):
+        # An int as written, a float to 6 places and wall_seconds to 3; the
+        # reader parses the last row's columns back to those values.
+        rows = [RoundMetrics(round=r, participants=2, accuracy=0.5, precision=1 / 3,
+                             recall=0.25, f1=2 / 7, roc_auc=0.75, eps_spent=[1.5, math.inf][r],
+                             mean_pre_clip_norm=0.1234567, wall_seconds=1.23456)
+                for r in (0, 1)]
+        text = csv_text(rows)
+        assert text.splitlines() == [
+            CSV_HEADER,
+            "0,2,0.500000,0.333333,0.250000,0.285714,0.750000,1.500000,0.123457,1.235",
+            "1,2,0.500000,0.333333,0.250000,0.285714,0.750000,inf,0.123457,1.235",
+        ]
+        assert text.endswith("\n")
+        path = tmp_path / "rounds.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_last_round(path) == RoundMetrics(
+            1, 2, 0.5, 0.333333, 0.25, 0.285714, 0.75, math.inf, 0.123457, 1.235)
+        path.write_text(csv_text([]), encoding="utf-8")
+        assert read_last_round(path) is None

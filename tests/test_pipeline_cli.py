@@ -769,6 +769,17 @@ class TestCli:
         assert "argument --out: must name a directory" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.yaml"]
 
+    # An empty output_dir in the config names no directory either.
+    @pytest.mark.parametrize("command", ["synth", "parse", "partition", "train"])
+    def test_empty_output_dir_fails_at_load(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**small_doc(tmp_path), "output_dir": ""}))
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: output_dir must name a directory, got ''\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.yaml"]
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("nonsense: {}\n")

@@ -14,9 +14,10 @@ a fresh interpreter. `train --seed N` runs on nine (config, seed) pairs:
   two layers and q = 0.6; synthetic at 12,000 lines with two layers,
   two heads of width 4, LoRA dropout 0.2, 3 accumulation steps and q = 0.7;
   and synthetic over 12 clients with q = 0.5, so that its 8 nodes leave
-  four clients without a window, which still draw their epochs'
-  permutations when sampled; and synthetic at noise multiplier 0 for 2
-  rounds, whose ledger reads `eps_rdp=inf` and `alpha_star=nan`.
+  four clients without a window: one sampled trains on nothing and gets a
+  zero row, which `federated.aggregate` skips; and synthetic at noise
+  multiplier 0 for 2 rounds, whose ledger reads `eps_rdp=inf` and
+  `alpha_star=nan`.
 
 On the two base configs at seed 4 it also runs `parse`, `partition` and
 `account`, and `evaluate` on train's output directory.
