@@ -2,15 +2,10 @@
 n-weighted aggregation, and central Gaussian noising.
 
 A round's release is one pass over the cohort's (C, P) update matrix:
-`aggregate` clips each row Delta_k to the clip bound C before it weighs
-it, giving w_t + sum_k (n_k / n) clip(Delta_k), so no caller can skip the
-clip, and `add_noise` adds noise calibrated to C as its l2 sensitivity.
-That holds under zero-out adjacency: neighbouring rounds differ in one
-client's clipped delta being replaced by 0 while every weight n_k / n
-stays fixed, which moves the aggregate by (n_k / n) ||clip(Delta_k)|| <= C.
-Under add/remove adjacency the realised denominator n changes too and the
-bound does not hold as stated; ROADMAP.md item 3 tracks the fix. Noise
-touches only the communicated (trainable) coordinates.
+`aggregate` clips and weighs its rows and returns the l2 sensitivity its
+weighting guarantees, and `add_noise` adds Gaussian noise of std sigma
+times that sensitivity, at the sigma the ledger accounts. Noise touches
+only the communicated (trainable) coordinates.
 
 What the ledger's (epsilon, delta) covers is the sequence of noised global
 models, one per round. Three things leave the clients outside that
@@ -257,30 +252,39 @@ def clip_update(delta: np.ndarray, clip_bound: float) -> np.ndarray:
 
 def aggregate(
     deltas: np.ndarray, n_samples: list[int], w_t: np.ndarray, clip_bound: float
-) -> np.ndarray:
-    """w_t plus the n-weighted mean of the clipped rows of `deltas`.
+) -> tuple[np.ndarray, float]:
+    """w_t plus the n-weighted mean of the clipped rows of `deltas`, and its sensitivity.
 
     Row by row, row k is clipped to clip_bound and then weighed
     n_samples[k] / n, n the total; rows without samples are skipped. With
     no samples the mean moves nothing: a copy of w_t.
+
+    The sensitivity is C = clip_bound under zero-out adjacency: replacing
+    row k by 0, every weight n_k / n fixed, moves the output by at most C.
+    Under add/remove adjacency n changes too, removing client k can move it
+    by up to 2C n_k / n, and the bound fails; ROADMAP.md item 3a tracks it.
+
+    Raises ValueError naming the row if a row with samples is not finite.
     """
     total = sum(n_samples)
     out = w_t.copy()
-    for delta, n in zip(deltas, n_samples, strict=True):
+    for k, (delta, n) in enumerate(zip(deltas, n_samples, strict=True)):
         if n > 0:
+            if not np.isfinite(delta).all():
+                raise ValueError(f"update row {k} is not finite")
             out += (n / total) * clip_update(delta, clip_bound)
-    return out
+    return out, clip_bound
 
 
 def add_noise(
-    w_bar: np.ndarray, sigma: float, clip_bound: float, rng: np.random.Generator
+    w_bar: np.ndarray, sigma: float, sensitivity: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """i.i.d. Gaussian noise with std sigma * clip_bound per trainable coordinate."""
+    """i.i.d. Gaussian noise with std sigma * sensitivity per trainable coordinate."""
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return w_bar
-    return w_bar + rng.normal(0.0, sigma * clip_bound, size=w_bar.shape)
+    return w_bar + rng.normal(0.0, sigma * sensitivity, size=w_bar.shape)
 
 
 class FederatedTrainer:
@@ -303,6 +307,12 @@ class FederatedTrainer:
     ) -> None:
         if len(clients) != cfg.k_clients:
             raise ValueError(f"{len(clients)} clients given for k_clients = {cfg.k_clients}")
+        if ledger.noise_multiplier != cfg.noise_multiplier:
+            raise ValueError(f"ledger at noise_multiplier = {ledger.noise_multiplier} given "
+                             f"for noise_multiplier = {cfg.noise_multiplier}")
+        if ledger.total_rounds != cfg.rounds:
+            raise ValueError(f"ledger over total_rounds = {ledger.total_rounds} given "
+                             f"for rounds = {cfg.rounds}")
         self.state = state
         self.cfg = cfg
         self.ledger = ledger
@@ -338,8 +348,8 @@ class FederatedTrainer:
         n_samples = [m.n_samples for m in cohort.members]
         pre_clip = [float(np.linalg.norm(d)) for d, n in zip(deltas, n_samples) if n > 0]
 
-        w_bar = aggregate(deltas, n_samples, global_flat, cfg.clip_bound)
-        w_next = add_noise(w_bar, cfg.noise_multiplier, cfg.clip_bound, self.server_rng)
+        w_bar, sensitivity = aggregate(deltas, n_samples, global_flat, cfg.clip_bound)
+        w_next = add_noise(w_bar, self.ledger.noise_multiplier, sensitivity, self.server_rng)
         self.state.set_trainable(w_next)
         self.ledger.update()
 

@@ -1,6 +1,7 @@
 """Federated mechanics: sampling, local FedProx, clipping, aggregation, noise."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ class TestAggregate:
     def test_equal_weight_mean(self):
         w_t = np.zeros(2)
         deltas = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(aggregate(deltas, [5, 5], w_t, 1.0), [0.5, 0.5])
+        np.testing.assert_allclose(aggregate(deltas, [5, 5], w_t, 1.0)[0], [0.5, 0.5])
 
     def test_n_weighted_three_client_oracle(self):
         rng = np.random.default_rng(4)
@@ -151,17 +152,17 @@ class TestAggregate:
         raw = [clip_update(d, 1.0) for d in raw]
         ns = [10, 30, 60]
         want = w_t + sum((n / 100) * d for d, n in zip(raw, ns))
-        np.testing.assert_allclose(aggregate(np.array(raw), ns, w_t, 1.0), want, rtol=1e-12)
+        np.testing.assert_allclose(aggregate(np.array(raw), ns, w_t, 1.0)[0], want, rtol=1e-12)
 
     def test_zero_sample_clients_ignored(self):
         w_t = np.zeros(2)
         deltas = np.array([[1.0, 0.0], [5.0, 5.0]])
-        np.testing.assert_allclose(aggregate(deltas, [4, 0], w_t, 10.0), [1.0, 0.0])
+        np.testing.assert_allclose(aggregate(deltas, [4, 0], w_t, 10.0)[0], [1.0, 0.0])
 
     def test_no_samples_returns_copy_of_broadcast(self):
         # The mean of no updates moves nothing, even a zero-sample delta that is not 0.
         w_t = np.array([0.1, -2.5, 3e-17])
-        out = aggregate(np.array([[5.0, 5.0, 5.0]]), [0], w_t, 1.0)
+        out = aggregate(np.array([[5.0, 5.0, 5.0]]), [0], w_t, 1.0)[0]
         assert out is not w_t
         np.testing.assert_array_equal(out, w_t)
         assert out.tobytes() == w_t.tobytes()
@@ -170,7 +171,7 @@ class TestAggregate:
         # Row 0 (norm 5) is clipped to norm 1 before it takes its weight 1/4;
         # row 1 lies inside the ball and is weighed as it is.
         deltas = np.array([[5.0, 0.0], [0.0, 0.5]])
-        np.testing.assert_allclose(aggregate(deltas, [1, 3], np.zeros(2), 1.0), [0.25, 0.375])
+        np.testing.assert_allclose(aggregate(deltas, [1, 3], np.zeros(2), 1.0)[0], [0.25, 0.375])
 
     def test_large_clip_bound_does_not_trip(self):
         # clip_update rescales to C only up to rounding, so at C = 1e9 a
@@ -184,7 +185,51 @@ class TestAggregate:
         w_t = rng.normal(size=800)
         clipped = deltas * (C / np.linalg.norm(deltas, axis=1))[:, None]
         want = w_t + (np.array(ns) / sum(ns)) @ clipped
-        np.testing.assert_allclose(aggregate(deltas, ns, w_t, C), want, rtol=1e-12)
+        np.testing.assert_allclose(aggregate(deltas, ns, w_t, C)[0], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weighed_row_rejected(self, bad):
+        # clip_update would turn [inf, 0] into [nan, 0] and pass a NaN row
+        # through, so the output would leave the stated bound. A row without
+        # samples is not weighed and is not checked.
+        deltas = np.array([[0.1, 0.1], [bad, 0.0], [bad, bad]])
+        with pytest.raises(ValueError, match="^update row 1 is not finite$"):
+            aggregate(deltas, [3, 3, 0], np.zeros(2), 1.0)
+        np.testing.assert_allclose(aggregate(deltas, [3, 0, 0], np.zeros(2), 1.0)[0], [0.1, 0.1])
+
+    def test_sensitivity_holds_under_zero_out_adjacency(self):
+        # Rows inside and outside the ball, and rows without samples: for
+        # every weighed row k, zeroing row k with every n kept moves the
+        # output by at most the sensitivity aggregate returns.
+        rng = np.random.default_rng(36)
+        C, P = 0.5, 7
+        deltas = rng.normal(size=(12, P)) * rng.choice([0.01, 0.1, 1.0, 10.0], size=(12, 1))
+        ns = rng.integers(0, 40, size=12)
+        ns[[2, 5, 9]] = 0
+        ns[0], deltas[0] = 1000, 10.0  # one dominant client, outside the ball
+        w_t = rng.normal(size=P)
+        out, sensitivity = aggregate(deltas, ns.tolist(), w_t, C)
+        assert sensitivity == C
+        norms = np.linalg.norm(deltas, axis=1)
+        assert (norms[ns > 0] < C).any() and (norms[ns > 0] > C).any()
+        moves = []
+        for k in np.flatnonzero(ns):
+            neighbour = deltas.copy()
+            neighbour[k] = 0.0
+            moves.append(np.linalg.norm(aggregate(neighbour, ns.tolist(), w_t, C)[0] - out))
+        assert max(moves) <= sensitivity * (1 + 1e-12)
+        assert max(moves) > 0.5 * sensitivity  # the dominant client comes near it
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3a")
+    def test_sensitivity_holds_under_add_remove_adjacency(self):
+        # The realised denominator n moves with the client set: removing the
+        # dominant client, its row and its n, moves the output by ~2C.
+        C = 1.0
+        deltas = np.array([[3.0, 0.0], [-3.0, 0.0]])  # both clipped to C, opposite ways
+        w_t = np.zeros(2)
+        out, sensitivity = aggregate(deltas, [1000, 1], w_t, C)
+        without = aggregate(deltas[1:], [1], w_t, C)[0]
+        assert np.linalg.norm(without - out) <= sensitivity * (1 + 1e-12)
 
 
 class TestNoise:
@@ -517,6 +562,47 @@ class TestTrainer:
         want = f"{n_given} clients given for k_clients = {k_clients}"
         with pytest.raises(ValueError, match=want):
             build_trainer(fc, clients=clients)
+
+    @pytest.mark.parametrize("field, value, want", [
+        ("noise_multiplier", 50.0,
+         "ledger at noise_multiplier = 50.0 given for noise_multiplier = 0.5"),
+        ("total_rounds", 5, "ledger over total_rounds = 5 given for rounds = 3"),
+    ])
+    def test_rejects_a_ledger_for_another_mechanism(self, field, value, want):
+        # The noise follows the ledger's sigma: a ledger at another sigma, or
+        # over another round count, would report an epsilon the run does not spend.
+        fc = fed_config(noise_multiplier=0.5, rounds=3)
+        ledger = PrivacyLedger(**{"target_epsilon": 10.0, "delta": 1e-5, "noise_multiplier": 0.5,
+                                  "total_rounds": 3, field: value})
+        test = mk_client(99, 10, seed=30)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            FederatedTrainer(init(tiny_model_config(), 0),
+                             [mk_client(k, 6, seed=20 + k) for k in range(2)],
+                             [s.key_ids for s in test.sequences],
+                             [s.label for s in test.sequences], fc, ledger)
+
+    def test_noise_at_the_ledger_sigma_and_the_returned_sensitivity(self, monkeypatch):
+        # run_round reads neither cfg.noise_multiplier nor cfg.clip_bound to
+        # draw its noise: add_noise gets the sigma the ledger accounts and the
+        # sensitivity aggregate returns.
+        fc = fed_config(noise_multiplier=0.5, rounds=1)
+        trainer = build_trainer(fc)
+        real_aggregate, real_add_noise, calls = federated.aggregate, federated.add_noise, []
+
+        def aggregate(*args):
+            return real_aggregate(*args)[0], 2.5
+
+        def add_noise(w_bar, sigma, sensitivity, rng):
+            calls.append((sigma, sensitivity))
+            return real_add_noise(w_bar, sigma, sensitivity, rng)
+
+        monkeypatch.setattr(federated, "aggregate", aggregate)
+        monkeypatch.setattr(federated, "add_noise", add_noise)
+        trainer.ledger.noise_multiplier = 0.25
+        with pytest.warns(UserWarning, match="exceeds target"):
+            trainer.run_round(0)
+        assert calls == [(0.25, 2.5)]
+        assert (fc.noise_multiplier, fc.clip_bound) == (0.5, 1.0)
 
     def test_two_runs_identical(self):
         fc = fed_config(noise_multiplier=0.3, rounds=3)

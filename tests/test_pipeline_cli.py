@@ -177,6 +177,19 @@ class TestRunPipeline:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "stage 'window' failed" in capsys.readouterr().err
 
+    def test_non_finite_update_fails_train_stage(self, cfg_path, monkeypatch, capsys):
+        # A NaN update would void the sensitivity aggregate states and release
+        # a NaN model; the round stops in stage 'train' instead.
+        def nan_updates(cohort, state, flat, cfg, rngs):
+            return np.full((len(cohort.members), len(flat)), np.nan)
+
+        monkeypatch.setattr(federated, "local_train", nan_updates)
+        with pytest.raises(StageError, match="update row 0 is not finite") as info:
+            run_pipeline(load_config(cfg_path), seed=0)
+        assert info.value.stage == "train"
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "stage 'train' failed: update row 0 is not finite" in capsys.readouterr().err
+
     def test_empty_test_split_fails_in_window_stage(self, tmp_path, capsys):
         # 40 lines make one or two windows per node, and a fifth of that
         # rounds down to no test window anywhere. Both commands stop in the

@@ -44,6 +44,11 @@ last row), and the artifacts that `train` writes: `templates.tsv`,
 run and output and exits 1 on any difference, if the hex-id log routes
 no more than `drain.MAX_CHILDREN` tokens below one tree node, or if the
 messy log has no node out of time order.
+
+Below each `DIFFERENT` line it says what differs: for `model.ckpt`, each
+tensor whose values differ and its largest absolute difference, as
+`flog.model.read_checkpoint` reads both files; for any other output, the
+first line that differs, from both trees, truncated.
 """
 
 from __future__ import annotations
@@ -57,8 +62,10 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -240,9 +247,47 @@ def cli_outputs(tree: Path, config: Path, out: Path, commands, seed: int
     return outputs, failed
 
 
+def shorten(line: str | None, width: int = 100) -> str:
+    if line is None:
+        return "(no line)"
+    return repr(line if len(line) <= width else line[:width] + "...")
+
+
+def first_difference(base: bytes, here: bytes) -> list[str]:
+    """The first line where two text outputs differ: its number and both lines."""
+    pairs = zip_longest(base.decode(errors="replace").splitlines(),
+                        here.decode(errors="replace").splitlines())
+    for number, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            return [f"line {number}", f"  base {shorten(a)}", f"  here {shorten(b)}"]
+    return ["the same lines, other line endings"]
+
+
+def tensor_differences(base: Path, here: Path) -> list[str]:
+    """Each tensor whose values differ between two checkpoints, and by how much."""
+    from flog.model import read_checkpoint
+
+    try:
+        a, b = read_checkpoint(base), read_checkpoint(here)
+    except ValueError as exc:
+        return [f"unreadable: {exc}"]
+    lines = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            lines.append(f"{name} only in {'here' if name in b else 'base'}")
+        elif a[name].shape != b[name].shape:
+            lines.append(f"{name} shape {a[name].shape} in base, {b[name].shape} here")
+        elif a[name].tobytes() != b[name].tobytes():
+            lines.append(f"{name} max |diff| {np.max(np.abs(a[name] - b[name])):.6g}")
+    return lines or ["every tensor the same; the manifests differ"]
+
+
 def same_cli(label: str, trees: dict[str, Path], config: Path, out: Path, commands,
              seed: int = 4) -> bool:
-    """Runs the command line in both trees; prints and returns whether the outputs match."""
+    """Runs the command line in both trees; prints and returns whether the outputs match.
+
+    Below a DIFFERENT line, indented lines say what differs.
+    """
     outputs = {}
     for side, tree in trees.items():
         outputs[side], failed = cli_outputs(tree, config, out / side, commands, seed)
@@ -254,6 +299,18 @@ def same_cli(label: str, trees: dict[str, Path], config: Path, out: Path, comman
         verdict = "identical" if a is not None and a == b else "DIFFERENT"
         same &= verdict == "identical"
         print(f"{label}: {key} {verdict}")
+        if verdict == "identical":
+            continue
+        if a is None or b is None:
+            details = ["no output in " + " or ".join(
+                side for side, output in (("base", a), ("here", b)) if output is None)]
+        elif key == "train model.ckpt":
+            details = tensor_differences(*(out / side / "train" / "model.ckpt"
+                                           for side in ("base", "here")))
+        else:
+            details = first_difference(a, b)
+        for detail in details:
+            print(f"    {detail}")
     return same
 
 
