@@ -226,8 +226,7 @@ def local_train(
         # Every step ending here averages its i % accum + 1 micro-batches:
         # accum, or fewer at a client's last step when n_micro % accum != 0.
         step_g = g[done] / (i % accum + 1)
-        # The l2 norm of each row, as np.linalg.norm computes it for a vector.
-        norms = [math.sqrt(row.dot(row)) for row in step_g]
+        norms = l2_norms(step_g)
         step_g *= (cfg.max_grad_norm / np.maximum(norms, cfg.max_grad_norm))[:, None]
         lr = cfg.learning_rate * np.minimum(1.0, (i // accum + 1) / warmup_steps[done])
         w = W[done] - lr[:, None] * step_g
@@ -240,11 +239,29 @@ def local_train(
     return deltas[0] if solo else deltas
 
 
+def l2_norms(rows: Iterable[np.ndarray]) -> list[float]:
+    """The l2 norm of each row, as np.linalg.norm computes it for a vector.
+
+    A finite row whose sum of squares overflows is scaled by its largest
+    magnitude first, so its norm reads inf only past the largest float.
+    """
+    norms = []
+    with np.errstate(over="ignore"):
+        for row in rows:
+            norm = math.sqrt(row.dot(row))
+            if norm == math.inf and np.isfinite(row).all():
+                top = float(np.abs(row).max())
+                unit = row / top
+                norm = top * math.sqrt(unit.dot(unit))
+            norms.append(norm)
+    return norms
+
+
 def clip_update(delta: np.ndarray, clip_bound: float) -> np.ndarray:
     """Scale the delta into the l2 ball of radius clip_bound."""
     if clip_bound <= 0.0:
         raise ValueError("clip_bound must be positive")
-    norm = float(np.linalg.norm(delta))
+    [norm] = l2_norms([delta])
     if norm <= clip_bound:
         return delta
     return delta * (clip_bound / norm)
@@ -346,7 +363,7 @@ class FederatedTrainer:
             [self._round_rng(_STREAM_CLIENT, round_idx, k) for k in participants],
         )
         n_samples = [m.n_samples for m in cohort.members]
-        pre_clip = [float(np.linalg.norm(d)) for d, n in zip(deltas, n_samples) if n > 0]
+        pre_clip = [norm for norm, n in zip(l2_norms(deltas), n_samples) if n > 0]
 
         w_bar, sensitivity = aggregate(deltas, n_samples, global_flat, cfg.clip_bound)
         w_next = add_noise(w_bar, self.ledger.noise_multiplier, sensitivity, self.server_rng)

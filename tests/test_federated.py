@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestClip:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             clip_update(np.ones(2), 0.0)
+
+    def test_overflowing_norm_is_clipped_not_zeroed(self):
+        # The sum of squares of [1e200, 1e200] overflows float64; the row is
+        # still a finite update and is clipped to norm C, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(clip_update(np.array([1e200, 1e200]), 1.0),
+                                       [0.5 ** 0.5] * 2, rtol=1e-15)
+            deltas = np.array([[1e200, 1e200], [0.1, 0.1]])
+            w_bar, _ = aggregate(deltas, [3, 3], np.zeros(2), 1.0)
+        np.testing.assert_allclose(w_bar, [0.5 ** 0.5 / 2 + 0.05] * 2, rtol=1e-15)
 
 
 class TestAggregate:
@@ -364,6 +376,24 @@ class TestLocalTrain:
 
         assert steps == 5 and (clipped > 0) == (max_grad_norm < 1.0)
         np.testing.assert_array_equal(out, ref.trainable - flat)
+
+    def test_overflowing_step_norm_is_clipped_not_zeroed(self, monkeypatch):
+        # One step of a gradient whose sum of squares overflows: it is
+        # clipped to max_grad_norm, so the step is lr / sqrt(P) per
+        # coordinate, not 0, and no warning is raised.
+        cfg = fed_config(learning_rate=0.1, max_grad_norm=1.0)
+        state = init(tiny_model_config(), 3)
+        flat = state.get_trainable()
+
+        def huge_backward(state, cache, labels, weights, *args):
+            return np.full((len(weights), len(flat)), 1e200)
+
+        monkeypatch.setattr(model_ops, "backward", huge_backward)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = local_train(mk_client(0, 4, seed=1), state, flat, cfg,
+                              np.random.default_rng(0))
+        np.testing.assert_allclose(out, -0.1 / np.sqrt(len(flat)), rtol=1e-9)
 
     def test_empty_cohort_returns_no_updates(self):
         state = init(tiny_model_config(), 4)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import flog
 from flog import federated, partition, pipeline, windows
 from flog.accountant import epsilon_for
-from flog.cli import main
+from flog.cli import _COMMANDS, main
 from flog.config import load_config
 from flog.datasets import RawEntry, SyntheticCorpus, encode_line
 from flog.drain import DrainParser, LogRecord
@@ -525,6 +525,7 @@ class TestShippedConfigs:
         cfg = load_config(root / "configs" / "synthetic.yaml")
         assert cfg.federated.k_clients == 4
         assert cfg.federated.rounds == 5
+        assert cfg.dataset.synthetic.n_lines == 50_000  # what `flog synth` writes
 
     def test_file_profiles_validate_structure(self):
         # Loading reads only the config file, so the profiles load as
@@ -814,9 +815,10 @@ class TestCli:
             main(["-h"])
         assert exc.value.code == 0
         lines = capsys.readouterr().out.splitlines()
-        for name in ("synth", "parse", "partition", "train", "evaluate", "account"):
+        for name, fn in _COMMANDS.items():
             [line] = [line for line in lines if line.split()[:1] == [name]]
-            assert len(line.split()) > 1, name
+            # Its docstring's first words: help text wraps at the terminal width.
+            assert line.split()[1:4] == fn.__doc__.split()[:3], name
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -19,8 +19,8 @@ a fresh interpreter. `train --seed N` runs on nine (config, seed) pairs:
   multiplier 0 for 2 rounds, whose ledger reads `eps_rdp=inf` and
   `alpha_star=nan`.
 
-On the two base configs at seed 4 it also runs `parse`, `partition` and
-`account`, and `evaluate` on train's output directory.
+At seed 4 on the two base configs it also runs `parse`, `partition`,
+`account` and `evaluate`, and on the synthetic one `synth`.
 
 It runs `parse` in both trees on a log of hex ids that it writes
 itself (seeded, more than 2 x `drain.MEMO_LIMIT` lines): its messages'
@@ -35,20 +35,24 @@ moved earlier in the file, so `pipeline.parse_corpus` re-sorts those
 nodes by time.
 
 Both trees read the same inputs and configs, written from this tree.
-It compares the `templates.tsv` that `parse` writes, the `assignment.tsv`
-that `partition` writes, the standard output of `account`, and of `train`
-and `evaluate` without `wall_seconds` (evaluate copies it from the run's
-last row), and the artifacts that `train` writes: `templates.tsv`,
-`assignment.tsv`, `ledger.txt`, `model.ckpt` byte for byte, and
-`rounds.csv` without its `wall_seconds` column. It prints one line per
-run and output and exits 1 on any difference, if the hex-id log routes
-no more than `drain.MAX_CHILDREN` tokens below one tree node, or if the
-messy log has no node out of time order.
+Each side runs each command into `<run>/<side>/<command>/`, except that
+`evaluate` reads train's directory and `account` writes none, and saves
+its standard output as `<run>/<side>/<command>.stdout`, with the side's
+directory written `<out>`. The check then compares every file under
+either side, byte for byte, one line each. Only the `wall_seconds`
+column, found by name in the header of the side's own `train/rounds.csv`,
+is dropped first, from the rows of rounds.csv: `train/rounds.csv`,
+`train.stdout` and `evaluate.stdout`. It exits 1 if any file differs or
+is only on one side, if a command fails on either side, if the hex-id
+log routes no more than `drain.MAX_CHILDREN` tokens below one tree node,
+or if the messy log has no node out of time order; and 2 if `git
+archive` cannot extract BASE.
 
 Below each `DIFFERENT` line it says what differs: for `model.ckpt`, each
 tensor whose values differ and its largest absolute difference, as
 `flog.model.read_checkpoint` reads both files; for any other output, the
-first line that differs, from both trees, truncated.
+first line that differs, from both trees, truncated; for a file on one
+side only, which side has it.
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
-ARTIFACTS = ("templates.tsv", "assignment.tsv", "ledger.txt", "model.ckpt", "rounds.csv")
+# The files that hold rows of rounds.csv: train writes and prints them, and
+# evaluate prints the last one re-scored.
+ROWS = ("train/rounds.csv", "train.stdout", "evaluate.stdout")
 
 # One command line in a fresh interpreter: argv is (src dir, flog arguments...).
 CLI = """
@@ -206,45 +212,40 @@ def messy_config(base: Path) -> tuple[Path, int, int]:
     return config, n_messy, len(epochs)
 
 
-def run(tree: Path, *args) -> tuple[str, str | None]:
-    """Runs flog's command line from `tree`: its stdout, and None or a failure's error line."""
+def run_commands(tree: Path, config: Path, out: Path, commands, seed: int) -> list[str]:
+    """Runs flog's `commands` from `tree` into `out`, each in a fresh interpreter,
+    as the module docstring says; returns the failed ones' error lines."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, "-c", CLI, str(tree / "src"), *map(str, args)],
-                          capture_output=True, text=True, env=env)
-    if proc.returncode == 0:
-        return proc.stdout, None
-    return proc.stdout, (proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
-
-
-def cli_outputs(tree: Path, config: Path, out: Path, commands, seed: int
-                ) -> tuple[dict[str, bytes | None], list[str]]:
-    """What `commands` write and print from `tree`, by name; and the failed ones.
-
-    `parse` and `partition` print their output paths, so only the file each
-    writes is compared; of `train`, its standard output and every artifact.
-    A failed command's output is None.
-    """
-    args = {"parse": ("--out", out / "parse"), "partition": ("--out", out / "partition"),
-            "account": (), "train": ("--seed", seed, "--out", out / "train"),
-            "evaluate": ("--out", out / "train")}
-    outputs, failed = {}, []
+    out.mkdir(parents=True)
+    failed = []
     for command in commands:
-        stdout, error = run(tree, command, "--config", config, *args[command])
-        if error is not None:
-            failed.append(f"{command}: {error}")
-        # rounds.csv's rows, whose last column is wall_seconds: train prints
-        # every row, and evaluate the last one re-scored.
-        if command in ("train", "evaluate"):
-            stdout = "".join(line.rsplit(",", 1)[0] + "\n" for line in stdout.splitlines())
-        if command not in ("parse", "partition"):
-            outputs[f"{command} stdout"] = stdout.encode() if error is None else None
-    if "parse" in commands:
-        outputs["parse templates.tsv"] = content(out / "parse" / "templates.tsv")
-    if "partition" in commands:
-        outputs["partition assignment.tsv"] = content(out / "partition" / "assignment.tsv")
-    if "train" in commands:
-        outputs.update((f"train {a}", content(out / "train" / a)) for a in ARTIFACTS)
-    return outputs, failed
+        args = [command, "--config", config]
+        if command == "train":
+            args += ["--seed", seed]
+        if command != "account":
+            args += ["--out", out / ("train" if command == "evaluate" else command)]
+        proc = subprocess.run([sys.executable, "-c", CLI, str(tree / "src"), *map(str, args)],
+                              capture_output=True, env=env)
+        (out / f"{command}.stdout").write_bytes(proc.stdout.replace(os.fsencode(out), b"<out>"))
+        if proc.returncode != 0:
+            lines = proc.stderr.decode(errors="replace").strip().splitlines()
+            failed.append(f"{command}: {(lines or [f'exit status {proc.returncode}'])[-1]}")
+    return failed
+
+
+def content(side: Path, name: str) -> bytes:
+    """The file `name` under `side`; if it holds rows of rounds.csv, without the
+    wall_seconds field that the header of the side's own train/rounds.csv names."""
+    data = (side / name).read_bytes()
+    rounds_csv = side / "train" / "rounds.csv"
+    if name not in ROWS or not rounds_csv.is_file():
+        return data
+    header = rounds_csv.read_bytes().partition(b"\n")[0].split(b",")
+    if b"wall_seconds" not in header:
+        return data
+    drop = header.index(b"wall_seconds")
+    rows = (line.split(b",") for line in data.split(b"\n"))
+    return b"\n".join(b",".join(r[:drop] + r[drop + 1:]) for r in rows)
 
 
 def shorten(line: str | None, width: int = 100) -> str:
@@ -282,46 +283,41 @@ def tensor_differences(base: Path, here: Path) -> list[str]:
     return lines or ["every tensor the same; the manifests differ"]
 
 
-def same_cli(label: str, trees: dict[str, Path], config: Path, out: Path, commands,
-             seed: int = 4) -> bool:
-    """Runs the command line in both trees; prints and returns whether the outputs match.
+def compare(label: str, run_dir: Path) -> bool:
+    """Prints one line per file under either side of `run_dir`; returns whether all match.
 
     Below a DIFFERENT line, indented lines say what differs.
     """
-    outputs = {}
-    for side, tree in trees.items():
-        outputs[side], failed = cli_outputs(tree, config, out / side, commands, seed)
-        for step in failed:
-            print(f"{label}: {side} {step}")
+    sides = run_dir / "base", run_dir / "here"
+    names = sorted({path.relative_to(side).as_posix()
+                    for side in sides for path in side.rglob("*") if path.is_file()})
     same = True
-    for key, b in outputs["here"].items():
-        a = outputs["base"][key]
-        verdict = "identical" if a is not None and a == b else "DIFFERENT"
-        same &= verdict == "identical"
-        print(f"{label}: {key} {verdict}")
-        if verdict == "identical":
-            continue
-        if a is None or b is None:
-            details = ["no output in " + " or ".join(
-                side for side, output in (("base", a), ("here", b)) if output is None)]
-        elif key == "train model.ckpt":
-            details = tensor_differences(*(out / side / "train" / "model.ckpt"
-                                           for side in ("base", "here")))
+    for name in names:
+        a, b = (side / name for side in sides)
+        if not (a.is_file() and b.is_file()):
+            details = [f"only in {'here' if b.is_file() else 'base'}"]
+        elif content(sides[0], name) == content(sides[1], name):
+            details = []
+        elif name.endswith(".ckpt"):
+            details = tensor_differences(a, b)
         else:
-            details = first_difference(a, b)
+            details = first_difference(content(sides[0], name), content(sides[1], name))
+        same &= not details
+        print(f"{label}: {name} {'DIFFERENT' if details else 'identical'}")
         for detail in details:
             print(f"    {detail}")
     return same
 
 
-def content(path: Path) -> bytes | None:
-    if not path.exists():
-        return None
-    if path.name != "rounds.csv":
-        return path.read_bytes()
-    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
-    drop = rows[0].index("wall_seconds")
-    return "\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows).encode()
+def same_cli(label: str, trees: dict[str, Path], config: Path, out: Path, commands,
+             seed: int = 4) -> bool:
+    """Runs `commands` in both trees, then compares; a command failing on either side fails."""
+    ran = True
+    for side, tree in trees.items():
+        for failure in run_commands(tree, config, out / side, commands, seed):
+            print(f"{label}: {side} {failure}")
+            ran = False
+    return compare(label, out) and ran
 
 
 def main() -> int:
@@ -331,15 +327,20 @@ def main() -> int:
     same = True
     with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
         tmp = Path(tmp)
-        extract(args.base, tmp / "base")
+        try:
+            extract(args.base, tmp / "base")
+        except subprocess.CalledProcessError as exc:
+            lines = exc.stderr.decode(errors="replace").strip().splitlines()
+            print((lines or [f"git archive {args.base} failed"])[-1], file=sys.stderr)
+            return 2
         trees = {"base": tmp / "base", "here": ROOT}
         runs = configs(tmp / "inputs")
+        every = ("parse", "partition", "account", "train", "evaluate")
+        commands = {("synthetic", 4): ("synth", *every), ("tbird-ingest", 4): every}
         for name, config, seed in runs:
-            commands = ("train",)
-            if seed == 4 and name in ("synthetic", "tbird-ingest"):
-                commands = ("parse", "partition", "account", "train", "evaluate")
             same &= same_cli(f"{name} seed {seed}", trees, config,
-                             tmp / "runs" / f"{name}.seed{seed}", commands, seed)
+                             tmp / "runs" / f"{name}.seed{seed}",
+                             commands.get((name, seed), ("train",)), seed)
         tbird = next(path for name, path, _ in runs if name == "tbird-ingest")
         from flog import drain
 
