@@ -99,8 +99,10 @@ def cmd_evaluate(args, cfg) -> int:
     state = init_model(cfg, corpus.n_templates)  # the load overwrites every tensor
     with _stage("load"):
         state.load(ckpt)
-    scores = model_ops.score(state, test.pack(state.config))
-    print(csv_text([dataclasses.replace(last, **evaluate(scores, list(test.labels)))]), end="")
+    with _stage("evaluate"):
+        scores = model_ops.score(state, test.pack(state.config))
+        row = dataclasses.replace(last, **evaluate(scores, list(test.labels)))
+    print(csv_text([row]), end="")
     return 0
 
 

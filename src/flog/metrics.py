@@ -28,12 +28,26 @@ class RoundMetrics:
     wall_seconds: float = field(metadata={"format": ".3f"})
 
 
-def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
-    """(TP, FP, TN, FN) at the given probability threshold."""
+def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels as arrays: non-empty, of equal length, every score finite.
+
+    A NaN score compares false with any threshold and sorts last, so
+    unchecked it would count as a prediction of normal and as a rank.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if scores.shape != labels.shape or scores.size == 0:
         raise ValueError("scores and labels must be non-empty and equal length")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"{bad.size} of {scores.size} scores are not finite; "
+                         f"score {bad[0]} is {scores[bad[0]]}")
+    return scores, labels
+
+
+def confusion(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
+    """(TP, FP, TN, FN) at the given probability threshold."""
+    scores, labels = _checked(scores, labels)
     pred = scores >= threshold
     pos = labels == 1
     tp = int(np.sum(pred & pos))
@@ -72,8 +86,7 @@ def roc_auc(scores, labels) -> float:
     2U is counted exactly as an integer: for each positive, the negatives
     scored strictly below it plus those scored at or below it.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    scores, labels = _checked(scores, labels)
     pos = scores[labels == 1]
     neg = np.sort(scores[labels == 0])
     if pos.size == 0 or neg.size == 0:

@@ -1,7 +1,7 @@
 """Privacy accounting: RDP curve, composition, conversion, ledger."""
 
+import contextlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -126,18 +126,6 @@ class TestToEpsilon:
             assert eps >= want - 1e-9  # grid minimum cannot beat the dense one
             assert eps == pytest.approx(want, rel=0.02)
 
-    def test_monotone_in_sigma_and_rounds(self):
-        sigmas = np.linspace(0.5, 4.0, 5)
-        rounds = [1, 5, 20, 50, 100]
-        deltas = [1e-7, 1e-5, 1e-3]
-        for delta in deltas:
-            for T in rounds:
-                eps = [epsilon_for(s, T, delta)[0] for s in sigmas]
-                assert all(a >= b - 1e-12 for a, b in zip(eps, eps[1:]))
-            for s in sigmas:
-                eps = [epsilon_for(s, T, delta)[0] for T in rounds]
-                assert all(a <= b + 1e-12 for a, b in zip(eps, eps[1:]))
-
     def test_equals_scalar_loop(self):
         for sigma in (0.0, 0.01, 0.3, 1.5, 7.0, 1e3):
             for rounds in (0, 1, 5, 100, 10**6):
@@ -160,19 +148,6 @@ class TestToEpsilon:
 
 
 class TestLedger:
-    def test_linear_budget_exact(self):
-        # target 10, T=10: after round k the linear ledger reads exactly k.
-        import warnings as _w
-
-        ledger = PrivacyLedger(
-            target_epsilon=10.0, delta=1e-5, noise_multiplier=1.0, total_rounds=10
-        )
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")  # late rounds overspend the RDP budget
-            for k in range(1, 11):
-                ledger.update()
-                assert ledger.eps_spent_linear == k * 1.0
-
     def test_rdp_accumulates(self):
         ledger = PrivacyLedger(
             target_epsilon=100.0, delta=1e-5, noise_multiplier=1.5, total_rounds=20
@@ -188,18 +163,15 @@ class TestLedger:
         ledger = PrivacyLedger(
             target_epsilon=1.0, delta=1e-5, noise_multiplier=0.5, total_rounds=5
         )
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="exceeds target 1 after round 1$"):
             ledger.update()
 
     def test_zero_sigma_warns_and_reports_inf(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="provides no differential privacy"):
             ledger = PrivacyLedger(
                 target_epsilon=10.0, delta=1e-5, noise_multiplier=0.0, total_rounds=5
             )
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with pytest.warns(UserWarning, match="epsilon inf exceeds target 10 after round 1$"):
             ledger.update()
         assert ledger.eps_spent_rdp == math.inf
 
@@ -224,9 +196,11 @@ class TestLedger:
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-170])
     def test_infinite_epsilon_has_no_alpha_star(self, sigma):
-        # sigma^2 underflows to 0 at 1e-170: both are sigma 0 to the accountant.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no DP; overspent target
+        # sigma^2 underflows to 0 at 1e-170: both are sigma 0 to the accountant,
+        # though only a noise multiplier of exactly 0 warns that it gives no DP.
+        no_dp = (pytest.warns(UserWarning, match="provides no differential privacy")
+                 if sigma == 0 else contextlib.nullcontext())
+        with no_dp, pytest.warns(UserWarning, match="exceeds target 10 after round 1$"):
             ledger = PrivacyLedger(target_epsilon=10.0, delta=1e-5, noise_multiplier=sigma,
                                    total_rounds=2).update()
         assert ledger.eps_spent_rdp == math.inf and math.isnan(ledger.alpha_star)

@@ -228,6 +228,21 @@ class TestReadLogFile:
         assert len(out) == 28  # minus one malformed and one blank line
         assert len(list(read_log_file(fixture))) == 28
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # A BOM read as text would turn the first line's label "-" into
+        # "\ufeff-", an alert. One inside the file, where two files were
+        # concatenated, stays part of its line.
+        fixture = FIXTURES / "thunderbird_small.log"
+        path = tmp_path / "bom.log"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        counts, want_counts = {}, {}
+        out = list(read_log_file(path, counts=counts))
+        assert out == list(read_log_file(fixture, counts=want_counts))
+        assert counts == want_counts == {"lines": 30, "malformed": 1}
+        assert out[0].label_field == "-" and not out[0].is_anomalous
+        path.write_text(("\ufeff" + TBIRD_LINE + "\n") * 2, encoding="utf-8")
+        assert [e.label_field for e in read_log_file(path)] == ["-", "\ufeff-"]
+
     def test_bgl_fixture_with_crlf_and_invalid_utf8(self):
         fixture = FIXTURES / "bgl_small.log"
         raw = fixture.read_bytes()

@@ -293,13 +293,13 @@ class TestLocalTrain:
         probe = state.copy()
         seq = token_ids_from_keys(client.sequences[0].key_ids, state.config.vocab_size)
         _, cache = forward(probe, seq)
-        with pytest.warns(UserWarning):  # single sample => single-class weights
+        with pytest.warns(UserWarning, match="single-class dataset"):
             weights = model_ops.class_weights_from_labels([client.sequences[0].label])
         grad = model_ops.backward(
             probe, cache, client.sequences[0].label, weights, 0.0, flat
         )
 
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="single-class dataset"):
             out = local_train(client, state, flat, cfg, np.random.default_rng(9))
         # (w - lr g) - w loses a few low bits against w itself, so allow an
         # absolute tolerance at machine-epsilon-of-w scale.
@@ -545,39 +545,38 @@ class TestTrainer:
             k_clients=1, rounds=n_rounds, local_epochs=1, clip_bound=1e9,
             noise_multiplier=0.0, learning_rate=0.05,
         )
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            # The trainer keeps only the packed windows, so the reference
-            # reads the client it was given.
-            client = mk_client(0, 6, seed=20)
+        # The trainer keeps only the packed windows, so the reference
+        # reads the client it was given.
+        client = mk_client(0, 6, seed=20)
+        with pytest.warns(UserWarning, match="provides no differential privacy"):
             trainer = build_trainer(fc, clients=[client])
-            reference = init(tiny_model_config(), 0)
-            vocab = reference.config.vocab_size
-            seqs = [token_ids_from_keys(s.key_ids, vocab) for s in client.sequences]
-            labels = [s.label for s in client.sequences]
-            weights = model_ops.class_weights_from_labels(labels)
+        reference = init(tiny_model_config(), 0)
+        vocab = reference.config.vocab_size
+        seqs = [token_ids_from_keys(s.key_ids, vocab) for s in client.sequences]
+        labels = [s.label for s in client.sequences]
+        weights = model_ops.class_weights_from_labels(labels)
+        with pytest.warns(UserWarning, match="epsilon inf exceeds target 10 after round"):
             trainer.run()
 
-            # Direct trainer: same per-round rng stream, same batch schedule.
-            n = len(seqs)
-            bs = fc.batch_size
-            for round_idx in range(n_rounds):
-                rng = trainer._round_rng(2, round_idx, 0)
-                anchor = reference.get_trainable()
-                order = rng.permutation(n)
-                for b in range((n + bs - 1) // bs):
-                    idx = order[b * bs : (b + 1) * bs]
-                    g = np.zeros(reference.n_trainable)
-                    for i in idx:
-                        _, cache = forward(reference, seqs[i], "train", rng)
-                        g += model_ops.backward(
-                            reference, cache, labels[i], weights,
-                            fc.proximal_mu, anchor,
-                        )
-                    g /= len(idx)
-                    w = reference.get_trainable()
-                    reference.set_trainable(w - fc.learning_rate * g)
+        # Direct trainer: same per-round rng stream, same batch schedule.
+        n = len(seqs)
+        bs = fc.batch_size
+        for round_idx in range(n_rounds):
+            rng = trainer._round_rng(2, round_idx, 0)
+            anchor = reference.get_trainable()
+            order = rng.permutation(n)
+            for b in range((n + bs - 1) // bs):
+                idx = order[b * bs : (b + 1) * bs]
+                g = np.zeros(reference.n_trainable)
+                for i in idx:
+                    _, cache = forward(reference, seqs[i], "train", rng)
+                    g += model_ops.backward(
+                        reference, cache, labels[i], weights,
+                        fc.proximal_mu, anchor,
+                    )
+                g /= len(idx)
+                w = reference.get_trainable()
+                reference.set_trainable(w - fc.learning_rate * g)
 
         diff = np.abs(
             trainer.state.get_trainable() - reference.get_trainable()

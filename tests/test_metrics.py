@@ -57,6 +57,11 @@ class TestConfusion:
             confusion([], [])
         with pytest.raises(ValueError):
             confusion([0.5], [1, 0])
+        # NaN >= 0.5 is False, so a NaN score would count as a normal prediction.
+        for bad in (math.nan, math.inf, -math.inf):
+            want = f"^1 of 3 scores are not finite; score 1 is {bad}$"
+            with pytest.raises(ValueError, match=want):
+                confusion([0.9, bad, 0.2], [1, 0, 1])
 
 
 class TestPrf1:
@@ -125,6 +130,12 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_auc([0.4, 0.6], [1, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # np.sort puts a NaN last, so it would rank above every negative.
+        with pytest.raises(ValueError, match=f"^1 of 3 scores are not finite; score 0 is {bad}$"):
+            roc_auc([bad, 0.2, 0.9], [1, 0, 1])
 
 
 class TestEvaluate:

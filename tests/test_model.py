@@ -487,7 +487,7 @@ class TestClassWeights:
         assert class_weights_from_labels([0, 1]) == (1.0, 1.0)
 
     def test_single_class_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="single-class dataset"):
             assert class_weights_from_labels([0, 0]) == (1.0, 1.0)
 
 

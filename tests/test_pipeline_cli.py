@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 import weakref
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -95,22 +94,25 @@ FULL_ROW = "0,1,0.500000,0.500000,0.500000,0.500000,0.500000,0.500000,1.000000,0
 
 
 def read_masked_rounds(path):
-    """rounds.csv lines with the wall_seconds column blanked out."""
-    lines = path.read_text().splitlines()
-    out = []
-    for line in lines:
-        cols = line.split(",")
-        cols[-1] = "_"
-        out.append(",".join(cols))
-    return out
+    """rounds.csv lines with the wall_seconds column, found by name, blanked out."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    col = rows[0].index("wall_seconds")
+    for cols in rows:
+        cols[col] = "_"
+    return [",".join(cols) for cols in rows]
+
+
+def assert_user_warnings_only(record):
+    """pytest.warns re-emits a warning it did not match under the module name
+    `warnings`, where the suite's rule for flog's RuntimeWarnings no longer
+    fails it; a block that expects UserWarnings checks that it saw no other."""
+    assert {w.category for w in record} == {UserWarning}, [str(w.message) for w in record]
 
 
 class TestRunPipeline:
     def test_produces_all_artifacts(self, cfg_path, tmp_path):
         cfg = load_config(cfg_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            metrics = run_pipeline(cfg, seed=0)
+        metrics = run_pipeline(cfg, seed=0)
         assert len(metrics) == cfg.federated.rounds
         for name in ARTIFACTS:
             assert (tmp_path / "out" / name).exists(), name
@@ -118,17 +120,15 @@ class TestRunPipeline:
     def test_same_seed_reproduces_artifacts(self, cfg_path, tmp_path):
         cfg = load_config(cfg_path)
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_pipeline(cfg, seed=3)
-            first = {
-                "ckpt": (out / "model.ckpt").read_bytes(),
-                "rounds": read_masked_rounds(out / "rounds.csv"),
-                "templates": (out / "templates.tsv").read_bytes(),
-                "assignment": (out / "assignment.tsv").read_bytes(),
-                "ledger": (out / "ledger.txt").read_bytes(),
-            }
-            run_pipeline(cfg, seed=3)
+        run_pipeline(cfg, seed=3)
+        first = {
+            "ckpt": (out / "model.ckpt").read_bytes(),
+            "rounds": read_masked_rounds(out / "rounds.csv"),
+            "templates": (out / "templates.tsv").read_bytes(),
+            "assignment": (out / "assignment.tsv").read_bytes(),
+            "ledger": (out / "ledger.txt").read_bytes(),
+        }
+        run_pipeline(cfg, seed=3)
         assert (out / "model.ckpt").read_bytes() == first["ckpt"]
         assert read_masked_rounds(out / "rounds.csv") == first["rounds"]
         assert (out / "templates.tsv").read_bytes() == first["templates"]
@@ -138,11 +138,9 @@ class TestRunPipeline:
     def test_different_seed_changes_model(self, cfg_path, tmp_path):
         cfg = load_config(cfg_path)
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_pipeline(cfg, seed=0)
-            first = (out / "model.ckpt").read_bytes()
-            run_pipeline(cfg, seed=1)
+        run_pipeline(cfg, seed=0)
+        first = (out / "model.ckpt").read_bytes()
+        run_pipeline(cfg, seed=1)
         assert (out / "model.ckpt").read_bytes() != first
 
     def test_negative_seed_fails_before_any_stage(self, cfg_path, tmp_path, monkeypatch):
@@ -156,9 +154,7 @@ class TestRunPipeline:
 
     def test_rounds_csv_schema(self, cfg_path, tmp_path):
         cfg = load_config(cfg_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_pipeline(cfg, seed=0)
+        run_pipeline(cfg, seed=0)
         lines = (tmp_path / "out" / "rounds.csv").read_text().splitlines()
         assert lines[0] == (
             "round,participants,accuracy,precision,recall,f1,roc_auc,"
@@ -189,6 +185,20 @@ class TestRunPipeline:
         assert info.value.stage == "train"
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "stage 'train' failed: update row 0 is not finite" in capsys.readouterr().err
+
+    def test_non_finite_scores_fail_train_stage(self, tmp_path, capsys):
+        # Noise of scale 1e100 leaves every test window's score NaN, which
+        # no metric can rank or threshold.
+        doc = small_doc(tmp_path / "out")
+        doc["federated"].update(noise_multiplier=1e100, rounds=1)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(StageError, match="71 of 71 scores are not finite") as info:
+            run_pipeline(load_config(path), seed=0)
+        assert info.value.stage == "train"
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("stage 'train' failed: 71 of 71 scores")
+        assert not (tmp_path / "out" / "rounds.csv").exists()
 
     def test_empty_test_split_fails_in_window_stage(self, tmp_path, capsys):
         # 40 lines make one or two windows per node, and a fifth of that
@@ -228,11 +238,12 @@ class TestRunPipeline:
         doc["federated"].update(k_clients=8, rounds=10, participation_rate=0.25)
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        # Both commands warn from round 5 on, where epsilon passes 100.
+        with pytest.warns(UserWarning, match="exceeds target 100 after round") as record:
             assert main(["train", "--config", str(path), "--seed", "1"]) == 0
             capsys.readouterr()
             assert main(["account", "--config", str(path)]) == 0
+        assert_user_warnings_only(record)
         rows = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == list(range(10))
         ledger = (tmp_path / "out" / "ledger.txt").read_text()
@@ -275,9 +286,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(federated.FederatedTrainer, "run", run)
         cfg = load_config(cfg_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_pipeline(cfg, seed=0)
+        run_pipeline(cfg, seed=0)
         n_nodes = cfg.dataset.synthetic.n_nodes
         assert len(corpus_refs) == 1 and len(window_refs) == n_nodes
         assert alive_at_build == [0] * n_nodes
@@ -425,8 +434,7 @@ class TestParsedColumns:
 class TestBglFixture:
     def test_train_completes(self, tmp_path, caplog):
         path = log_file_config(tmp_path, "bgl", BGL_FIXTURE)
-        with caplog.at_level(logging.INFO, logger="flog.pipeline"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with caplog.at_level(logging.INFO, logger="flog.pipeline"):
             assert main(["train", "--config", str(path)]) == 0
         for name in ARTIFACTS:
             assert (tmp_path / "out" / name).exists(), name
@@ -464,19 +472,17 @@ class TestPackedAsCut:
 
     def test_equals_packing_the_partitioned_window_lists(self, cfg):
         k = cfg.federated.k_clients
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            trainer = pipeline._trainer(cfg, pipeline.output_dir(cfg))
-            corpus = pipeline.read_corpus(cfg)
-            train, test = [], []
-            for _, node_train, node_test in pipeline.node_windows(corpus, cfg):
-                train += node_train
-                test += node_test
-            assignment = partition.round_robin_assign(list(corpus.records_by_node), k)
-            clients = partition.materialize(train, assignment, k)
-            config = trainer.state.config
-            wanted = [(federated.LocalData.from_client(c, config), packed_from_keys(c, config))
-                      for c in clients]
+        trainer = pipeline._trainer(cfg, pipeline.output_dir(cfg))
+        corpus = pipeline.read_corpus(cfg)
+        train, test = [], []
+        for _, node_train, node_test in pipeline.node_windows(corpus, cfg):
+            train += node_train
+            test += node_test
+        assignment = partition.round_robin_assign(list(corpus.records_by_node), k)
+        clients = partition.materialize(train, assignment, k)
+        config = trainer.state.config
+        wanted = [(federated.LocalData.from_client(c, config), packed_from_keys(c, config))
+                  for c in clients]
         assert len(trainer.local_data) == k
         assert any(c.n_samples == 0 for c in clients) == (k > len(assignment))
         for got, wants in zip(trainer.local_data, wanted, strict=True):
@@ -509,9 +515,9 @@ class TestLargeProfile:
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(doc))
         cfg = load_config(path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(UserWarning, match="exceeds target 10 after round") as record:
             metrics = run_pipeline(cfg, seed=0)
+        assert_user_warnings_only(record)
         assert len(metrics) == 10
         ledger = (tmp_path / "out" / "ledger.txt").read_text()
         assert "eps_linear=10.0" in ledger
@@ -594,9 +600,7 @@ class TestCli:
 
     def test_partition_and_train_write_the_same_assignment(self, cfg_path, tmp_path):
         assert main(["partition", "--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
         dump = (tmp_path / "p" / "assignment.tsv").read_bytes()
         assert dump == (tmp_path / "t" / "assignment.tsv").read_bytes()
         assert dump.count(b"\n") == 5  # header + 4 nodes
@@ -626,9 +630,7 @@ class TestCli:
         else:
             blocked = out / artifact
             blocked.mkdir(parents=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"'{blocked}'" in err, err
         assert "configuration error" not in err
@@ -663,11 +665,9 @@ class TestCli:
         assert not (tmp_path / "out" / "assignment.tsv").exists()
 
     def test_train_then_evaluate(self, cfg_path, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
-            capsys.readouterr()
-            assert main(["evaluate", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 0
         # The reloaded checkpoint scores the test split exactly as the last
         # training round did, so its re-scored row is that round's row, in
         # all ten columns.
@@ -676,18 +676,14 @@ class TestCli:
         assert lines[0] == CSV_HEADER and len(lines[-1].split(",")) == 10
 
     def test_evaluate_without_rounds_csv_fails(self, cfg_path, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
         (tmp_path / "out" / "rounds.csv").unlink()
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
         assert "no rounds.csv" in capsys.readouterr().err
 
     def test_evaluate_on_header_only_rounds_csv_fails(self, cfg_path, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
         rounds_csv = tmp_path / "out" / "rounds.csv"
         header = rounds_csv.read_text(encoding="utf-8").splitlines()[0]
         rounds_csv.write_text(header + "\n", encoding="utf-8")
@@ -699,9 +695,7 @@ class TestCli:
 
     def test_evaluate_on_damaged_checkpoint_names_load_stage(self, cfg_path, tmp_path,
                                                              monkeypatch, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
         ckpt = tmp_path / "out" / "model.ckpt"
         good = ckpt.read_bytes()
 
@@ -726,9 +720,7 @@ class TestCli:
     ], ids=["row", "column"])
     def test_evaluate_on_unparsable_last_round_names_load_stage(self, cfg_path, tmp_path,
                                                                 capsys, damage, named):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
         rounds_csv = tmp_path / "out" / "rounds.csv"
         rows = [line.split(",") for line in rounds_csv.read_text(encoding="utf-8").splitlines()]
         assert rows[0][8] == "mean_pre_clip_norm"
@@ -739,6 +731,16 @@ class TestCli:
         assert f"stage 'load' failed: {rounds_csv}: " in err
         assert named in err
         assert "configuration error" not in err
+        assert out == ""
+
+    def test_evaluate_on_non_finite_scores_names_evaluate_stage(self, cfg_path, monkeypatch,
+                                                                capsys):
+        assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+        monkeypatch.setattr("flog.model.score", lambda state, packed: [np.nan] * len(packed))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("stage 'evaluate' failed: ") and "scores are not finite" in err
         assert out == ""
 
     def test_evaluate_without_checkpoint_fails(self, cfg_path, tmp_path, capsys):
@@ -752,19 +754,13 @@ class TestCli:
         assert not typo.exists()
 
     def test_account(self, cfg_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["account", "--config", str(cfg_path)]) == 0
+        assert main(["account", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "eps_rdp=" in out and "rounds=2" in out
 
     def test_out_override(self, cfg_path, tmp_path):
         alt = tmp_path / "alt"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(
-                ["train", "--config", str(cfg_path), "--out", str(alt)]
-            ) == 0
+        assert main(["train", "--config", str(cfg_path), "--out", str(alt)]) == 0
         assert (alt / "model.ckpt").exists()
         # Every subcommand that writes takes --out the same way.
         for command, artifact in [("synth", "synthetic.log"), ("parse", "templates.tsv"),
