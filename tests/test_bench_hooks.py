@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from flog import pipeline
+from flog import pipeline, windows
 from flog.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,13 +37,15 @@ def load_perfbench(name):
 
 @pytest.fixture
 def cfg(tmp_path):
-    """configs/synthetic.yaml on 4,000 lines, 2 rounds of 1 epoch."""
+    """configs/synthetic.yaml on 4,000 lines, 2 rounds of 1 epoch, under a
+    privacy target that the run never reaches."""
     cfg = load_config(ROOT / "configs" / "synthetic.yaml")
     return dataclasses.replace(
         cfg,
         dataset=dataclasses.replace(cfg.dataset, synthetic=dataclasses.replace(
             cfg.dataset.synthetic, n_lines=4000)),
         federated=dataclasses.replace(cfg.federated, rounds=2, local_epochs=1),
+        privacy=dataclasses.replace(cfg.privacy, target_epsilon=1.0e9),
         output_dir=str(tmp_path / "out"),
     )
 
@@ -54,9 +56,8 @@ def test_tracer_counts_the_run_and_restores_every_name(cfg):
         tracer.install()
         patched = list(tracer._patched)
         assert patched and all(getattr(h, attr) is not orig for h, attr, orig in patched)
-        # A client holds one class of window, and both rounds overspend the target.
-        with pytest.warns(UserWarning, match="single-class dataset") as record, \
-                pytest.warns(UserWarning, match="exceeds target 10 after round"):
+        # A client holds one class of window.
+        with pytest.warns(UserWarning, match="single-class dataset") as record:
             pipeline.run_pipeline(cfg, seed=1)
     finally:
         tracer.uninstall()
@@ -65,9 +66,10 @@ def test_tracer_counts_the_run_and_restores_every_name(cfg):
     # where a flog RuntimeWarning would no longer fail the suite.
     assert {w.category for w in record} == {UserWarning}
 
+    # The tracer counts the windows build_windows returns, before the train/test cut.
     corpus = pipeline.read_corpus(cfg)
-    n_windows = sum(len(train) + len(test)
-                    for _, train, test in pipeline.node_windows(corpus, cfg))
+    n_windows = sum(len(windows.build_windows(records, cfg.window))
+                    for records in corpus.records_by_node.values())
     layers = tracer.layer_metrics()
     assert layers["windows.windows"] == n_windows > 0
     assert layers["drain.templates"] == corpus.n_templates
