@@ -367,6 +367,43 @@ class TestPackedInput:
 
 
 class TestGradients:
+    def _loss_at(self, state, flat, seq, y, weights, mu, anchor):
+        probe = state.copy()
+        probe.set_trainable(flat)
+        y_hat, _ = forward(probe, seq)
+        return loss(y_hat, y, weights, flat, anchor, mu)
+
+    def test_finite_difference_oracle(self):
+        # d=8, d_k=8, 1 head, L=1, r=2, T=4, central differences h=1e-5.
+        h = 1e-5
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            state = init(tiny_config(), seed)
+            flat = rng.normal(0.0, 0.3, size=state.n_trainable)
+            state.set_trainable(flat)
+            anchor = rng.normal(0.0, 0.3, size=state.n_trainable)
+            seq = rng.integers(0, 12, size=4)
+            y = int(rng.integers(0, 2))
+            weights = (0.7, 3.1)
+            mu = 0.05
+
+            _, cache = forward(state, seq)
+            g = backward(state, cache, y, weights, mu, anchor)
+
+            num = np.zeros_like(g)
+            for i in range(len(flat)):
+                up, down = flat.copy(), flat.copy()
+                up[i] += h
+                down[i] -= h
+                num[i] = (
+                    self._loss_at(state, up, seq, y, weights, mu, anchor)
+                    - self._loss_at(state, down, seq, y, weights, mu, anchor)
+                ) / (2 * h)
+            denom = np.maximum(np.abs(num), 1e-8)
+            worst = max(worst, float(np.max(np.abs(g - num) / denom)))
+        assert worst < 1e-4
+
     @pytest.mark.parametrize("lora_dropout", [0.0, 0.3])
     def test_finite_difference_batched_train_dropout(self, lora_dropout):
         # L=2, 2 heads, train mode, one packed batch of three sequences. At
